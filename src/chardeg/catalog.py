@@ -12,6 +12,9 @@ Spec grammar (no whitespace):
     MATLIST := matrices separated by ";", each m*m entries separated by ","
     NAME    := S3 | A4 | C5C4 | C11C5 | C7C6 | E8C7 | G72D | G72Q | A4A4
 
+"prod(" nests at most MAX_PROD_NESTING deep; deeper input is a syntax error
+rather than a recursion overflow in the parser or the realizations.
+
 Realizations:
 
     cyclic  integers mod n
@@ -110,10 +113,14 @@ GroupSpec = Union[Cyclic, Frob, Psl2, Xsp, Affine, Prod, Named]
 # ------------------------------------------------------------------- parsing
 
 
+MAX_PROD_NESTING = 64
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, msg: str):
         raise SpecSyntaxError(msg, self.pos)
@@ -164,10 +171,14 @@ class _Parser:
             n = self.nat()
             return _check_xsp(p, n)
         if self.literal("prod("):
+            self.depth += 1
+            if self.depth > MAX_PROD_NESTING:
+                self.fail(f"prod( nested deeper than {MAX_PROD_NESTING}")
             left = self.spec()
             self.expect(",")
             right = self.spec()
             self.expect(")")
+            self.depth -= 1
             return Prod(left, right)
         if self.literal("named:"):
             name = self.name()

@@ -14,8 +14,8 @@ Subcommands
 
 Output goes to stdout in --format pretty|json|csv; diagnostics go to stderr.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 a cap or budget was exceeded.  Settings resolve flags first, then
-CHARDEG_* environment variables, then --config key = value lines.
+3 a cap or budget was exceeded or memory ran out.  Settings resolve flags
+first, then CHARDEG_* environment variables, then --config key = value lines.
 """
 
 from __future__ import annotations
@@ -517,6 +517,9 @@ def run(argv: list[str] | None = None) -> int:
     except (NotPerfectSquare, SumOfSquaresMismatch, SelfCheckFailed) as exc:
         log.error("internal verification failure: %s", exc)
         return 1
+    except MemoryError:
+        log.error("out of memory")
+        return 3
 
 
 def main():

@@ -24,7 +24,8 @@ kept in reduced row echelon form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -40,8 +41,9 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     GroupRealization,
-    enumerate_elements,
-    exponent,
+    IndexTables,
+    element_order,
+    index_tables,
 )
 
 __all__ = [
@@ -61,21 +63,64 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_CAP = 500
+# Entry budget for class_matrix's temporary arrays: representatives are
+# walked in column blocks so that members x block stays under it.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
 class ClassData:
-    """Conjugacy classes; reps are lex-least members, sorted ascending."""
+    """Conjugacy classes; reps are lex-least members, sorted ascending.
+
+    class_at and member_at say the same as class_of and members over
+    positions in the index tables they carry (see groups.IndexTables).
+    """
 
     reps: tuple
     sizes: tuple[int, ...]
     class_of: dict
     inverse_class: tuple[int, ...]
     members: tuple  # members[i] = tuple of elements of class i
+    class_at: list[int] = field(compare=False, repr=False)
+    member_at: tuple[list[int], ...] = field(compare=False, repr=False)
+    tables: IndexTables = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def class_array(self) -> np.ndarray:
+        return np.array(self.class_at, dtype=np.intp)
+
+    @cached_property
+    def rep_words(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Generator words of the representatives in the closure's tree.
+
+        Returns (cols, gens, walking): the classes ordered by word length,
+        longest first; gens[c, s] = the generator of step s of the word of
+        class cols[c], zero-padded; walking[s] = how many words have a step
+        s, so those are the leading rows of gens.
+        """
+        t = self.tables
+        words = []
+        for m in self.member_at:
+            word = []
+            x = m[0]
+            while x:
+                word.append(t.via[x])
+                x = t.parent[x]
+            words.append(word[::-1])
+        cols = sorted(range(self.count), key=lambda k: -len(words[k]))
+        steps = len(words[cols[0]])
+        walking = [0] * steps
+        for w in words:
+            for s in range(len(w)):
+                walking[s] += 1
+        gens = np.array(
+            [words[k] + [0] * (steps - len(words[k])) for k in cols], dtype=np.intp
+        ).reshape(self.count, steps)
+        return np.array(cols, dtype=np.intp), gens, walking
 
 
 @dataclass(frozen=True)
@@ -119,40 +164,51 @@ class DegreeMultiset:
 def conjugacy_classes(
     g: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP
 ) -> ClassData:
-    els = enumerate_elements(g, cap)
-    gens = list(g.generators)
-    gen_invs = [g.inverse(x) for x in gens]
-    class_of: dict = {}
-    reps = []
-    sizes = []
-    members = []
-    for x in els:
-        if x in class_of:
+    """Orbits of conjugation by the generators, walked over element positions.
+
+    h⁻¹·x·h is right[h][left[x]], where left[x] is the position of h⁻¹·x.
+    left is filled along the closure's tree from left[0] = h⁻¹, since
+    h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is needed.
+    """
+    t = index_tables(g, cap)
+    els, right, parent, via = t.elements, t.right, t.parent, t.via
+    n = len(els)
+    conj = []  # conj[j][x] = position of g_j⁻¹ · x · g_j
+    for h, col in zip(g.generators, right):
+        left = [0] * n
+        left[0] = t.index[g.inverse(h)]
+        for x in range(1, n):
+            left[x] = right[via[x]][left[parent[x]]]
+        conj.append([col[y] for y in left])
+    class_at = [-1] * n
+    count = 0
+    for x in t.order:  # classes are numbered by their least element
+        if class_at[x] >= 0:
             continue
-        idx = len(reps)
+        class_at[x] = count
         orbit = [x]
-        class_of[x] = idx
-        pos = 0
-        while pos < len(orbit):
-            y = orbit[pos]
-            pos += 1
-            for gi, ginv in zip(gens, gen_invs):
-                z = g.multiply(ginv, g.multiply(y, gi))
-                if z not in class_of:
-                    class_of[z] = idx
+        for y in orbit:  # orbit grows while it is walked
+            for perm in conj:
+                z = perm[y]
+                if class_at[z] < 0:
+                    class_at[z] = count
                     orbit.append(z)
-        reps.append(x)
-        sizes.append(len(orbit))
-        members.append(tuple(sorted(orbit)))
-    inverse_class = tuple(class_of[g.inverse(rep)] for rep in reps)
+        count += 1
+    member_at = tuple([] for _ in range(count))
+    for x in t.order:
+        member_at[class_at[x]].append(x)
+    reps = tuple(els[m[0]] for m in member_at)
     cd = ClassData(
-        reps=tuple(reps),
-        sizes=tuple(sizes),
-        class_of=class_of,
-        inverse_class=inverse_class,
-        members=tuple(members),
+        reps=reps,
+        sizes=tuple(map(len, member_at)),
+        class_of=dict(zip(els, class_at)),
+        inverse_class=tuple(class_at[t.index[g.inverse(rep)]] for rep in reps),
+        members=tuple(tuple(map(els.__getitem__, m)) for m in member_at),
+        class_at=class_at,
+        member_at=member_at,
+        tables=t,
     )
-    _check_class_data(g, cd, len(els))
+    _check_class_data(g, cd, n)
     return cd
 
 
@@ -167,20 +223,44 @@ def _check_class_data(g, cd, order):
 
 
 def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> ClassMatrix:
-    """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}; scan x against the z_k."""
+    """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
+
+    y = x⁻¹ z_k, and x⁻¹ runs over C_{i'} as x runs over C_i, so column k
+    counts the classes of w·z_k for w in C_{i'}.  w·z_k is reached from w by
+    right multiplications along z_k's generator word in the closure's tree,
+    each a gather from the index tables.
+    """
+    right = cd.tables.right_array
     r = cd.count
-    a = np.zeros((r, r), dtype=np.int64)
-    for x in cd.members[i]:
-        xi = g.inverse(x)
-        for k, z in enumerate(cd.reps):
-            a[cd.class_of[g.multiply(xi, z)], k] += 1
-    return ClassMatrix(index=i, entries=a)
+    cols, gens, walking = cd.rep_words
+    ws = np.array(cd.member_at[cd.inverse_class[i]], dtype=np.intp)
+    block = max(1, _BLOCK_ENTRIES // len(ws))
+    counts = 0
+    for b0 in range(0, r, block):
+        b1 = min(r, b0 + block)
+        v = np.repeat(ws[:, None], b1 - b0, axis=1)
+        for s, n in enumerate(walking):
+            a = min(n, b1) - b0  # the block's columns whose word has step s
+            if a <= 0:
+                break
+            v[:, :a] = right[gens[b0 : b0 + a, s], v[:, :a]]
+        flat = cd.class_array[v] * r + cols[b0:b1]
+        counts = counts + np.bincount(flat.ravel(), minlength=r * r)
+    return ClassMatrix(index=i, entries=counts.reshape(r, r))
 
 
-def dixon_modulus(g: GroupRealization) -> int:
-    """Least prime l ≡ 1 (mod exp(G)) with l > |G|."""
-    e = exponent(g)
-    order = len(enumerate_elements(g))
+def dixon_modulus(g: GroupRealization, cd: ClassData | None = None) -> int:
+    """Least prime l ≡ 1 (mod exp(G)) with l > |G|.
+
+    exp(G) is the lcm of the orders of the class representatives, since
+    element order is a class invariant.
+    """
+    if cd is None:
+        cd = conjugacy_classes(g)
+    e = 1
+    for rep in cd.reps:
+        e = lcm(e, element_order(g, rep))
+    order = sum(cd.sizes)
     v = e + 1
     while v <= order or not is_prime(v):
         v += e
@@ -326,7 +406,7 @@ def dixon_context(
     r = cd.count
     if r > class_cap:
         raise CapExceeded(f"{r} conjugacy classes exceed cap {class_cap}")
-    l = dixon_modulus(g)
+    l = dixon_modulus(g, cd)
     cache: dict[int, np.ndarray] = {}
 
     def mat(i: int) -> np.ndarray:

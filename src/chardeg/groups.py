@@ -10,7 +10,9 @@ sorts class representatives.
 
 Enumeration does a breadth-first closure of the generators and is cached on
 the realization behind a lock, so repeated conjugacy/character computations
-share one element list.
+share one element list.  The closure's products x·g are kept as index
+tables (IndexTables), so later stages can multiply by generators without
+calling `multiply` again.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import CapExceeded, SelfCheckFailed
 
@@ -27,7 +32,9 @@ __all__ = [
     "DEFAULT_ELEMENT_CAP",
     "GroupRealization",
     "GroupData",
+    "IndexTables",
     "enumerate_elements",
+    "index_tables",
     "element_order",
     "exponent",
     "derived_subgroup_order",
@@ -59,51 +66,81 @@ class GroupRealization:
         self.descriptor = descriptor
         self.expected_order = expected_order
         self._elements: tuple | None = None
-        self._index: dict | None = None
+        self._tables: IndexTables | None = None
         self._lock = threading.Lock()
 
     def __repr__(self):
         return f"GroupRealization({self.descriptor!r})"
 
 
-def _closure(identity, multiply, generators, cap: int, what: str) -> set:
+@dataclass(frozen=True)
+class IndexTables:
+    """Multiplication by generators, over positions in discovery order.
+
+    elements lists the group in the closure's breadth-first discovery order
+    (the identity is position 0) and index inverts it.  right[j][x] is the
+    position of elements[x]·generators[j].  For x > 0, elements[x] =
+    elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
+    -1.  order lists the positions of the elements in sorted order.
+    """
+
+    elements: list
+    index: dict
+    right: tuple[list[int], ...]
+    parent: list[int]
+    via: list[int]
+    order: list[int]
+
+    @cached_property
+    def right_array(self) -> np.ndarray:
+        """right as a (generators, elements) array, for numpy gathers."""
+        return np.array(self.right, dtype=np.intp).reshape(len(self.right), -1)
+
+
+def _closure(identity, multiply, generators, cap: int, what: str) -> IndexTables:
     """Breadth-first closure of the generators under multiplication."""
-    els = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = multiply(x, g)
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-                    if len(els) > cap:
-                        raise CapExceeded(
-                            f"{what}: closure exceeded cap of {cap} elements"
-                        )
-        frontier = new
-    return els
+    els = [identity]
+    index = {identity: 0}
+    right = tuple([] for _ in generators)
+    parent = [-1]
+    via = [-1]
+    for i, x in enumerate(els):  # els grows while it is walked
+        for j, g in enumerate(generators):
+            y = multiply(x, g)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(els)
+                els.append(y)
+                parent.append(i)
+                via.append(j)
+                if k >= cap:
+                    raise CapExceeded(
+                        f"{what}: closure exceeded cap of {cap} elements"
+                    )
+            right[j].append(k)
+    order = sorted(range(len(els)), key=els.__getitem__)
+    return IndexTables(els, index, right, parent, via, order)
 
 
 def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP):
     """All elements of the group, sorted; cached after the first call."""
     with group._lock:
         if group._elements is None:
-            els = _closure(
+            t = _closure(
                 group.identity,
                 group.multiply,
                 group.generators,
                 cap,
                 group.descriptor,
             )
-            if group.expected_order is not None and len(els) != group.expected_order:
+            n = len(t.elements)
+            if group.expected_order is not None and n != group.expected_order:
                 raise SelfCheckFailed(
-                    f"{group.descriptor}: realized {len(els)} elements, "
+                    f"{group.descriptor}: realized {n} elements, "
                     f"expected {group.expected_order}"
                 )
-            group._elements = tuple(sorted(els))
-            group._index = {x: i for i, x in enumerate(group._elements)}
+            group._elements = tuple(map(t.elements.__getitem__, t.order))
+            group._tables = t
         if len(group._elements) > cap:
             raise CapExceeded(
                 f"{group.descriptor}: order {len(group._elements)} exceeds cap {cap}"
@@ -111,10 +148,10 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP):
         return group._elements
 
 
-def element_index(group: GroupRealization) -> dict:
-    """element -> position in the sorted element list."""
-    enumerate_elements(group)
-    return group._index
+def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
+    """The generator multiplication tables of the enumerated group."""
+    enumerate_elements(group, cap)
+    return group._tables
 
 
 def element_order(group: GroupRealization, x) -> int:
@@ -151,7 +188,7 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
     comms.discard(group.identity)
     if not comms:
         return 1
-    sub = _closure(group.identity, mul, sorted(comms), cap, group.descriptor)
+    sub = set(_closure(group.identity, mul, sorted(comms), cap, group.descriptor).index)
     while True:
         new = set()
         for g in gens:
@@ -162,8 +199,8 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
                     new.add(y)
         if not new:
             return len(sub)
-        sub = _closure(
-            group.identity, mul, sorted(sub | new), cap, group.descriptor
+        sub = set(
+            _closure(group.identity, mul, sorted(sub | new), cap, group.descriptor).index
         )
 
 

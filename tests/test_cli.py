@@ -225,11 +225,45 @@ def test_cap_exceeded_exits_3(capsys):
     assert out == ""
 
 
+def test_element_cap_above_default_is_honoured(capsys):
+    # 50,616 elements: over the default cap of 50,000, under the one given
+    code, out, err = invoke(
+        capsys, "degrees", "--spec", "prod(psl2:37,cyclic:2)",
+        "--element-cap", "60000", "--format", "json", "--no-timestamp",
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["group_order"] == 50616
+    assert len(data["degrees"]) == 42
+
+
 def test_budget_exceeded_exits_3(capsys):
     code, _, _ = invoke(
         capsys, "enumerate", "--order", "12", "--budget", "10", "--no-timestamp"
     )
     assert code == 3
+
+
+def test_deeply_nested_spec_exits_2(capsys):
+    spec = "prod(" * 1200 + "cyclic:2" + ",cyclic:2)" * 1200
+    code, out, err = invoke(capsys, "degrees", "--spec", spec, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "nested deeper" in err
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    import chardeg.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(chardeg.cli, "character_degrees", exhausted)
+    code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "ERROR: out of memory"
 
 
 def test_verify_failure_exits_1(capsys):

@@ -5,8 +5,12 @@ a general-purpose computer algebra system and frozen here; the module under
 test must reproduce them from first principles.
 """
 
+from math import lcm
+
+import numpy as np
 import pytest
 
+from chardeg import degrees
 from chardeg.catalog import parse_spec, realize
 from chardeg.degrees import (
     DegreeMultiset,
@@ -25,11 +29,112 @@ from chardeg.errors import (
     SelfCheckFailed,
     SumOfSquaresMismatch,
 )
-from chardeg.groups import GroupRealization, enumerate_elements, exponent
+from chardeg.groups import GroupRealization, element_order, enumerate_elements, exponent
+from chardeg.smallgroups import enumerate_groups, table_to_realization
 
 
 def make(text):
     return realize(parse_spec(text))
+
+
+# ---------------------------------------------- brute-force references
+
+
+def reference_classes(g):
+    """Conjugacy classes by multiplying elements: (reps, sizes, class_of,
+    inverse_class, members), in the conventions of ClassData."""
+    class_of = {}
+    reps, sizes, members = [], [], []
+    gen_invs = [g.inverse(x) for x in g.generators]
+    for x in enumerate_elements(g):
+        if x in class_of:
+            continue
+        idx = len(reps)
+        orbit = [x]
+        class_of[x] = idx
+        pos = 0
+        while pos < len(orbit):
+            y = orbit[pos]
+            pos += 1
+            for gi, ginv in zip(g.generators, gen_invs):
+                z = g.multiply(ginv, g.multiply(y, gi))
+                if z not in class_of:
+                    class_of[z] = idx
+                    orbit.append(z)
+        reps.append(x)
+        sizes.append(len(orbit))
+        members.append(tuple(sorted(orbit)))
+    inverse_class = tuple(class_of[g.inverse(rep)] for rep in reps)
+    return tuple(reps), tuple(sizes), class_of, inverse_class, tuple(members)
+
+
+def reference_class_matrix(g, cd, i):
+    """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}, one product per x and k."""
+    r = cd.count
+    a = np.zeros((r, r), dtype=np.int64)
+    for x in cd.members[i]:
+        xi = g.inverse(x)
+        for k, z in enumerate(cd.reps):
+            a[cd.class_of[g.multiply(xi, z)], k] += 1
+    return a
+
+
+def no_generators():
+    return GroupRealization(
+        identity=0,
+        multiply=lambda a, b: 0,
+        inverse=lambda a: 0,
+        generators=[],
+        descriptor="1",
+        expected_order=1,
+    )
+
+
+REFERENCE_GROUPS = [
+    "cyclic:1",
+    "named:S3",
+    "named:A4",
+    "psl2:7",
+    "frob:2^3:7",
+    "xsp:2:2",
+    "prod(xsp:3:1,cyclic:2)",
+    "named:G72D",
+]
+REFERENCE_CASES = (
+    [(text, lambda text=text: make(text)) for text in REFERENCE_GROUPS]
+    + [
+        (f"order8[{n}]", lambda n=n: table_to_realization(enumerate_groups(8)[n]))
+        for n in range(5)
+    ]
+    + [("no generators", no_generators)]
+)
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in REFERENCE_CASES], ids=[t for t, _ in REFERENCE_CASES]
+)
+def test_index_engine_matches_reference(build):
+    g = build()
+    cd = conjugacy_classes(g)
+    reps, sizes, class_of, inverse_class, members = reference_classes(g)
+    assert cd.reps == reps
+    assert cd.sizes == sizes
+    assert cd.class_of == class_of
+    assert cd.inverse_class == inverse_class
+    assert cd.members == members
+    for i in range(cd.count):
+        got = class_matrix(g, cd, i).entries
+        assert got.dtype == np.int64
+        assert (got == reference_class_matrix(g, cd, i)).all()
+
+
+def test_class_matrix_column_blocks(monkeypatch):
+    """An entry budget below one column still walks every representative."""
+    g = make("psl2:7")
+    cd = conjugacy_classes(g)
+    monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", 5)
+    for i in range(cd.count):
+        assert (class_matrix(g, cd, i).entries == reference_class_matrix(g, cd, i)).all()
 
 
 # ------------------------------------------------------------------- classes
@@ -140,6 +245,7 @@ def test_dixon_modulus(text, modulus):
     assert l == modulus
     assert l > len(enumerate_elements(g))
     assert (l - 1) % exponent(g) == 0
+    assert exponent(g) == lcm(*(element_order(g, x) for x in conjugacy_classes(g).reps))
 
 
 # ------------------------------------------------------------ Dixon degrees
