@@ -105,11 +105,13 @@ class Settings:
             flag = getattr(args, key, None)
             env = os.environ.get(f"CHARDEG_{key.upper()}")
             raw = flag if flag is not None else env if env is not None else cfg.get(key, default)
-            if key in _INT_SETTINGS and not isinstance(raw, int):
+            if key in _INT_SETTINGS:
                 try:
                     raw = int(raw)
                 except ValueError:
                     raise InvalidParam(f"setting {key} must be an integer, got {raw!r}")
+                if raw < 0:
+                    raise InvalidParam(f"setting {key} must not be negative, got {raw}")
             self.values[key] = raw
 
     def __getattr__(self, key):

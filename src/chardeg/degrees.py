@@ -271,26 +271,43 @@ def dixon_modulus(g: GroupRealization, cd: ClassData | None = None) -> int:
 
 
 def _rref(a: np.ndarray, l: int):
-    """Reduced row echelon form mod l; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form mod l; returns (nonzero rows, pivot columns).
+
+    A column with no nonzero entry at or below row r is jumped over by one
+    scan of the remaining block.  Each pivot clears its column only in the
+    rows where that column is nonzero, and only over the columns from the
+    pivot on, since the pivot row is zero to its left.
+    """
     a = a % l
     rows, cols = a.shape
     piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    c = 0
+    for r in range(rows):
+        if c == cols:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
+            live = a[r:, c:].any(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            c += int(live[0])
+            nz = a[r:, c].nonzero()[0]
         p = r + int(nz[0])
         if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = a[r] * pow(int(a[r, c]), l - 2, l) % l
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % l
+            a[[r, p], c:] = a[[p, r], c:]
+        row = a[r, c:]
+        row *= pow(int(row[0]), l - 2, l)
+        row %= l
+        f = a[:, c].copy()
+        f[r] = 0
+        hit = f.nonzero()[0]
+        if hit.size:
+            sub = a[hit, c:]
+            sub -= sub[:, :1] * row
+            sub %= l
+            a[hit, c:] = sub
         piv.append(c)
-        r += 1
+        c += 1
     return a[: len(piv)], piv
 
 
@@ -298,12 +315,12 @@ def _kernel(a: np.ndarray, l: int) -> np.ndarray:
     """Rows spanning {x : a @ x = 0 mod l}."""
     n = a.shape[1]
     r, piv = _rref(a, l)
-    free = [c for c in range(n) if c not in piv]
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, c in enumerate(piv):
-            basis[row, c] = (-int(r[i, f])) % l
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = -r[:, free].T % l
     return basis
 
 
@@ -365,10 +382,15 @@ def _split_common_eigenvectors(matrices, l: int) -> list[np.ndarray]:
     """Common eigenvectors (as rows, unnormalized) of the commuting family.
 
     matrices: callable i -> ndarray giving M_i on demand; processed in
-    ascending i until every invariant subspace is one-dimensional.
+    ascending i until every invariant subspace is one-dimensional.  Each
+    subspace is a basis b in reduced row echelon form with pivot columns
+    piv, and M_i is restricted to it before anything else; a subspace on
+    which M_i acts as a scalar is its own single eigenspace and is kept.
     """
     r = matrices(0).shape[0]
-    subspaces = [_rref(np.eye(r, dtype=np.int64), l)]
+    if r * (l - 1) ** 2 >= 1 << 63:
+        raise CapExceeded(f"{r} classes with modulus {l} overflow int64 dot products")
+    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     for i in range(1, r):
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
@@ -378,13 +400,15 @@ def _split_common_eigenvectors(matrices, l: int) -> list[np.ndarray]:
             if b.shape[0] == 1:
                 done.append((b, piv))
                 continue
-            images = b @ mt % l
-            rmat = images[:, piv]  # images = rmat @ b since b[:, piv] = I
+            rmat = b @ mt[:, piv] % l  # b @ mt = rmat @ b since b[:, piv] = I
+            eye = np.eye(rmat.shape[0], dtype=np.int64)
+            if (rmat == rmat[0, 0] * eye).all():
+                done.append((b, piv))
+                continue
             cp = _charpoly(_hessenberg(rmat.copy(), l), l)
             dim = 0
             for lam in _poly_roots(cp, l):
-                shifted = (rmat - lam * np.eye(rmat.shape[0], dtype=np.int64)) % l
-                coords = _kernel(shifted.T % l, l)
+                coords = _kernel((rmat - lam * eye).T % l, l)
                 if coords.shape[0] == 0:
                     raise SelfCheckFailed("eigenvalue with empty eigenspace")
                 dim += coords.shape[0]

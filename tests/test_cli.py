@@ -338,6 +338,41 @@ def test_bad_env_integer_exits_2(capsys, monkeypatch):
     assert "oracle_cap" in err
 
 
+SETTING_USERS = {
+    "element_cap": ["degrees", "--spec", "cyclic:5"],
+    "budget": ["enumerate", "--order", "4"],
+    "oracle_cap": ["verify", "--degree", "2"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("key", sorted(SETTING_USERS))
+def test_negative_integer_setting_exits_2(capsys, monkeypatch, tmp_path, source, key):
+    """A negative cap or budget is invalid input, not a cap already tripped."""
+    argv = SETTING_USERS[key] + ["--no-timestamp"]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", "-5"]
+    elif source == "env":
+        monkeypatch.setenv(f"CHARDEG_{key.upper()}", "-5")
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = -5\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert key in err and "negative" in err
+
+
+def test_zero_oracle_cap_is_legal(capsys):
+    """0 means enumerate nothing: every residual order is left unchecked."""
+    code, out, _ = invoke(
+        capsys, "verify", "--degree", "5", "--oracle-cap", "0", "--no-timestamp"
+    )
+    assert code == 0
+    assert "above oracle cap 0" in out
+
+
 # ------------------------------------------------------------------- cache
 
 

@@ -24,6 +24,7 @@ from chardeg.degrees import (
     product_degrees,
 )
 from chardeg.errors import (
+    CapExceeded,
     InvalidParam,
     OrderNotDividing,
     SelfCheckFailed,
@@ -77,6 +78,30 @@ def reference_class_matrix(g, cd, i):
         for k, z in enumerate(cd.reps):
             a[cd.class_of[g.multiply(xi, z)], k] += 1
     return a
+
+
+def reference_rref(a, l):
+    """Reduced row echelon form mod l, one Python step per column."""
+    a = a % l
+    rows, cols = a.shape
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = a[r] * pow(int(a[r, c]), l - 2, l) % l
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % l
+        piv.append(c)
+        r += 1
+    return a[: len(piv)], piv
 
 
 def no_generators():
@@ -135,6 +160,69 @@ def test_class_matrix_column_blocks(monkeypatch):
     monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", 5)
     for i in range(cd.count):
         assert (class_matrix(g, cd, i).entries == reference_class_matrix(g, cd, i)).all()
+
+
+def rref_cases():
+    """Seeded matrices mod 7, 271 and 733: square, tall, wide, 1×n and n×1,
+    each also with zeroed columns and as the zero matrix, plus low-rank,
+    repeated-row, negative and sparse ones."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for l in (7, 271, 733):
+        for shape in [(1, 1), (1, 9), (9, 1), (4, 4), (3, 11), (11, 3), (12, 12), (20, 40)]:
+            a = rng.integers(0, l, shape)
+            cases.append((a, l))
+            with_zero_cols = a.copy()
+            with_zero_cols[:, rng.random(shape[1]) < 0.4] = 0
+            cases.append((with_zero_cols, l))
+            cases.append((np.zeros(shape, dtype=np.int64), l))
+        low_rank = rng.integers(0, l, (10, 3)) @ rng.integers(0, l, (3, 14)) % l
+        cases.append((low_rank, l))
+        repeated = rng.integers(0, l, (3, 8))[[0, 1, 0, 2, 1, 0]]
+        cases.append((repeated, l))
+        cases.append((-repeated, l))  # entries outside [0, l)
+        sparse = rng.integers(0, l, (15, 15)) * (rng.random((15, 15)) < 0.15)
+        cases.append((sparse, l))
+    return cases
+
+
+def test_rref_matches_reference():
+    for a, l in rref_cases():
+        before = a.copy()
+        got, piv = degrees._rref(a, l)
+        want, want_piv = reference_rref(a, l)
+        assert piv == want_piv
+        assert got.dtype == np.int64
+        assert got.shape == want.shape and (got == want).all()
+        assert (a == before).all()  # the input is not written to
+
+
+def test_kernel_spans_null_space():
+    for a, l in rref_cases():
+        basis = degrees._kernel(a, l)
+        rank = len(reference_rref(a, l)[1])
+        assert basis.shape == (a.shape[1] - rank, a.shape[1])
+        assert not (a @ basis.T % l).any()
+        assert len(reference_rref(basis, l)[1]) == basis.shape[0]  # independent
+
+
+def test_split_guards_int64_overflow():
+    """r·(l−1)² ≥ 2⁶³ raises before any class matrix beyond M_0 is used."""
+    g = make("cyclic:4")
+    cd = conjugacy_classes(g)
+    big = 2**31 - 1
+
+    def guarded(i):
+        if i:
+            pytest.fail("the split went past the overflow guard")
+        return class_matrix(g, cd, i).entries % big
+
+    with pytest.raises(CapExceeded):
+        degrees._split_common_eigenvectors(guarded, big)
+    vectors = degrees._split_common_eigenvectors(
+        lambda i: class_matrix(g, cd, i).entries % 5, 5
+    )
+    assert len(vectors) == 4
 
 
 # ------------------------------------------------------------------- classes
@@ -363,6 +451,11 @@ def test_dixon_matches_closed_forms():
     )
     assert list(character_degrees(make("xsp:3:1")).degrees) == list(
         extraspecial_degrees_closed_form(3, 1).degrees
+    )
+    xsp = extraspecial_degrees_closed_form(3, 2)
+    assert character_degrees(make("xsp:3:2")) == xsp
+    assert character_degrees(make("prod(xsp:3:2,cyclic:3)")) == product_degrees(
+        xsp, character_degrees(make("cyclic:3"))
     )
     left = character_degrees(make("prod(named:S3,named:A4)"))
     right = product_degrees(
