@@ -18,21 +18,24 @@ rather than a recursion overflow in the parser or the realizations.
 Realizations:
 
     cyclic  integers mod n
-    frob    permutations of the q^m field elements: translations by the power
-            basis plus multiplication by a fixed element of order k
+    frob    the affine group of F_q^m whose one matrix is multiplication by
+            a fixed field element of order k (power basis)
     psl2    permutations of the projective line {0..p-1, inf}: z+1, -1/z, and
             u^2*z for the least primitive root u mod p
     xsp     tuples (a, b, c) in F_p^n x F_p^n x F_p with
             (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a.b')
-    affine  permutations of F_q^m: translations plus the given matrices
+    affine  permutations of the q^m vectors of F_q^m, numbered base q:
+            translations by the unit vectors plus the given matrices
     prod    pairs acting componentwise
 
 Realized orders are checked against the closed-form prediction at enumeration
-time rather than trusted.
+time rather than trusted, and a spec predicted past the element cap is
+refused before it is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,6 +46,8 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     GroupRealization,
     direct_product,
+    element_order,
+    enumerate_elements,
 )
 
 __all__ = [
@@ -286,24 +291,16 @@ def spec_text(spec: GroupSpec) -> str:
 # -------------------------------------------------------------- realizations
 
 
-def _matrix_group(q, m, mats, cap):
-    """Closure of the given matrices under multiplication mod q."""
-    seen = {ffield.mat_identity(m)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in mats:
-                b = ffield.mat_mul(q, a, g)
-                if b not in seen:
-                    seen.add(b)
-                    new.append(b)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"matrix group over F_{q} exceeded cap {cap}"
-                        )
-        frontier = new
-    return seen
+def _matrix_group(q, m, mats) -> GroupRealization:
+    """The matrices under multiplication mod q.  Only closure and element
+    orders are taken over it, and neither needs an inverse."""
+    return GroupRealization(
+        identity=ffield.mat_identity(m),
+        multiply=functools.partial(ffield.mat_mul, q),
+        inverse=None,
+        generators=mats,
+        descriptor=f"matrix group over F_{q}",
+    )
 
 
 def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -317,8 +314,11 @@ def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         case Xsp(p, n):
             return p ** (2 * n + 1)
         case Affine(q, m, mats):
+            # closes the matrices, not the points, so the order of the point
+            # action realized from them is checked against an independent count
             pts = q**m
-            return pts * len(_matrix_group(q, m, mats, max(1, cap // pts)))
+            group = _matrix_group(q, m, mats)
+            return pts * len(enumerate_elements(group, max(1, cap // pts)))
         case Prod(left, right):
             return expected_order(left, cap) * expected_order(right, cap)
         case Named(name):
@@ -361,18 +361,12 @@ def _realize_cyclic(spec: Cyclic) -> GroupRealization:
     )
 
 
-def _realize_frob(spec: Frob) -> GroupRealization:
+def _realize_frob(spec: Frob, order: int) -> GroupRealization:
+    """The affine group of F_q^m whose one matrix multiplies by an element of
+    order k."""
     ctx = ffield.field_context(spec.q, spec.m)
-    npts = ctx.order
-    dec = [ffield.element_from_index(ctx, i) for i in range(npts)]
-    enc = {e: i for i, e in enumerate(dec)}
-    gens = []
-    for j in range(spec.m):
-        basis = tuple(1 if i == j else 0 for i in range(spec.m))
-        gens.append([enc[ffield.f_add(ctx, dec[i], basis)] for i in range(npts)])
-    a = ffield.element_of_order(ctx, spec.k)
-    gens.append([enc[ffield.f_mul(ctx, a, dec[i])] for i in range(npts)])
-    return _perm_realization(gens, spec_text(spec), npts * spec.k)
+    a = ffield.mult_matrix(ctx, ffield.element_of_order(ctx, spec.k))
+    return _realize_affine(spec.q, spec.m, (a,), order, spec_text(spec))
 
 
 def _realize_psl2(spec: Psl2) -> GroupRealization:
@@ -426,47 +420,38 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
     )
 
 
-def _realize_affine(spec: Affine, cap: int) -> GroupRealization:
-    q, m = spec.q, spec.m
-    npts = q**m
-
-    def dec(i):
-        out = []
-        for _ in range(m):
-            out.append(i % q)
-            i //= q
-        return tuple(out)
-
-    def enc(v):
-        i = 0
-        for c in reversed(v):
-            i = i * q + c
-        return i
-
-    vecs = [dec(i) for i in range(npts)]
-    gens = []
-    for j in range(m):
-        gens.append(
-            [enc(tuple((v[i] + (1 if i == j else 0)) % q for i in range(m))) for v in vecs]
-        )
-    for mat in spec.mats:
-        gens.append([enc(ffield.mat_vec(q, mat, v)) for v in vecs])
-    return _perm_realization(gens, spec_text(spec), expected_order(spec, cap))
+def _realize_affine(q: int, m: int, mats, order: int, descriptor: str) -> GroupRealization:
+    """Permutations of the q^m vectors of F_q^m, numbered by ffield.undigits:
+    translations by the unit vectors, then the given matrices."""
+    vecs = [ffield.digits(i, q, m) for i in range(q**m)]
+    gens = [
+        [ffield.undigits(tuple((c + (i == j)) % q for i, c in enumerate(v)), q) for v in vecs]
+        for j in range(m)
+    ]
+    gens += [[ffield.undigits(ffield.mat_vec(q, mat, v), q) for v in vecs] for mat in mats]
+    return _perm_realization(gens, descriptor, order)
 
 
 def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization:
-    """Build a concrete realization; the order is validated when enumerated."""
+    """Build a concrete realization; the order is validated when enumerated.
+
+    A spec whose predicted order exceeds cap is refused before anything is
+    built, since enumerating it would allocate every element first.
+    """
+    order = expected_order(spec, cap)
+    if order > cap:
+        raise CapExceeded(f"{spec_text(spec)}: order {order} exceeds cap {cap}")
     match spec:
         case Cyclic():
             return _realize_cyclic(spec)
         case Frob():
-            return _realize_frob(spec)
+            return _realize_frob(spec, order)
         case Psl2():
             return _realize_psl2(spec)
         case Xsp():
             return _realize_xsp(spec)
-        case Affine():
-            return _realize_affine(spec, cap)
+        case Affine(q, m, mats):
+            return _realize_affine(q, m, mats, order, spec_text(spec))
         case Prod(left, right):
             return direct_product(realize(left, cap), realize(right, cap))
         case Named(name):
@@ -506,17 +491,8 @@ _Q8_PROFILE = (1, 2, 4, 4, 4, 4, 4, 4)
 
 
 def _mat_order_profile(q, m, mats):
-    group = _matrix_group(q, m, list(mats), cap=1024)
-    ident = ffield.mat_identity(m)
-    profile = []
-    for a in group:
-        k = 1
-        b = a
-        while b != ident:
-            b = ffield.mat_mul(q, b, a)
-            k += 1
-        profile.append(k)
-    return tuple(sorted(profile))
+    g = _matrix_group(q, m, mats)
+    return tuple(sorted(element_order(g, a) for a in enumerate_elements(g, 1024)))
 
 
 def _check_complement(name: str):

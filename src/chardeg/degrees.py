@@ -48,14 +48,11 @@ from .groups import (
 
 __all__ = [
     "ClassData",
-    "ClassMatrix",
-    "DixonContext",
     "DegreeMultiset",
     "DEFAULT_CLASS_CAP",
     "conjugacy_classes",
     "class_matrix",
     "dixon_modulus",
-    "dixon_context",
     "character_degrees",
     "frobenius_degrees_closed_form",
     "extraspecial_degrees_closed_form",
@@ -121,22 +118,6 @@ class ClassData:
             [words[k] + [0] * (steps - len(words[k])) for k in cols], dtype=np.intp
         ).reshape(self.count, steps)
         return np.array(cols, dtype=np.intp), gens, walking
-
-
-@dataclass(frozen=True)
-class ClassMatrix:
-    """Structure constants for one class: entries[j][k] = a_{ijk}."""
-
-    index: int
-    entries: np.ndarray = field(compare=False)
-
-
-@dataclass(frozen=True)
-class DixonContext:
-    """Modulus and the central character vectors mod that modulus."""
-
-    modulus: int
-    omega_vectors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -222,8 +203,8 @@ def _check_class_data(g, cd, order):
             raise SelfCheckFailed("inverse-class map is not a size-preserving involution")
 
 
-def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> ClassMatrix:
-    """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
+def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
+    """M_i as an int64 array: a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
 
     y = x⁻¹ z_k, and x⁻¹ runs over C_{i'} as x runs over C_i, so column k
     counts the classes of w·z_k for w in C_{i'}.  w·z_k is reached from w by
@@ -246,7 +227,7 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> ClassMatrix:
             v[:, :a] = right[gens[b0 : b0 + a, s], v[:, :a]]
         flat = cd.class_array[v] * r + cols[b0:b1]
         counts = counts + np.bincount(flat.ravel(), minlength=r * r)
-    return ClassMatrix(index=i, entries=counts.reshape(r, r))
+    return counts.reshape(r, r)
 
 
 def dixon_modulus(g: GroupRealization, cd: ClassData | None = None) -> int:
@@ -421,46 +402,26 @@ def _split_common_eigenvectors(matrices, l: int) -> list[np.ndarray]:
     return [b[0] for b, _ in subspaces]
 
 
-def dixon_context(
-    g: GroupRealization,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> tuple[ClassData, DixonContext]:
-    cd = conjugacy_classes(g, cap)
-    r = cd.count
-    if r > class_cap:
-        raise CapExceeded(f"{r} conjugacy classes exceed cap {class_cap}")
-    l = dixon_modulus(g, cd)
-    cache: dict[int, np.ndarray] = {}
-
-    def mat(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = class_matrix(g, cd, i).entries % l
-        return cache[i]
-
-    vectors = _split_common_eigenvectors(mat, l)
-    omegas = []
-    for v in vectors:
-        if v[0] == 0:
-            raise SelfCheckFailed("eigenvector with zero identity coordinate")
-        inv = pow(int(v[0]), l - 2, l)
-        omegas.append(tuple(int(x) * inv % l for x in v))
-    return cd, DixonContext(modulus=l, omega_vectors=tuple(omegas))
-
-
 def character_degrees(
     g: GroupRealization,
     cap: int = DEFAULT_ELEMENT_CAP,
     class_cap: int = DEFAULT_CLASS_CAP,
 ) -> DegreeMultiset:
-    cd, ctx = dixon_context(g, cap, class_cap)
-    l = ctx.modulus
+    cd = conjugacy_classes(g, cap)
+    r = cd.count
+    if r > class_cap:
+        raise CapExceeded(f"{r} conjugacy classes exceed cap {class_cap}")
+    l = dixon_modulus(g, cd)
     order = sum(cd.sizes)
     size_invs = [pow(s, l - 2, l) for s in cd.sizes]
     degrees = []
-    for w in ctx.omega_vectors:
+    for v in _split_common_eigenvectors(lambda i: class_matrix(g, cd, i), l):
+        if v[0] == 0:
+            raise SelfCheckFailed("eigenvector with zero identity coordinate")
+        inv = pow(int(v[0]), l - 2, l)
+        w = [int(x) * inv % l for x in v]  # central character, w[0] = 1
         t = 0
-        for j in range(cd.count):
+        for j in range(r):
             t = (t + w[j] * w[cd.inverse_class[j]] * size_invs[j]) % l
         if t == 0:
             raise SelfCheckFailed("vanishing norm for a central character")

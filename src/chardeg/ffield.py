@@ -1,10 +1,11 @@
 """Finite fields F_{q^m} in a power basis.
 
 Field elements are coefficient tuples (c_0, ..., c_{m-1}) over F_q, ascending
-powers of the generator x.  Elements are indexed by the integer encoding
-sum(c_i * q**i); that encoding fixes the element ordering used for every
-"least" search here, including the choice of modulus, so a given (q, m)
-always produces the same field with the same element labels.
+powers of the generator x.  Elements, and vectors of F_q^m generally, are
+indexed by the integer encoding sum(c_i * q**i) (`digits` and `undigits`
+convert); that encoding fixes the element ordering used for every "least"
+search here, including the choice of modulus, so a given (q, m) always
+produces the same field with the same element labels.
 
 Sizes stay small (q**m is bounded by the group-element cap downstream), so
 the arithmetic is plain schoolbook polynomial arithmetic.
@@ -23,15 +24,12 @@ __all__ = [
     "FieldCtx",
     "field_context",
     "find_irreducible",
-    "primitive_element",
     "element_of_order",
     "mult_matrix",
-    "f_add",
-    "f_neg",
     "f_mul",
     "f_pow",
-    "element_index",
-    "element_from_index",
+    "digits",
+    "undigits",
     "mat_identity",
     "mat_mul",
     "mat_vec",
@@ -143,7 +141,7 @@ def find_irreducible(q: int, m: int) -> Poly:
     if not is_prime(q) or m < 1:
         raise ValueError("need prime q and m >= 1")
     for idx in range(q**m):
-        f = tuple(_digits(idx, q, m)) + (1,)
+        f = digits(idx, q, m) + (1,)
         if _is_irreducible(f, q):
             return f
     raise AssertionError("unreachable: irreducibles of every degree exist")
@@ -154,7 +152,8 @@ def find_irreducible(q: int, m: int) -> Poly:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """A concrete F_{q^m}: modulus polynomial plus a cached primitive element."""
+    """A concrete F_{q^m}: modulus polynomial plus a cached primitive element,
+    the least one (by integer encoding) of multiplicative order q**m - 1."""
 
     q: int
     m: int
@@ -178,14 +177,6 @@ def _pad(a: Poly, m: int) -> Elem:
     return tuple(a) + (0,) * (m - len(a))
 
 
-def f_add(ctx: FieldCtx, a: Elem, b: Elem) -> Elem:
-    return tuple((x + y) % ctx.q for x, y in zip(a, b))
-
-
-def f_neg(ctx: FieldCtx, a: Elem) -> Elem:
-    return tuple((-x) % ctx.q for x in a)
-
-
 def f_mul(ctx: FieldCtx, a: Elem, b: Elem) -> Elem:
     return _pad(_pmod(_pmul(a, b, ctx.q), ctx.modulus, ctx.q), ctx.m)
 
@@ -194,26 +185,28 @@ def f_pow(ctx: FieldCtx, a: Elem, e: int) -> Elem:
     return _pad(_ppowmod(a, e, ctx.modulus, ctx.q), ctx.m)
 
 
-def element_index(ctx: FieldCtx, a: Elem) -> int:
-    i = 0
-    for c in reversed(a):
-        i = i * ctx.q + c
-    return i
-
-
-def element_from_index(ctx: FieldCtx, i: int) -> Elem:
+def digits(i: int, q: int, m: int) -> tuple[int, ...]:
+    """The m base-q digits of i, least significant first."""
     out = []
-    for _ in range(ctx.m):
-        out.append(i % ctx.q)
-        i //= ctx.q
+    for _ in range(m):
+        out.append(i % q)
+        i //= q
     return tuple(out)
+
+
+def undigits(v: tuple[int, ...], q: int) -> int:
+    """Inverse of digits: sum(v[i] * q**i)."""
+    i = 0
+    for c in reversed(v):
+        i = i * q + c
+    return i
 
 
 def _find_primitive(q: int, m: int, modulus: Poly) -> Elem:
     n = q**m - 1
     prime_parts = [r for r, _ in factor(n).factors] if n > 1 else []
     for idx in range(1, n + 1):
-        e = tuple(_digits(idx, q, m))
+        e = digits(idx, q, m)
         if all(
             _pad(_ppowmod(e, n // r, modulus, q), m) != (1,) + (0,) * (m - 1)
             for r in prime_parts
@@ -222,23 +215,10 @@ def _find_primitive(q: int, m: int, modulus: Poly) -> Elem:
     raise AssertionError("unreachable: F_q^m* is cyclic")
 
 
-def _digits(i: int, q: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        out.append(i % q)
-        i //= q
-    return out
-
-
 def field_context(q: int, m: int) -> FieldCtx:
     modulus = find_irreducible(q, m)
     primitive = _find_primitive(q, m, modulus)
     return FieldCtx(q=q, m=m, modulus=modulus, primitive=primitive)
-
-
-def primitive_element(ctx: FieldCtx) -> Elem:
-    """Least element (by integer encoding) of multiplicative order q**m - 1."""
-    return _find_primitive(ctx.q, ctx.m, ctx.modulus)
 
 
 def element_of_order(ctx: FieldCtx, d: int) -> Elem:

@@ -46,13 +46,17 @@ DEFAULT_ELEMENT_CAP = 50_000
 
 
 class GroupRealization:
-    """A finite group presented by identity / multiply / inverse callables."""
+    """A finite group presented by identity / multiply / inverse callables.
+
+    Closure and element orders never call inverse, so a realization used
+    only for those may pass None.
+    """
 
     def __init__(
         self,
         identity,
         multiply: Callable,
-        inverse: Callable,
+        inverse: Callable | None,
         generators: Iterable,
         descriptor: str,
         expected_order: int | None = None,
@@ -155,6 +159,7 @@ def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> Ind
 
 
 def element_order(group: GroupRealization, x) -> int:
+    """Least k >= 1 with x**k = identity, by repeated multiplication."""
     k = 1
     y = x
     while y != group.identity:

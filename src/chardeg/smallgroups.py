@@ -22,9 +22,10 @@ than return partial results, so an exhaustive answer is always exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, InvalidParam, SelfCheckFailed
-from .groups import GroupRealization
+from .groups import GroupRealization, _closure
 
 __all__ = [
     "CayleyTable",
@@ -72,6 +73,20 @@ class CayleyTable:
             out.append(k)
         return tuple(out)
 
+    @cached_property
+    def generator_chain(self) -> tuple[int, ...]:
+        """Greedy generators: each is the least element outside the subgroup
+        generated by the ones before it, so there are at most log2(n)."""
+        rows = self.table
+        gens: list[int] = []
+        closed = {0: 0}
+        while len(closed) < self.n:
+            gens.append(next(x for x in range(self.n) if x not in closed))
+            closed = _closure(
+                0, lambda a, b: rows[a][b], gens, self.n, f"table:{self.n}"
+            ).index
+        return tuple(gens)
+
 
 def table_to_realization(t: CayleyTable) -> GroupRealization:
     inverse = [t.table[r].index(0) for r in range(t.n)]
@@ -79,7 +94,7 @@ def table_to_realization(t: CayleyTable) -> GroupRealization:
         identity=0,
         multiply=lambda a, b: t.table[a][b],
         inverse=lambda a: inverse[a],
-        generators=list(range(1, t.n)) or [0],
+        generators=t.generator_chain,
         descriptor=f"table:{t.n}",
         expected_order=t.n,
     )
@@ -228,25 +243,6 @@ class _Search:
 # ------------------------------------------------------------- isomorphism
 
 
-def _generator_chain(t: CayleyTable) -> list[int]:
-    """Greedy chain of generators: least element outside the closure so far."""
-    closed = {0}
-    gens = []
-    while len(closed) < t.n:
-        g = min(set(range(t.n)) - closed)
-        gens.append(g)
-        frontier = list(closed | {g})
-        closed.add(g)
-        while frontier:
-            x = frontier.pop()
-            for y in list(closed):
-                for z in (t.table[x][y], t.table[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        frontier.append(z)
-    return gens
-
-
 def _close_map(t1: CayleyTable, t2: CayleyTable, base: dict) -> dict | None:
     """Extend base to the generated subgroup; None on any conflict."""
     phi = dict(base)
@@ -279,7 +275,7 @@ def is_isomorphic(t1: CayleyTable, t2: CayleyTable) -> bool:
     orders2 = t2.element_orders()
     if sorted(orders1) != sorted(orders2):
         return False
-    gens = _generator_chain(t1)
+    gens = t1.generator_chain
 
     def extend(phi: dict) -> bool:
         missing = [g for g in gens if g not in phi]

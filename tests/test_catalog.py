@@ -21,7 +21,7 @@ from chardeg.catalog import (
     spec_text,
     witnesses_for_degree,
 )
-from chardeg.errors import InvalidParam, SpecSyntaxError
+from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
 from chardeg.groups import enumerate_elements, exponent, group_data
 
 ROUND_TRIP = [
@@ -118,6 +118,16 @@ def test_realize_orders_match_prediction():
         spec = parse_spec(text)
         g = realize(spec)
         assert len(enumerate_elements(g)) == expected_order(spec)
+
+
+def test_realize_refuses_over_cap_before_building():
+    # 196,608 permutations of 65,536 points would take gigabytes to enumerate
+    with pytest.raises(CapExceeded):
+        realize(parse_spec("frob:2^16:3"))
+    with pytest.raises(CapExceeded):
+        realize(parse_spec("prod(psl2:37,cyclic:2)"))  # 50,616 > 50,000
+    g = realize(parse_spec("prod(psl2:37,cyclic:2)"), cap=60_000)
+    assert g.expected_order == 50_616
 
 
 def test_psl2_realizations():

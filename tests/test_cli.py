@@ -144,6 +144,15 @@ def test_witness_cycle_notation(capsys):
     assert code == 0
     assert "frob:5^1:4" in out
     assert "(0 1 2 3 4)" in out  # kernel generator acts as a 5-cycle
+    # frob:2^3:7: three translations, then the 3x3 multiplier on the 8 points
+    code, out, _ = invoke(capsys, "witness", "--degree", "7", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  gen 0: (0 1)(2 3)(4 5)(6 7)",
+        "  gen 1: (0 2)(1 3)(4 6)(5 7)",
+        "  gen 2: (0 4)(1 5)(2 6)(3 7)",
+        "  gen 3: (1 2 4 3 6 7 5)",
+    ]
 
 
 def test_witness_json_fields(capsys):
@@ -223,6 +232,11 @@ def test_cap_exceeded_exits_3(capsys):
     code, out, err = invoke(capsys, "enumerate", "--order", "17", "--no-timestamp")
     assert code == 3
     assert out == ""
+    # refused from its predicted order, before any of its elements is built
+    code, out, err = invoke(capsys, "degrees", "--spec", "frob:2^16:3", "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert "order 196608 exceeds cap 50000" in err
 
 
 def test_element_cap_above_default_is_honoured(capsys):

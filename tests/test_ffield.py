@@ -5,10 +5,8 @@ import pytest
 from chardeg import ffield
 from chardeg.errors import OrderNotDividing, ZeroElement
 from chardeg.ffield import (
-    element_from_index,
-    element_index,
+    digits,
     element_of_order,
-    f_add,
     f_mul,
     f_pow,
     field_context,
@@ -18,7 +16,7 @@ from chardeg.ffield import (
     mat_mul,
     mat_vec,
     mult_matrix,
-    primitive_element,
+    undigits,
 )
 
 
@@ -49,7 +47,7 @@ def test_find_irreducible_is_least_and_irreducible():
         # nothing earlier in encoding order is irreducible
         enc = sum(c * q**i for i, c in enumerate(f[:-1]))
         for idx in range(enc):
-            tail = tuple(ffield._digits(idx, q, m))
+            tail = digits(idx, q, m)
             assert not brute_force_irreducible(tail + (1,), q)
 
 
@@ -70,15 +68,14 @@ def test_field_mul_matches_integer_mod_for_m1():
     for a in range(7):
         for b in range(7):
             assert f_mul(ctx, (a,), (b,)) == (a * b % 7,)
-            assert f_add(ctx, (a,), (b,)) == ((a + b) % 7,)
 
 
 def test_primitive_element():
-    assert primitive_element(field_context(3, 1)) == (2,)
-    assert primitive_element(field_context(5, 1)) == (2,)
-    assert primitive_element(field_context(11, 1)) == (2,)
-    assert primitive_element(field_context(2, 3)) == (0, 1, 0)  # x
-    assert primitive_element(field_context(2, 1)) == (1,)
+    assert field_context(3, 1).primitive == (2,)
+    assert field_context(5, 1).primitive == (2,)
+    assert field_context(11, 1).primitive == (2,)
+    assert field_context(2, 3).primitive == (0, 1, 0)  # x
+    assert field_context(2, 1).primitive == (1,)
 
 
 def test_primitive_element_has_full_order():
@@ -129,10 +126,10 @@ def test_mult_matrix_agrees_with_field_mul():
     for q, m in ((2, 3), (3, 2), (5, 1)):
         ctx = field_context(q, m)
         for ai in range(1, ctx.order):
-            a = element_from_index(ctx, ai)
+            a = digits(ai, q, m)
             mat = mult_matrix(ctx, a)
             for bi in range(ctx.order):
-                b = element_from_index(ctx, bi)
+                b = digits(bi, q, m)
                 assert mat_vec(q, mat, b) == f_mul(ctx, a, b)
 
 
@@ -145,14 +142,17 @@ def test_fixed_point_free_action():
         for k in range(1, d):
             power = f_mul(ctx, power, a)
             for vi in range(1, ctx.order):
-                v = element_from_index(ctx, vi)
+                v = digits(vi, q, m)
                 assert f_mul(ctx, power, v) != v, (q, m, d, k)
 
 
-def test_element_index_roundtrip():
-    ctx = field_context(3, 2)
-    for i in range(ctx.order):
-        assert element_index(ctx, element_from_index(ctx, i)) == i
+def test_digits_roundtrip():
+    for q, m in ((3, 2), (2, 5), (7, 1)):
+        for i in range(q**m):
+            v = digits(i, q, m)
+            assert len(v) == m and all(0 <= c < q for c in v)
+            assert undigits(v, q) == i
+    assert digits(5, 2, 3) == (1, 0, 1)  # least significant digit first
 
 
 def test_matrix_helpers():
