@@ -491,25 +491,18 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         settings = Settings(args)
-        if args.command == "gvalue":
-            return _cmd_gvalue(args, settings)
-        if args.command == "scan-a":
-            return _cmd_scan(args, settings, "a")
-        if args.command == "scan-b":
-            return _cmd_scan(args, settings, "b")
-        if args.command == "kanold":
-            return _cmd_kanold(args, settings)
-        if args.command == "degrees":
-            return _cmd_degrees(args, settings)
-        if args.command == "witness":
-            return _cmd_witness(args, settings)
-        if args.command == "verify":
-            return _cmd_verify(args, settings)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, settings)
-        if args.command == "cache":
-            return _cmd_cache(args, settings)
-        raise InvalidParam(f"unknown command {args.command!r}")
+        if args.command in ("scan-a", "scan-b"):
+            return _cmd_scan(args, settings, args.command[-1])
+        command = {
+            "gvalue": _cmd_gvalue,
+            "kanold": _cmd_kanold,
+            "degrees": _cmd_degrees,
+            "witness": _cmd_witness,
+            "verify": _cmd_verify,
+            "enumerate": _cmd_enumerate,
+            "cache": _cmd_cache,
+        }[args.command]  # argparse admits no other command
+        return command(args, settings)
     except (SpecSyntaxError, InvalidParam, NotCoprime, OrderNotDividing, ZeroElement) as exc:
         log.error("%s", exc)
         return 2
@@ -522,6 +515,12 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError:
         log.error("out of memory")
         return 3
+    except RecursionError:
+        log.error("recursion too deep")
+        return 3
+    except KeyboardInterrupt:
+        log.error("interrupted")
+        return 130
 
 
 def main():

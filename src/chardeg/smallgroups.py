@@ -1,22 +1,26 @@
 """Exhaustive enumeration of groups of small order, up to isomorphism.
 
 Groups of order n are enumerated as Cayley tables over {0..n-1} with 0 as
-the identity, filled row-major by backtracking with:
+the identity.  If g has the largest element order m in G, label g as 1 and
+each right coset <g>x_b as the block b*m .. b*m+m-1, with g^i*x_b labelled
+b*m+i; then row 1 is t[1][c] = (c//m)*m + (c%m+1)%m.  So one sub-search
+per divisor m of n, from the largest prime dividing n up (Cauchy), fixes
+row 1 to that pattern (and the diagonal to 0 when m = 2: exponent 2) and
+keeps the tables whose largest element order is m; each class comes from
+exactly one sub-search.  The other rows are filled row-major by
+backtracking with:
 
   * Latin-square row/column masks,
   * associativity propagation: each placed product a*b = c triggers the
     forced consequences (a*b)*x = a*(b*x) and x*(a*b) = (x*a)*b in both
-    directions, plus last-cell completion of rows and columns,
-  * a first-occurrence ordering constraint on row 1: scanning that row left
-    to right, a value may exceed everything seen so far by at most one.
-    Every isomorphism class has a labeling of this shape (relabel by order
-    of first appearance), so the constraint prunes without losing classes.
+    directions, plus last-cell completion of rows and columns.
 
-The constraint is not a full canonical form, so survivors are deduplicated
-by an invariant fingerprint (element-order profile, class sizes) followed by
-exact isomorphism search.  Every emitted table is re-verified against all
-n^3 associativity triples; searches that hit the node budget raise rather
-than return partial results, so an exhaustive answer is always exhaustive.
+The labelling is not a full canonical form, so survivors are deduplicated
+by an invariant fingerprint (element-order profile, class sizes) followed
+by exact isomorphism search.  Every emitted table is re-verified against
+all n^3 associativity triples; the sub-searches share one node budget,
+and exceeding it raises rather than return partial results, so an
+exhaustive answer is always exhaustive.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .arith import factor
 from .errors import BudgetExceeded, InvalidParam, SelfCheckFailed
 from .groups import GroupRealization, _closure
 
@@ -108,15 +113,11 @@ class _Search:
         self.n = n
         self.budget = budget
         self.nodes = 0
-        self.table = [[-1] * n for _ in range(n)]
-        self.table[0] = list(range(n))
-        for r in range(n):
-            self.table[r][0] = r
-        self.rowmask = [(1 << n) - 2 if r == 0 else 1 << r for r in range(n)]
-        self.colmask = [(1 << n) - 2 if c == 0 else 1 << c for c in range(n)]
-        self.rowmask[0] = self.colmask[0] = (1 << n) - 1
-        self.rowcount = [n if r == 0 else 1 for r in range(n)]
-        self.colcount = [n if c == 0 else 1 for c in range(n)]
+        self.table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+        self.rowmask = [(1 << n) - 1] + [1 << r for r in range(1, n)]
+        self.colmask = list(self.rowmask)
+        self.rowcount = [n] + [1] * (n - 1)
+        self.colcount = list(self.rowcount)
         self.trail: list[tuple[int, int]] = []
         self.found: list[CayleyTable] = []
 
@@ -203,31 +204,19 @@ class _Search:
     def next_cell(self):
         for r in range(1, self.n):
             if self.rowcount[r] < self.n:
-                row = self.table[r]
-                for c in range(1, self.n):
-                    if row[c] == -1:
-                        return r, c
+                return r, self.table[r].index(-1)
         return None
 
     def run(self):
         cell = self.next_cell()
         if cell is None:
-            table = CayleyTable(
-                self.n, tuple(tuple(row) for row in self.table)
-            )
+            table = CayleyTable(self.n, tuple(map(tuple, self.table)))
             if not table.is_associative():
                 raise SelfCheckFailed("search emitted a non-associative table")
             self.found.append(table)
             return
         r, c = cell
-        if r == 1:
-            seen = max(
-                (v for v in self.table[1][1:c] if v != -1), default=1
-            )
-            bound = max(seen, c) + 1
-        else:
-            bound = self.n - 1
-        for v in range(min(bound, self.n - 1) + 1):
+        for v in range(self.n):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(
@@ -238,6 +227,19 @@ class _Search:
             if self.assign(r, c, v, queue) and self.propagate(queue):
                 self.run()
             self.undo_to(mark)
+
+    def sub_search(self, m: int) -> list[CayleyTable]:
+        """The tables with row 1 in the coset pattern of an element of
+        order m, and m the largest element order."""
+        cells = [(1, c, c // m * m + (c % m + 1) % m) for c in range(1, self.n)]
+        if m == 2:
+            cells += [(x, x, 0) for x in range(1, self.n)]
+        queue: list[tuple[int, int]] = []
+        self.found = []
+        if all(self.assign(*cell, queue) for cell in cells) and self.propagate(queue):
+            self.run()
+        self.undo_to(0)
+        return [t for t in self.found if max(t.element_orders()) == m]
 
 
 # ------------------------------------------------------------- isomorphism
@@ -308,7 +310,8 @@ def enumerate_groups(
     budget: int = DEFAULT_NODE_BUDGET,
     cap: int = DEFAULT_ORDER_CAP,
 ) -> list[CayleyTable]:
-    """One lex-least Cayley table per isomorphism class of groups of order n."""
+    """One Cayley table per isomorphism class of groups of order n, in
+    ascending order of largest element order (one sub-search each)."""
     if n < 1:
         raise InvalidParam("order must be >= 1")
     if n > cap:
@@ -316,15 +319,11 @@ def enumerate_groups(
             f"order {n} beyond enumeration cap {cap}; no partial answer given"
         )
     search = _Search(n, budget)
-    search.run()
-    kept: list[CayleyTable] = []
-    prints: list = []
-    for t in search.found:
+    least = factor(n).factors[-1][0] if n > 1 else 1
+    raw = [t for m in range(least, n + 1) if n % m == 0 for t in search.sub_search(m)]
+    kept: list[tuple[CayleyTable, tuple]] = []
+    for t in raw:
         fp = _fingerprint(t)
-        dup = any(
-            fp == fp2 and is_isomorphic(t, t2) for t2, fp2 in zip(kept, prints)
-        )
-        if not dup:
-            kept.append(t)
-            prints.append(fp)
-    return kept
+        if not any(fp == fp2 and is_isomorphic(t, t2) for t2, fp2 in kept):
+            kept.append((t, fp))
+    return [t for t, _ in kept]

@@ -280,6 +280,23 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     assert err.strip() == "ERROR: out of memory"
 
 
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [(RecursionError, 3, "recursion too deep"), (KeyboardInterrupt, 130, "interrupted")],
+)
+def test_recursion_and_interrupt_exit_codes(capsys, monkeypatch, exc, code, message):
+    import chardeg.cli
+
+    def stop(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(chardeg.cli, "enumerate_groups", stop)
+    got, out, err = invoke(capsys, "enumerate", "--order", "6", "--no-timestamp")
+    assert got == code
+    assert out == ""
+    assert err.strip() == f"ERROR: {message}"  # no traceback
+
+
 def test_verify_failure_exits_1(capsys):
     # degree 7 with an inflated oracle cap is still fine; a failing check is
     # simulated by asking for a degree whose catalog minimum fails its claim.

@@ -1,23 +1,70 @@
 """Enumerator tests: counts, isomorphism, and catalog cross-checks.
 
-Class counts for small orders are classical (1,1,1,2,1,2,1,5,2,2) for
-n = 1..10; orders 11 and 12 are exercised in the acceptance suite.
+Class counts for small orders are classical: (1,1,1,2,1,2,1,5,2,2) for
+n = 1..10 and (1,5,1,2,1,14) for n = 11..16.
 """
 
 import pytest
 
 from chardeg.catalog import parse_spec, realize
 from chardeg.degrees import character_degrees
-from chardeg.errors import BudgetExceeded, InvalidParam
+from chardeg.errors import BudgetExceeded, InvalidParam, SelfCheckFailed
 from chardeg.groups import enumerate_elements
 from chardeg.smallgroups import (
     CayleyTable,
+    _fingerprint,
+    _Search,
     enumerate_groups,
     is_isomorphic,
     table_to_realization,
 )
 
-COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2}
+COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
+    9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14,
+}
+
+
+class _FirstOccurrenceSearch(_Search):
+    """The search with row 1 filled by backtracking under the first-occurrence
+    rule: scanning row 1 left to right, a value may exceed everything seen so
+    far by at most one.  Every class has such a labelling (relabel by order
+    of first appearance), so it loses no class."""
+
+    def run(self):
+        cell = self.next_cell()
+        if cell is None:
+            table = CayleyTable(self.n, tuple(tuple(row) for row in self.table))
+            if not table.is_associative():
+                raise SelfCheckFailed("search emitted a non-associative table")
+            self.found.append(table)
+            return
+        r, c = cell
+        if r == 1:
+            seen = max((v for v in self.table[1][1:c] if v != -1), default=1)
+            bound = min(max(seen, c) + 1, self.n - 1)
+        else:
+            bound = self.n - 1
+        for v in range(bound + 1):
+            self.nodes += 1
+            mark = len(self.trail)
+            queue = []
+            if self.assign(r, c, v, queue) and self.propagate(queue):
+                self.run()
+            self.undo_to(mark)
+
+
+def reference_enumerate(n):
+    """The enumerator before the largest-order rule: one first-occurrence
+    search, then the same fingerprint and isomorphism dedup."""
+    search = _FirstOccurrenceSearch(n, budget=10**9)
+    search.run()
+    kept = []
+    for t in search.found:
+        fp = _fingerprint(t)
+        if not any(fp == fp2 and is_isomorphic(t, k) for k, fp2 in kept):
+            kept.append((t, fp))
+    return [t for t, _ in kept]
 
 
 def realization_to_table(g) -> CayleyTable:
@@ -42,6 +89,32 @@ def test_group_counts(n, count):
     for i, a in enumerate(groups):
         for b in groups[i + 1 :]:
             assert not is_isomorphic(a, b)
+    tops = [max(t.element_orders()) for t in groups]
+    assert tops == sorted(tops)  # ascending largest element order
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_matches_reference_enumeration(n):
+    """Each class matches exactly one first-occurrence class, and back."""
+    mine, ref = enumerate_groups(n), reference_enumerate(n)
+    for a in mine:
+        assert sum(is_isomorphic(a, b) for b in ref) == 1
+    for b in ref:
+        assert sum(is_isomorphic(b, a) for a in mine) == 1
+
+
+def test_sub_searches_share_one_budget():
+    """Order 12 runs sub-searches for m = 3, 4, 6, 12; a budget that covers
+    the largest of them alone but not their sum must still be exceeded."""
+    nodes = []
+    for m in (3, 4, 6, 12):
+        search = _Search(12, budget=10**9)
+        search.sub_search(m)
+        nodes.append(search.nodes)
+    assert max(nodes) < sum(nodes)
+    with pytest.raises(BudgetExceeded):
+        enumerate_groups(12, budget=max(nodes))
+    assert len(enumerate_groups(12, budget=sum(nodes))) == 5
 
 
 def test_order_one_and_two():
