@@ -67,7 +67,6 @@ __all__ = [
     "named_underlying",
     "named_witnesses",
     "witnesses_for_degree",
-    "NAMED_NAMES",
 ]
 
 
@@ -476,8 +475,6 @@ _NAMED: dict[str, tuple[GroupSpec, int, int]] = {
     "G72Q": (Affine(3, 2, _Q8_MATS), 72, 8),
     "A4A4": (Prod(Named("A4"), Named("A4")), 144, 9),
 }
-
-NAMED_NAMES = tuple(_NAMED)
 
 # degree -> entries once put forward for it that do not afford it.  They stay
 # among that degree's witnesses so each report re-checks and refutes them:

@@ -61,6 +61,7 @@ from .errors import (
 from .groups import DEFAULT_ELEMENT_CAP, enumerate_elements
 from .smallgroups import (
     DEFAULT_NODE_BUDGET,
+    DEFAULT_ORDER_CAP,
     enumerate_groups,
     table_to_realization,
 )
@@ -71,7 +72,7 @@ log = logging.getLogger("chardeg")
 _DEFAULTS = {
     "format": "pretty",
     "cache_dir": str(Path.home() / ".cache" / "chardeg"),
-    "oracle_cap": 16,
+    "oracle_cap": DEFAULT_ORDER_CAP,
     "budget": DEFAULT_NODE_BUDGET,
     "element_cap": DEFAULT_ELEMENT_CAP,
 }
@@ -337,7 +338,9 @@ def _cmd_witness(args, settings) -> int:
 
 def _cmd_verify(args, settings) -> int:
     report = g_report(args.degree, verify=False)
-    status = verify_minimal(args.degree, report.min_order, settings.oracle_cap)
+    status = verify_minimal(
+        args.degree, report.min_order, settings.oracle_cap, settings.budget
+    )
     data = {
         "n": status.n,
         "lower_bound": status.lower_bound,

@@ -2,8 +2,9 @@
 
 The degree multiset of a finite group is computed from first principles:
 
-  1. conjugacy classes as orbits of conjugation, with lex-least
-     representatives, classes sorted by representative (class 0 = identity),
+  1. conjugacy classes as orbits of conjugation over the closure's element
+     positions, each numbered by its first-discovered member, which is its
+     representative (class 0 = identity),
   2. class-algebra structure constants a_{ijk} = #{(x,y) in C_i x C_j :
      xy = z} for fixed z in C_k, one matrix M_i = (a_{ijk})_{jk} per class,
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
@@ -67,17 +68,18 @@ _BLOCK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class ClassData:
-    """Conjugacy classes; reps are lex-least members, sorted ascending.
+    """Conjugacy classes over positions in the index tables they carry
+    (see groups.IndexTables).
 
-    class_at and member_at say the same as class_of and members over
-    positions in the index tables they carry (see groups.IndexTables).
+    class_at[x] is the class of position x and member_at[k] lists the
+    positions of class k, ascending.  Classes are numbered in the order
+    their first members were discovered, and reps[k] is that first member,
+    so class 0 is the identity.
     """
 
     reps: tuple
     sizes: tuple[int, ...]
-    class_of: dict
     inverse_class: tuple[int, ...]
-    members: tuple  # members[i] = tuple of elements of class i
     class_at: list[int] = field(compare=False, repr=False)
     member_at: tuple[list[int], ...] = field(compare=False, repr=False)
     tables: IndexTables = field(compare=False, repr=False)
@@ -91,13 +93,14 @@ class ClassData:
         return np.array(self.class_at, dtype=np.intp)
 
     @cached_property
-    def rep_words(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def rep_words(self) -> tuple[np.ndarray, list[int]]:
         """Generator words of the representatives in the closure's tree.
 
-        Returns (cols, gens, walking): the classes ordered by word length,
-        longest first; gens[c, s] = the generator of step s of the word of
-        class cols[c], zero-padded; walking[s] = how many words have a step
-        s, so those are the leading rows of gens.
+        Returns (gens, walking): gens[k, s] = the generator of step s of the
+        word of reps[k], zero-padded; walking[s] = how many words have a
+        step s.  The closure is breadth-first and each rep is its class's
+        first-discovered member, so word lengths never go down as k rises:
+        the words with a step s are the last walking[s] rows of gens.
         """
         t = self.tables
         words = []
@@ -108,16 +111,15 @@ class ClassData:
                 word.append(t.via[x])
                 x = t.parent[x]
             words.append(word[::-1])
-        cols = sorted(range(self.count), key=lambda k: -len(words[k]))
-        steps = len(words[cols[0]])
+        steps = len(words[-1])
         walking = [0] * steps
         for w in words:
             for s in range(len(w)):
                 walking[s] += 1
         gens = np.array(
-            [words[k] + [0] * (steps - len(words[k])) for k in cols], dtype=np.intp
+            [w + [0] * (steps - len(w)) for w in words], dtype=np.intp
         ).reshape(self.count, steps)
-        return np.array(cols, dtype=np.intp), gens, walking
+        return gens, walking
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def conjugacy_classes(
         conj.append([col[y] for y in left])
     class_at = [-1] * n
     count = 0
-    for x in t.order:  # classes are numbered by their least element
+    for x in range(n):  # classes are numbered by their first member
         if class_at[x] >= 0:
             continue
         class_at[x] = count
@@ -176,15 +178,13 @@ def conjugacy_classes(
                     orbit.append(z)
         count += 1
     member_at = tuple([] for _ in range(count))
-    for x in t.order:
+    for x in range(n):
         member_at[class_at[x]].append(x)
     reps = tuple(els[m[0]] for m in member_at)
     cd = ClassData(
         reps=reps,
         sizes=tuple(map(len, member_at)),
-        class_of=dict(zip(els, class_at)),
         inverse_class=tuple(class_at[t.index[g.inverse(rep)]] for rep in reps),
-        members=tuple(tuple(map(els.__getitem__, m)) for m in member_at),
         class_at=class_at,
         member_at=member_at,
         tables=t,
@@ -213,7 +213,7 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
     """
     right = cd.tables.right_array
     r = cd.count
-    cols, gens, walking = cd.rep_words
+    gens, walking = cd.rep_words
     ws = np.array(cd.member_at[cd.inverse_class[i]], dtype=np.intp)
     block = max(1, _BLOCK_ENTRIES // len(ws))
     counts = 0
@@ -221,23 +221,21 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
         b1 = min(r, b0 + block)
         v = np.repeat(ws[:, None], b1 - b0, axis=1)
         for s, n in enumerate(walking):
-            a = min(n, b1) - b0  # the block's columns whose word has step s
-            if a <= 0:
+            a = max(b0, r - n)  # the block's columns from a on have step s
+            if a >= b1:
                 break
-            v[:, :a] = right[gens[b0 : b0 + a, s], v[:, :a]]
-        flat = cd.class_array[v] * r + cols[b0:b1]
+            v[:, a - b0 :] = right[gens[a:b1, s], v[:, a - b0 :]]
+        flat = cd.class_array[v] * r + np.arange(b0, b1)
         counts = counts + np.bincount(flat.ravel(), minlength=r * r)
     return counts.reshape(r, r)
 
 
-def dixon_modulus(g: GroupRealization, cd: ClassData | None = None) -> int:
+def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
     """Least prime l ≡ 1 (mod exp(G)) with l > |G|.
 
     exp(G) is the lcm of the orders of the class representatives, since
     element order is a class invariant.
     """
-    if cd is None:
-        cd = conjugacy_classes(g)
     e = 1
     for rep in cd.reps:
         e = lcm(e, element_order(g, rep))

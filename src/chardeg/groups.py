@@ -2,17 +2,16 @@
 
 A group is handed around as a GroupRealization: an identity element plus
 multiply/inverse callables over opaque elements.  Elements only need to be
-hashable and totally ordered within one realization (permutations are image
-tuples, tuple groups are coefficient tuples, table groups are integers,
-direct products are pairs).  For every realization used here the identity is
-the least element under that order, which downstream code relies on when it
-sorts class representatives.
+hashable (permutations are image tuples, tuple groups are coefficient
+tuples, table groups are integers, direct products are pairs); they are
+never compared by order.
 
 Enumeration does a breadth-first closure of the generators and is cached on
 the realization behind a lock, so repeated conjugacy/character computations
-share one element list.  The closure's products x·g are kept as index
-tables (IndexTables), so later stages can multiply by generators without
-calling `multiply` again.
+share one element list.  The closure's discovery order, with the identity
+at position 0, is the only element order: its products x·g are kept as
+index tables over those positions (IndexTables), so later stages can
+multiply by generators without calling `multiply` again.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class GroupRealization:
             self.generators = [identity]
         self.descriptor = descriptor
         self.expected_order = expected_order
-        self._elements: tuple | None = None
         self._tables: IndexTables | None = None
         self._lock = threading.Lock()
 
@@ -85,15 +83,14 @@ class IndexTables:
     (the identity is position 0) and index inverts it.  right[j][x] is the
     position of elements[x]·generators[j].  For x > 0, elements[x] =
     elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
-    -1.  order lists the positions of the elements in sorted order.
+    -1.  This discovery order is the only element order the engine uses.
     """
 
-    elements: list
+    elements: tuple
     index: dict
     right: tuple[list[int], ...]
     parent: list[int]
     via: list[int]
-    order: list[int]
 
     @cached_property
     def right_array(self) -> np.ndarray:
@@ -122,14 +119,14 @@ def _closure(identity, multiply, generators, cap: int, what: str) -> IndexTables
                         f"{what}: closure exceeded cap of {cap} elements"
                     )
             right[j].append(k)
-    order = sorted(range(len(els)), key=els.__getitem__)
-    return IndexTables(els, index, right, parent, via, order)
+    return IndexTables(tuple(els), index, right, parent, via)
 
 
-def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP):
-    """All elements of the group, sorted; cached after the first call."""
+def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
+    """The closure of the generators with its multiplication tables;
+    cached after the first call."""
     with group._lock:
-        if group._elements is None:
+        if group._tables is None:
             t = _closure(
                 group.identity,
                 group.multiply,
@@ -143,19 +140,16 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP):
                     f"{group.descriptor}: realized {n} elements, "
                     f"expected {group.expected_order}"
                 )
-            group._elements = tuple(map(t.elements.__getitem__, t.order))
             group._tables = t
-        if len(group._elements) > cap:
-            raise CapExceeded(
-                f"{group.descriptor}: order {len(group._elements)} exceeds cap {cap}"
-            )
-        return group._elements
+        n = len(group._tables.elements)
+        if n > cap:
+            raise CapExceeded(f"{group.descriptor}: order {n} exceeds cap {cap}")
+        return group._tables
 
 
-def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
-    """The generator multiplication tables of the enumerated group."""
-    enumerate_elements(group, cap)
-    return group._tables
+def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
+    """All elements of the group in discovery order, the identity first."""
+    return index_tables(group, cap).elements
 
 
 def element_order(group: GroupRealization, x) -> int:
@@ -193,7 +187,7 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
     comms.discard(group.identity)
     if not comms:
         return 1
-    sub = set(_closure(group.identity, mul, sorted(comms), cap, group.descriptor).index)
+    sub = set(_closure(group.identity, mul, comms, cap, group.descriptor).index)
     while True:
         new = set()
         for g in gens:
@@ -205,7 +199,7 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
         if not new:
             return len(sub)
         sub = set(
-            _closure(group.identity, mul, sorted(sub | new), cap, group.descriptor).index
+            _closure(group.identity, mul, sub | new, cap, group.descriptor).index
         )
 
 

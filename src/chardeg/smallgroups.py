@@ -116,8 +116,6 @@ class _Search:
         self.table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
         self.rowmask = [(1 << n) - 1] + [1 << r for r in range(1, n)]
         self.colmask = list(self.rowmask)
-        self.rowcount = [n] + [1] * (n - 1)
-        self.colcount = list(self.rowcount)
         self.trail: list[tuple[int, int]] = []
         self.found: list[CayleyTable] = []
 
@@ -133,8 +131,6 @@ class _Search:
         self.table[r][c] = v
         self.rowmask[r] |= bit
         self.colmask[c] |= bit
-        self.rowcount[r] += 1
-        self.colcount[c] += 1
         self.trail.append((r, c))
         queue.append((r, c))
         return True
@@ -147,8 +143,6 @@ class _Search:
             bit = ~(1 << v)
             self.rowmask[r] &= bit
             self.colmask[c] &= bit
-            self.rowcount[r] -= 1
-            self.colcount[c] -= 1
 
     def propagate(self, queue) -> bool:
         t = self.table
@@ -187,12 +181,12 @@ class _Search:
         """Quasigroup cancellation: one hole left in a row or column."""
         n = self.n
         full = (1 << n) - 1
-        if self.rowcount[r] == n - 1:
+        if self.rowmask[r].bit_count() == n - 1:
             col = self.table[r].index(-1)
             v = (full ^ self.rowmask[r]).bit_length() - 1
             if not self.assign(r, col, v, queue):
                 return False
-        if self.colcount[c] == n - 1:
+        if self.colmask[c].bit_count() == n - 1:
             row = next(i for i in range(n) if self.table[i][c] == -1)
             v = (full ^ self.colmask[c]).bit_length() - 1
             if not self.assign(row, c, v, queue):
@@ -203,7 +197,7 @@ class _Search:
 
     def next_cell(self):
         for r in range(1, self.n):
-            if self.rowcount[r] < self.n:
+            if self.rowmask[r].bit_count() < self.n:
                 return r, self.table[r].index(-1)
         return None
 

@@ -51,6 +51,12 @@ from .catalog import (
 from .degrees import character_degrees
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 from .groups import DEFAULT_ELEMENT_CAP, enumerate_elements
+from .smallgroups import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_ORDER_CAP,
+    enumerate_groups,
+    table_to_realization,
+)
 
 __all__ = [
     "Candidate",
@@ -290,7 +296,12 @@ def lower_bound(n: int) -> int:
     return n * (n + 1)
 
 
-def verify_minimal(n: int, witness_order: int, oracle_cap: int = 16) -> MinimalityStatus:
+def verify_minimal(
+    n: int,
+    witness_order: int,
+    oracle_cap: int = DEFAULT_ORDER_CAP,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> MinimalityStatus:
     if n < 2:
         raise InvalidParam("degree must be >= 2")
     if witness_order % n != 0:
@@ -310,8 +321,6 @@ def verify_minimal(n: int, witness_order: int, oracle_cap: int = 16) -> Minimali
             status="Exhaustive",
             notes=tuple(notes),
         )
-    from .smallgroups import enumerate_groups, table_to_realization
-
     all_cleared = True
     for m in residual:
         if m > oracle_cap:
@@ -319,7 +328,7 @@ def verify_minimal(n: int, witness_order: int, oracle_cap: int = 16) -> Minimali
             notes.append(f"order {m} above oracle cap {oracle_cap}: not enumerated")
             continue
         try:
-            tables = enumerate_groups(m, cap=oracle_cap)
+            tables = enumerate_groups(m, budget=budget, cap=oracle_cap)
         except BudgetExceeded as exc:
             all_cleared = False
             notes.append(f"order {m}: {exc}")

@@ -5,6 +5,7 @@ streams are observable without spawning subprocesses.
 """
 
 import json
+import signal
 
 import pytest
 
@@ -186,6 +187,29 @@ def test_verify_exhaustive(capsys):
     data = json.loads(out)
     assert data["status"] == "Exhaustive"
     assert data["residual_orders"] == []
+
+
+def test_budget_setting_bounds_verify(capsys, monkeypatch):
+    """CHARDEG_BUDGET reaches verify's oracle, so order 30 stops at once."""
+    monkeypatch.setenv("CHARDEG_BUDGET", "1000")
+
+    def overrun(*_):
+        raise TimeoutError("verify ran on past its node budget")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(10)
+    try:
+        code, out, _ = invoke(
+            capsys, "verify", "--degree", "5", "--oracle-cap", "30",
+            "--format", "json", "--no-timestamp",
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "WitnessOnly"
+    assert "order 30: enumeration of order 30 exceeded 1000 nodes" in data["notes"]
 
 
 def test_enumerate_json(capsys):

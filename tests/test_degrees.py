@@ -42,11 +42,13 @@ def make(text):
 
 def reference_classes(g):
     """Conjugacy classes by multiplying elements: (reps, sizes, class_of,
-    inverse_class, members), in the conventions of ClassData."""
+    inverse_class, members), in the conventions of ClassData: elements in
+    discovery order, each class numbered by its first-discovered member."""
     class_of = {}
-    reps, sizes, members = [], [], []
+    reps, sizes = [], []
     gen_invs = [g.inverse(x) for x in g.generators]
-    for x in enumerate_elements(g):
+    els = enumerate_elements(g)
+    for x in els:
         if x in class_of:
             continue
         idx = len(reps)
@@ -63,19 +65,29 @@ def reference_classes(g):
                     orbit.append(z)
         reps.append(x)
         sizes.append(len(orbit))
-        members.append(tuple(sorted(orbit)))
     inverse_class = tuple(class_of[g.inverse(rep)] for rep in reps)
-    return tuple(reps), tuple(sizes), class_of, inverse_class, tuple(members)
+    members = tuple(
+        tuple(x for x in els if class_of[x] == k) for k in range(len(reps))
+    )
+    return tuple(reps), tuple(sizes), class_of, inverse_class, members
+
+
+def class_of(cd):
+    """The class of each element, from class_at over the tables' elements."""
+    return dict(zip(cd.tables.elements, cd.class_at))
 
 
 def reference_class_matrix(g, cd, i):
     """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}, one product per x and k."""
     r = cd.count
     a = np.zeros((r, r), dtype=np.int64)
-    for x in cd.members[i]:
+    classes = class_of(cd)
+    for x in cd.tables.elements:
+        if classes[x] != i:
+            continue
         xi = g.inverse(x)
         for k, z in enumerate(cd.reps):
-            a[cd.class_of[g.multiply(xi, z)], k] += 1
+            a[classes[g.multiply(xi, z)], k] += 1
     return a
 
 
@@ -140,21 +152,24 @@ REFERENCE_CASES = (
 def test_index_engine_matches_reference(build):
     g = build()
     cd = conjugacy_classes(g)
-    reps, sizes, class_of, inverse_class, members = reference_classes(g)
+    reps, sizes, classes, inverse_class, members = reference_classes(g)
+    els = cd.tables.elements
     assert cd.reps == reps
     assert cd.sizes == sizes
-    assert cd.class_of == class_of
+    assert class_of(cd) == classes
     assert cd.inverse_class == inverse_class
-    assert cd.members == members
+    assert tuple(tuple(els[x] for x in m) for m in cd.member_at) == members
     for i in range(cd.count):
         got = class_matrix(g, cd, i)
         assert got.dtype == np.int64
         assert (got == reference_class_matrix(g, cd, i)).all()
 
 
-def test_class_matrix_column_blocks(monkeypatch):
-    """An entry budget below one column still walks every representative."""
-    g = make("psl2:7")
+@pytest.mark.parametrize("text", ["psl2:7", "prod(xsp:3:1,cyclic:2)"])
+def test_class_matrix_column_blocks(monkeypatch, text):
+    """An entry budget below one column still walks every representative,
+    also when the words' lengths change inside and between blocks."""
+    g = make(text)
     cd = conjugacy_classes(g)
     monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", 5)
     for i in range(cd.count):
@@ -238,9 +253,9 @@ def test_sym3_classes():
     cd = conjugacy_classes(make("named:S3"))
     assert sorted(cd.sizes) == [1, 2, 3]
     assert cd.sizes[0] == 1
-    # reps ascend, so class 1 is the transpositions, class 2 the 3-cycles
-    assert cd.sizes[1] == 3
-    assert cd.class_of[(0, 2, 1)] == 1
+    at = cd.tables.index
+    assert cd.sizes[cd.class_at[at[(0, 2, 1)]]] == 3  # the transpositions
+    assert cd.sizes[cd.class_at[at[(1, 2, 0)]]] == 2  # the 3-cycles
 
 
 def test_psl2_5_classes():
@@ -265,11 +280,17 @@ def test_class_counts(text, count):
     assert conjugacy_classes(make(text)).count == count
 
 
-def test_class_data_reps_sorted_and_least():
+def test_class_data_reps_first_discovered():
     cd = conjugacy_classes(make("named:A4"))
-    assert list(cd.reps) == sorted(cd.reps)
-    for rep, mem in zip(cd.reps, cd.members):
-        assert rep == min(mem)
+    els = cd.tables.elements
+    positions = sorted(x for m in cd.member_at for x in m)
+    assert positions == list(range(len(els)))  # member_at partitions them
+    for k, m in enumerate(cd.member_at):
+        assert m == sorted(m)
+        assert all(cd.class_at[x] == k for x in m)
+        assert cd.reps[k] == els[m[0]]
+    firsts = [m[0] for m in cd.member_at]
+    assert firsts == sorted(firsts)  # classes are numbered by first member
 
 
 # -------------------------------------------------------------- class matrix
@@ -285,8 +306,9 @@ def test_identity_class_matrix():
 def test_transposition_pairs_hitting_identity():
     g = make("named:S3")
     cd = conjugacy_classes(g)
-    m = class_matrix(g, cd, 1)
-    assert m[1][0] == 3  # three pairs (t, t^-1) multiply to the identity
+    t = cd.class_at[cd.tables.index[(0, 2, 1)]]
+    m = class_matrix(g, cd, t)
+    assert m[t][0] == 3  # three pairs (t, t^-1) multiply to the identity
 
 
 @pytest.mark.parametrize("text", ["named:S3", "named:A4", "xsp:2:1", "psl2:5"])
@@ -328,7 +350,7 @@ def test_row_sum_identity(text):
 )
 def test_dixon_modulus(text, modulus):
     g = make(text)
-    l = dixon_modulus(g)
+    l = dixon_modulus(g, conjugacy_classes(g))
     assert l == modulus
     assert l > len(enumerate_elements(g))
     assert (l - 1) % exponent(g) == 0
@@ -367,6 +389,34 @@ def test_character_degrees_frozen(text, expected):
     d = character_degrees(g)
     assert list(d.degrees) == expected
     assert d.group_order == len(enumerate_elements(g))
+
+
+class _Perm:
+    """A permutation that can be hashed and compared for equality, not order."""
+
+    def __init__(self, images):
+        self.images = tuple(images)
+
+    def __eq__(self, other):
+        return isinstance(other, _Perm) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+
+def test_unorderable_elements():
+    """Elements need only be hashable: the engine never orders them."""
+    g = GroupRealization(
+        identity=_Perm((0, 1, 2)),
+        multiply=lambda a, b: _Perm(a.images[x] for x in b.images),
+        inverse=lambda a: _Perm(sorted(range(3), key=a.images.__getitem__)),
+        generators=[_Perm((1, 2, 0)), _Perm((1, 0, 2))],
+        descriptor="S3",
+        expected_order=6,
+    )
+    with pytest.raises(TypeError):
+        _Perm((0, 1, 2)) < _Perm((1, 0, 2))
+    assert character_degrees(g).degrees == (1, 1, 2)
 
 
 def test_degrees_deterministic():

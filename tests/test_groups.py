@@ -78,7 +78,7 @@ def test_sym3_structure():
     g = sym3()
     els = enumerate_elements(g)
     assert len(els) == 6
-    assert els[0] == g.identity  # identity is lex-least permutation
+    assert els[0] == g.identity  # the identity is discovered first
     assert element_order(g, (1, 0, 2)) == 2
     assert element_order(g, (1, 2, 0)) == 3
     assert exponent(g) == 6
