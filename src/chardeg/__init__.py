@@ -70,7 +70,6 @@ from .errors import (
     SelfCheckFailed,
     SpecSyntaxError,
     SumOfSquaresMismatch,
-    ZeroElement,
 )
 from .groups import (
     GroupData,
@@ -150,7 +149,6 @@ __all__ = [
     "SelfCheckFailed",
     "SpecSyntaxError",
     "SumOfSquaresMismatch",
-    "ZeroElement",
     # groups
     "GroupData",
     "GroupRealization",

@@ -18,8 +18,9 @@ rather than a recursion overflow in the parser or the realizations.
 Realizations:
 
     cyclic  integers mod n
-    frob    the affine group of F_q^m whose one matrix is multiplication by
-            a fixed field element of order k (power basis)
+    frob    the affine group of F_q^m whose one matrix is ffield.multiplier:
+            multiplication by a field element of order k, as a(C) for C the
+            companion matrix of the least irreducible of degree m
     psl2    permutations of the projective line {0..p-1, inf}: z+1, -1/z, and
             u^2*z for the least primitive root u mod p
     xsp     tuples (a, b, c) in F_p^n x F_p^n x F_p with
@@ -38,6 +39,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import ffield
 from .arith import is_prime, multiplicative_order, psl2_order
@@ -363,8 +366,7 @@ def _realize_cyclic(spec: Cyclic) -> GroupRealization:
 def _realize_frob(spec: Frob, order: int) -> GroupRealization:
     """The affine group of F_q^m whose one matrix multiplies by an element of
     order k."""
-    ctx = ffield.field_context(spec.q, spec.m)
-    a = ffield.mult_matrix(ctx, ffield.element_of_order(ctx, spec.k))
+    a = ffield.multiplier(spec.q, spec.m, spec.k)
     return _realize_affine(spec.q, spec.m, (a,), order, spec_text(spec))
 
 
@@ -421,14 +423,15 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
 
 def _realize_affine(q: int, m: int, mats, order: int, descriptor: str) -> GroupRealization:
     """Permutations of the q^m vectors of F_q^m, numbered by ffield.undigits:
-    translations by the unit vectors, then the given matrices."""
-    vecs = [ffield.digits(i, q, m) for i in range(q**m)]
-    gens = [
-        [ffield.undigits(tuple((c + (i == j)) % q for i, c in enumerate(v)), q) for v in vecs]
-        for j in range(m)
-    ]
-    gens += [[ffield.undigits(ffield.mat_vec(q, mat, v), q) for v in vecs] for mat in mats]
-    return _perm_realization(gens, descriptor, order)
+    translations by the unit vectors, then the given matrices.  Each generator
+    is one product over the m x q^m array whose column i is digits(i)."""
+    vecs = np.array(ffield.digits(np.arange(q**m), q, m))
+    unit = np.eye(m, dtype=np.int64)
+    images = [(vecs + unit[:, [j]]) % q for j in range(m)]
+    images += [np.array(mat) @ vecs % q for mat in mats]
+    return _perm_realization(
+        [ffield.undigits(v, q).tolist() for v in images], descriptor, order
+    )
 
 
 def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization:

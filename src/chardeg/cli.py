@@ -56,7 +56,6 @@ from .errors import (
     SelfCheckFailed,
     SpecSyntaxError,
     SumOfSquaresMismatch,
-    ZeroElement,
 )
 from .groups import DEFAULT_ELEMENT_CAP, enumerate_elements
 from .smallgroups import (
@@ -506,7 +505,7 @@ def run(argv: list[str] | None = None) -> int:
             "cache": _cmd_cache,
         }[args.command]  # argparse admits no other command
         return command(args, settings)
-    except (SpecSyntaxError, InvalidParam, NotCoprime, OrderNotDividing, ZeroElement) as exc:
+    except (SpecSyntaxError, InvalidParam, NotCoprime, OrderNotDividing) as exc:
         log.error("%s", exc)
         return 2
     except (CapExceeded, BudgetExceeded, SearchExhausted) as exc:

@@ -22,10 +22,6 @@ class OrderNotDividing(Error):
     """Requested element order does not divide the multiplicative group order."""
 
 
-class ZeroElement(Error):
-    """A field operation that needs a nonzero element received zero."""
-
-
 class CapExceeded(Error):
     """A group enumeration or realization grew beyond the configured cap."""
 

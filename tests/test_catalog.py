@@ -15,6 +15,7 @@ from chardeg.catalog import (
     Psl2,
     Xsp,
     expected_order,
+    named_underlying,
     named_witnesses,
     parse_spec,
     realize,
@@ -22,6 +23,7 @@ from chardeg.catalog import (
     witnesses_for_degree,
 )
 from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
+from chardeg.ffield import digits, multiplier, undigits
 from chardeg.groups import enumerate_elements, exponent, group_data
 
 ROUND_TRIP = [
@@ -210,3 +212,43 @@ def test_named_structure_facts():
     assert (data.order, data.derived_order, data.abelianization_order) == (72, 18, 4)
     data = group_data(realize(Named("G72D")))
     assert (data.order, data.derived_order, data.abelianization_order) == (72, 18, 4)
+
+
+def _reference_affine_generators(q, m, mats):
+    """Per-point images: translations by the unit vectors, then each matrix
+    applied to digits(i) one vector at a time."""
+    vecs = [digits(i, q, m) for i in range(q**m)]
+    gens = [
+        [undigits(tuple((c + (r == j)) % q for r, c in enumerate(v)), q) for v in vecs]
+        for j in range(m)
+    ]
+    gens += [
+        [
+            undigits(tuple(sum(mat[r][c] * v[c] for c in range(m)) % q for r in range(m)), q)
+            for v in vecs
+        ]
+        for mat in mats
+    ]
+    return [tuple(g) for g in gens]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "named:S3",
+        "named:A4",
+        "named:G72D",
+        "named:G72Q",
+        "affine:3^2:0,2,1,0;1,0,0,2",
+        "frob:2^8:17",
+    ],
+)
+def test_affine_generators_match_per_point_images(text):
+    spec = parse_spec(text)
+    if isinstance(spec, Named):
+        spec = named_underlying(spec.name)
+    if isinstance(spec, Frob):
+        spec = Affine(spec.q, spec.m, (multiplier(spec.q, spec.m, spec.k),))
+    g = realize(parse_spec(text))
+    assert g.generators == _reference_affine_generators(spec.q, spec.m, spec.mats)
+    assert all(type(x) is int for x in g.generators[-1])

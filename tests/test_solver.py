@@ -8,8 +8,10 @@ cross-checked with an independent computer algebra run before freezing.
 import pytest
 
 from chardeg.catalog import Frob, Named, Prod, Psl2, Xsp, spec_text
+from chardeg import solver
 from chardeg.errors import CapExceeded, InvalidParam
 from chardeg.solver import (
+    catalog_report,
     g_prime,
     g_prime_squared,
     g_report,
@@ -147,6 +149,20 @@ def test_g_report_8_keeps_g72d_refutation_visible():
         "n=8: named:G72D claims degree 8 but its degrees are "
         "[1, 1, 1, 1, 2, 4, 4, 4, 4]",
     )
+
+
+def test_catalog_report_computes_each_winner_once(monkeypatch):
+    # G72D and G72Q tie at order 72; G72D's failed claim reuses its multiset
+    calls = []
+    real = solver.character_degrees
+
+    def counting(g, *args):
+        calls.append(g.descriptor)
+        return real(g, *args)
+
+    monkeypatch.setattr(solver, "character_degrees", counting)
+    catalog_report(8)
+    assert calls == ["named:G72D", "named:G72Q"]
 
 
 # ------------------------------------------------------------------- scans
