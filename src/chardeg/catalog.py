@@ -348,6 +348,7 @@ def _perm_realization(images_list, descriptor, expected):
         generators=[tuple(p) for p in images_list],
         descriptor=descriptor,
         expected_order=expected,
+        act=lambda rows, gens: np.take(rows, gens, axis=1),
     )
 
 
@@ -495,8 +496,9 @@ def _mat_order_profile(q, m, mats):
     return tuple(sorted(element_order(g, a) for a in enumerate_elements(g, 1024)))
 
 
-def _check_complement(name: str):
-    """The order-72 witnesses carry their complement structure as a claim."""
+def _check_complement(name: str) -> int:
+    """The order-72 witnesses carry their complement structure as a claim;
+    returns the complement's order."""
     mats = _D8_MATS if name == "G72D" else _Q8_MATS
     want = _D8_PROFILE if name == "G72D" else _Q8_PROFILE
     got = _mat_order_profile(3, 2, mats)
@@ -506,13 +508,18 @@ def _check_complement(name: str):
         for mat in mats:
             if ffield.mat_det(3, mat) != 1:
                 raise SelfCheckFailed(f"{name}: generator {mat} not in SL2(3)")
+    return len(got)
 
 
 def _realize_named(name: str, cap: int) -> GroupRealization:
     spec, order, _claim = _NAMED[name]
     if name in ("G72D", "G72Q"):
-        _check_complement(name)
-    g = realize(spec, cap)
+        # the complement's one closure also predicts the order, as
+        # expected_order(spec) would by closing the same matrices again
+        predicted = spec.q**spec.m * _check_complement(name)
+        g = _realize_affine(spec.q, spec.m, spec.mats, predicted, spec_text(spec))
+    else:
+        g = realize(spec, cap)
     g.descriptor = f"named:{name}"
     if g.expected_order is not None and g.expected_order != order:
         raise SelfCheckFailed(

@@ -57,7 +57,7 @@ from .errors import (
     SpecSyntaxError,
     SumOfSquaresMismatch,
 )
-from .groups import DEFAULT_ELEMENT_CAP, enumerate_elements
+from .groups import DEFAULT_ELEMENT_CAP, index_tables
 from .smallgroups import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_ORDER_CAP,
@@ -319,7 +319,7 @@ def _cmd_witness(args, settings) -> int:
     )
     spec = specs[0]
     g = realize(spec, settings.element_cap)
-    order = len(enumerate_elements(g, settings.element_cap))
+    order = len(index_tables(g, settings.element_cap))
     gens = [_format_element(spec, x) for x in g.generators]
     data = {
         "n": report.n,

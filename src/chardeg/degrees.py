@@ -154,12 +154,12 @@ def conjugacy_classes(
     h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is needed.
     """
     t = index_tables(g, cap)
-    els, right, parent, via = t.elements, t.right, t.parent, t.via
-    n = len(els)
+    right, parent, via = t.right, t.parent, t.via
+    n = len(t)
     conj = []  # conj[j][x] = position of g_j⁻¹ · x · g_j
     for h, col in zip(g.generators, right):
         left = [0] * n
-        left[0] = t.index[g.inverse(h)]
+        left[0] = t.position(g.inverse(h))
         for x in range(1, n):
             left[x] = right[via[x]][left[parent[x]]]
         conj.append([col[y] for y in left])
@@ -180,11 +180,11 @@ def conjugacy_classes(
     member_at = tuple([] for _ in range(count))
     for x in range(n):
         member_at[class_at[x]].append(x)
-    reps = tuple(els[m[0]] for m in member_at)
+    reps = tuple(t.element(m[0]) for m in member_at)
     cd = ClassData(
         reps=reps,
         sizes=tuple(map(len, member_at)),
-        inverse_class=tuple(class_at[t.index[g.inverse(rep)]] for rep in reps),
+        inverse_class=tuple(class_at[t.position(g.inverse(rep))] for rep in reps),
         class_at=class_at,
         member_at=member_at,
         tables=t,

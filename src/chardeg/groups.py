@@ -4,14 +4,17 @@ A group is handed around as a GroupRealization: an identity element plus
 multiply/inverse callables over opaque elements.  Elements only need to be
 hashable (permutations are image tuples, tuple groups are coefficient
 tuples, table groups are integers, direct products are pairs); they are
-never compared by order.
+never compared by order.  A permutation group may also give a batch
+right-multiply, act, over elements stored as rows of an integer array.
 
-Enumeration does a breadth-first closure of the generators and is cached on
-the realization behind a lock, so repeated conjugacy/character computations
-share one element list.  The closure's discovery order, with the identity
-at position 0, is the only element order: its products x·g are kept as
-index tables over those positions (IndexTables), so later stages can
-multiply by generators without calling `multiply` again.
+Enumeration is a breadth-first closure of the generators, one level at a
+time, cached on the realization behind a lock, so repeated
+conjugacy/character computations share one element list.  With act a level
+is one gather over the rows and dedup runs on row bytes; without it each
+product is one multiply call.  The closure's discovery order, with the
+identity at position 0, is the only element order: its products x·g are
+kept as index tables over those positions (IndexTables), so later stages
+can multiply by generators without multiplying elements again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -48,7 +51,11 @@ class GroupRealization:
     """A finite group presented by identity / multiply / inverse callables.
 
     Closure and element orders never call inverse, so a realization used
-    only for those may pass None.
+    only for those may pass None.  A permutation group whose elements are
+    image tuples of range(w) may pass act(rows, gens): rows is a (k, w) and
+    gens an (s, w) array of elements, and the result is the (k, s, w) array
+    of the products rows[i]·gens[j].  Its closure is then taken over rows,
+    without calling multiply.
     """
 
     def __init__(
@@ -59,6 +66,7 @@ class GroupRealization:
         generators: Iterable,
         descriptor: str,
         expected_order: int | None = None,
+        act: Callable | None = None,
     ):
         self.identity = identity
         self.multiply = multiply
@@ -68,6 +76,7 @@ class GroupRealization:
             self.generators = [identity]
         self.descriptor = descriptor
         self.expected_order = expected_order
+        self.act = act
         self._tables: IndexTables | None = None
         self._lock = threading.Lock()
 
@@ -75,22 +84,55 @@ class GroupRealization:
         return f"GroupRealization({self.descriptor!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexTables:
     """Multiplication by generators, over positions in discovery order.
 
-    elements lists the group in the closure's breadth-first discovery order
-    (the identity is position 0) and index inverts it.  right[j][x] is the
-    position of elements[x]·generators[j].  For x > 0, elements[x] =
+    Positions number the group in the closure's breadth-first discovery
+    order, the identity first.  right[j][x] is the position of
+    elements[x]·generators[j].  For x > 0, elements[x] =
     elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
     -1.  This discovery order is the only element order the engine uses.
+
+    keys maps each element's key to its position.  Without rows the key is
+    the element itself; with rows, rows[x] is elements[x] as an array and
+    the key is its bytes, and element tuples are built only on demand.
     """
 
-    elements: tuple
-    index: dict
     right: tuple[list[int], ...]
     parent: list[int]
     via: list[int]
+    keys: dict = field(repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def element(self, x: int):
+        """The element at position x."""
+        if self.rows is None:
+            return self.elements[x]
+        return tuple(self.rows[x].tolist())
+
+    def position(self, e) -> int:
+        """The position of element e."""
+        if self.rows is None:
+            return self.keys[e]
+        return self.keys[_row_keys(np.array([e], dtype=self.rows.dtype))[0]]
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Every element in discovery order."""
+        if self.rows is None:
+            return tuple(self.keys)  # a dict keeps insertion order
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        """Element -> position."""
+        if self.rows is None:
+            return self.keys
+        return {e: x for x, e in enumerate(self.elements)}
 
     @cached_property
     def right_array(self) -> np.ndarray:
@@ -98,28 +140,67 @@ class IndexTables:
         return np.array(self.right, dtype=np.intp).reshape(len(self.right), -1)
 
 
-def _closure(identity, multiply, generators, cap: int, what: str) -> IndexTables:
-    """Breadth-first closure of the generators under multiplication."""
-    els = [identity]
-    index = {identity: 0}
-    right = tuple([] for _ in generators)
-    parent = [-1]
-    via = [-1]
-    for i, x in enumerate(els):  # els grows while it is walked
-        for j, g in enumerate(generators):
-            y = multiply(x, g)
-            k = index.get(y)
-            if k is None:
-                k = index[y] = len(els)
-                els.append(y)
-                parent.append(i)
-                via.append(j)
-                if k >= cap:
-                    raise CapExceeded(
-                        f"{what}: closure exceeded cap of {cap} elements"
-                    )
-            right[j].append(k)
-    return IndexTables(tuple(els), index, right, parent, via)
+def _row_dtype(points: int) -> np.dtype:
+    """The least unsigned integer type that holds the point indices below points."""
+    return np.min_scalar_type(points - 1)
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous 2-D array."""
+    width = rows.dtype.itemsize * rows.shape[1]
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def _closure(
+    identity, multiply, generators, cap: int, what: str, act: Callable | None = None
+) -> IndexTables:
+    """Breadth-first closure of the generators, one level at a time.
+
+    A level's products x·g are keyed in (x, g) order and each unseen key
+    takes the next position, so positions, parents and right tables are
+    those of multiplying one element by one generator at a time.  With act
+    the level's products are one batch over rows, keyed by their bytes;
+    without it they are multiply calls, keyed by themselves.
+    """
+    gens = list(generators)
+    s = len(gens)
+    if act is None:
+        front = [identity]
+        keys = {identity: 0}
+    else:
+        w = len(identity)
+        dtype = _row_dtype(w)
+        front = np.array([identity], dtype=dtype)
+        gen_rows = np.array(gens, dtype=np.intp).reshape(s, w)
+        keys = {_row_keys(front)[0]: 0}
+    pos: list[int] = []  # pos[x * s + j] = right[j][x]
+    found = []  # x * s + j for the product x·g_j that found position 1, 2, ...
+    while len(front):
+        if act is None:
+            level = [multiply(x, g) for x in front for g in gens]
+        else:
+            level = _row_keys(act(front, gen_rows).reshape(len(front) * s, w))
+        new = []
+        for k in level:
+            p = keys.get(k)
+            if p is None:
+                p = keys[k] = len(keys)
+                new.append(k)
+                found.append(len(pos))
+            pos.append(p)
+        if len(keys) > cap:
+            raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
+        if act is None:
+            front = new
+        else:
+            front = np.frombuffer(b"".join(new), dtype=dtype).reshape(len(new), w)
+    parent = [-1] + [q // s for q in found]
+    via = [-1] + [q % s for q in found]
+    right = tuple(pos[j::s] for j in range(s))
+    rows = None
+    if act is not None:
+        rows = np.frombuffer(b"".join(keys), dtype=dtype).reshape(len(keys), w)
+    return IndexTables(right, parent, via, keys, rows)
 
 
 def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
@@ -133,15 +214,16 @@ def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> Ind
                 group.generators,
                 cap,
                 group.descriptor,
+                group.act,
             )
-            n = len(t.elements)
+            n = len(t)
             if group.expected_order is not None and n != group.expected_order:
                 raise SelfCheckFailed(
                     f"{group.descriptor}: realized {n} elements, "
                     f"expected {group.expected_order}"
                 )
             group._tables = t
-        n = len(group._tables.elements)
+        n = len(group._tables)
         if n > cap:
             raise CapExceeded(f"{group.descriptor}: order {n} exceeds cap {cap}")
         return group._tables

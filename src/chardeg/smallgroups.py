@@ -5,10 +5,11 @@ the identity.  If g has the largest element order m in G, label g as 1 and
 each right coset <g>x_b as the block b*m .. b*m+m-1, with g^i*x_b labelled
 b*m+i; then row 1 is t[1][c] = (c//m)*m + (c%m+1)%m.  So one sub-search
 per divisor m of n, from the largest prime dividing n up (Cauchy), fixes
-row 1 to that pattern (and the diagonal to 0 when m = 2: exponent 2) and
-keeps the tables whose largest element order is m; each class comes from
-exactly one sub-search.  The other rows are filled row-major by
-backtracking with:
+row 1 to that pattern and keeps the tables whose largest element order is
+m; each class comes from exactly one sub-search.  When m = 2 the diagonal
+is fixed to 0 as well: every table is then of exponent 2, so elementary
+abelian, and the sub-search stops at its first.  The other rows are
+filled row-major by backtracking with:
 
   * Latin-square row/column masks,
   * associativity propagation: each placed product a*b = c triggers the
@@ -118,6 +119,7 @@ class _Search:
         self.colmask = list(self.rowmask)
         self.trail: list[tuple[int, int]] = []
         self.found: list[CayleyTable] = []
+        self.first_only = False
 
     # -- assignment with propagation; returns False on contradiction
 
@@ -221,15 +223,19 @@ class _Search:
             if self.assign(r, c, v, queue) and self.propagate(queue):
                 self.run()
             self.undo_to(mark)
+            if self.first_only and self.found:
+                return
 
     def sub_search(self, m: int) -> list[CayleyTable]:
         """The tables with row 1 in the coset pattern of an element of
-        order m, and m the largest element order."""
+        order m, and m the largest element order.  For m = 2 that is the
+        one elementary abelian table, if n is a power of 2."""
         cells = [(1, c, c // m * m + (c % m + 1) % m) for c in range(1, self.n)]
         if m == 2:
             cells += [(x, x, 0) for x in range(1, self.n)]
         queue: list[tuple[int, int]] = []
         self.found = []
+        self.first_only = m == 2
         if all(self.assign(*cell, queue) for cell in cells) and self.propagate(queue):
             self.run()
         self.undo_to(0)

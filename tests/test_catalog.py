@@ -252,3 +252,23 @@ def test_affine_generators_match_per_point_images(text):
     g = realize(parse_spec(text))
     assert g.generators == _reference_affine_generators(spec.q, spec.m, spec.mats)
     assert all(type(x) is int for x in g.generators[-1])
+
+
+@pytest.mark.parametrize("name", ["G72D", "G72Q"])
+def test_order_72_witnesses_close_their_complement_once(name, monkeypatch):
+    """The complement check's closure also predicts the order, so realize
+    closes the matrices once rather than once more in expected_order."""
+    from chardeg import groups
+
+    closed = []
+    closure = groups._closure
+
+    def counted(*args, **kwargs):
+        closed.append(args[4])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    g = realize(Named(name))
+    assert closed == ["matrix group over F_3"]
+    assert g.expected_order == 72
+    assert len(enumerate_elements(g)) == 72

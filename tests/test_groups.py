@@ -1,16 +1,21 @@
-"""Group engine tests on small hand-built realizations."""
+"""Group engine tests on small hand-built realizations, and the closure
+over rows against the closure by multiply on catalog groups."""
 
+import numpy as np
 import pytest
 
+from chardeg.catalog import parse_spec, realize
 from chardeg.errors import CapExceeded, SelfCheckFailed
 from chardeg.groups import (
     GroupRealization,
+    _row_dtype,
     direct_product,
     element_order,
     enumerate_elements,
     exponent,
     derived_subgroup_order,
     group_data,
+    index_tables,
 )
 
 
@@ -123,3 +128,69 @@ def test_cap_exceeded():
 def test_expected_order_mismatch():
     with pytest.raises(SelfCheckFailed):
         enumerate_elements(ints_mod(12, expected=13))
+
+
+# ------------------------------------------------- closure over rows
+
+EQUIVALENCE_SPECS = [
+    "psl2:7",
+    "psl2:37",
+    "frob:2^3:7",
+    "frob:2^8:17",
+    "named:G72Q",
+    "affine:3^2:0,2,1,0;1,0,0,2",
+    "prod(psl2:5,cyclic:3)",  # pairs: no act on either side
+]
+
+
+def without_act(g):
+    """The same generators, closed by multiply one product at a time."""
+    return GroupRealization(
+        identity=g.identity,
+        multiply=g.multiply,
+        inverse=g.inverse,
+        generators=g.generators,
+        descriptor=g.descriptor,
+        expected_order=g.expected_order,
+    )
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
+def test_closure_over_rows_matches_multiply(text):
+    g = realize(parse_spec(text))
+    assert (g.act is None) == text.startswith("prod(")
+    rows, ref = index_tables(g), index_tables(without_act(g))
+    assert (rows.rows is None) == (g.act is None)
+    assert rows.elements == ref.elements
+    assert rows.right == ref.right
+    assert rows.parent == ref.parent
+    assert rows.via == ref.via
+    assert rows.index == ref.index
+    for x in (0, 1, len(ref) // 2, len(ref) - 1):
+        assert rows.element(x) == ref.elements[x]
+        assert rows.position(ref.elements[x]) == x
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
+def test_closure_over_rows_cap_message_matches(text):
+    g = realize(parse_spec(text))
+    messages = []
+    for h in (g, without_act(g)):
+        with pytest.raises(CapExceeded) as err:
+            index_tables(h, cap=20)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == f"{g.descriptor}: closure exceeded cap of 20 elements"
+
+
+def test_row_dtype_holds_every_point():
+    assert _row_dtype(1) == np.uint8
+    assert _row_dtype(256) == np.uint8
+    assert _row_dtype(257) == np.uint16
+    assert _row_dtype(65536) == np.uint16
+    assert _row_dtype(65537) == np.uint32
+    assert index_tables(realize(parse_spec("frob:2^8:17"))).rows.dtype == np.uint8
+    t = index_tables(realize(parse_spec("affine:257^1:16")))  # 257 points
+    assert t.rows.dtype == np.uint16
+    assert len(t) == 257 * 4
+    assert max(max(e) for e in t.elements) == 256

@@ -117,6 +117,15 @@ def test_sub_searches_share_one_budget():
     assert len(enumerate_groups(12, budget=sum(nodes))) == 5
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_exponent_two_sub_search_stops_at_first_table(n):
+    """Fixing row 1 and the diagonal leaves only elementary abelian tables,
+    one class, so the m = 2 sub-search returns one."""
+    tables = _Search(n, budget=10**9).sub_search(2)
+    assert len(tables) == 1
+    assert set(tables[0].element_orders()) == {1, 2}
+
+
 def test_order_one_and_two():
     assert enumerate_groups(1)[0].table == ((0,),)
     assert enumerate_groups(2)[0].table == ((0, 1), (1, 0))
