@@ -10,16 +10,25 @@ The degree multiset of a finite group is computed from first principles:
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
      unity exist mod l and every degree square is recovered exactly from its
      residue,
-  4. simultaneous eigenspaces of the commuting M_i over F_l: each common
-     eigenvector, normalized to coordinate 1 at the identity class, is the
-     vector of central character values w_i = |C_i| chi(g_i) / chi(1),
-  5. sum_i w_i w_{i'} / |C_i| = |G| / chi(1)^2 then recovers each degree.
+  4. the derived subgroup G′ over positions, and each class's coset of it:
+     the |G:G′| linear characters are those of G/G′, so their degrees are 1,
+     and every other chi has central character values summing to zero over
+     each coset, so those vectors span W = {v : the coordinates of each
+     coset sum to zero}, of dimension r − |G:G′|,
+  5. simultaneous eigenspaces of the commuting M_i on W over F_l: each
+     common eigenvector, normalized to coordinate 1 at the identity class,
+     is the vector of central character values w_i = |C_i| chi(g_i) / chi(1),
+  6. sum_i w_i w_{i'} / |C_i| = |G| / chi(1)^2 then recovers each non-linear
+     degree.
 
 Closed-form multisets for Frobenius groups, extraspecial groups, and direct
 products are provided as independent cross-checks of the same quantities.
-Eigen-splitting is deterministic: class matrices are consumed in ascending
-class index, eigenvalues in ascending residue order, and subspace bases are
-kept in reduced row echelon form.
+Eigen-splitting is deterministic: it starts from W's reduced row echelon
+basis, consumes the central classes (size 1) first and then the others,
+each in ascending class index, takes eigenvalues in ascending residue
+order, and keeps subspace bases in reduced row echelon form.  A central z
+acts on the characters by their central character, so it is a cheap matrix
+that separates them early.
 """
 
 from __future__ import annotations
@@ -102,15 +111,7 @@ class ClassData:
         first-discovered member, so word lengths never go down as k rises:
         the words with a step s are the last walking[s] rows of gens.
         """
-        t = self.tables
-        words = []
-        for m in self.member_at:
-            word = []
-            x = m[0]
-            while x:
-                word.append(t.via[x])
-                x = t.parent[x]
-            words.append(word[::-1])
+        words = [self.tables.word(m[0]) for m in self.member_at]
         steps = len(words[-1])
         walking = [0] * steps
         for w in words:
@@ -246,6 +247,72 @@ def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
     return v
 
 
+def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
+    """|G′| and the coset of G′ of each position, G′ itself being coset 0.
+
+    G′ is the normal closure of the generators' commutators.  H starts as
+    the subgroup they generate, closed breadth-first under right
+    multiplication by its generators, each a permutation of the positions
+    got by walking the generator's word through the index tables.  While H
+    is not a union of classes, one missing member of each class it meets
+    joins the generators: it is a conjugate of an element of H, so it lies
+    in G′.  A subgroup with more than |G|/2 elements is G, so the closure
+    stops there.  The cosets are then numbered breadth-first over G/H:
+    H·x·g_j is the gather right[j] of the coset H·x.
+    """
+    t = cd.tables
+    right = t.right_array
+    s, n = right.shape
+    back = np.empty_like(right)  # back[j, x·g_j] = x
+    back[np.arange(s)[:, None], right] = np.arange(n)
+    new = {  # g_i⁻¹·g_j⁻¹·g_i·g_j
+        int(right[j, right[i, back[j, back[i, 0]]]])
+        for i in range(s)
+        for j in range(i + 1, s)
+    }
+    new = sorted(new - {0})
+    in_h = np.zeros(n, dtype=bool)
+    in_h[0] = True
+    size = 1
+    perms = []
+    while new:
+        for y in new:
+            p = np.arange(n)
+            for j in t.word(y):
+                p = right[j][p]
+            perms.append(p)
+            x = int(p[0])
+            while not in_h[x]:  # y's powers, so that a long cycle costs no levels
+                in_h[x] = True
+                size += 1
+                x = int(p[x])
+        front = np.flatnonzero(in_h)
+        while front.size:
+            fresh = np.zeros(n, dtype=bool)
+            for p in perms:
+                fresh[p[front]] = True
+            fresh &= ~in_h
+            in_h |= fresh
+            front = np.flatnonzero(fresh)
+            size += front.size
+            if 2 * size > n:
+                return n, np.zeros(n, dtype=np.intp)
+        hit = np.bincount(cd.class_array[in_h], minlength=cd.count)
+        partial = (hit > 0) & (hit < cd.sizes)
+        missing = np.flatnonzero(partial[cd.class_array] & ~in_h)
+        new = missing[np.unique(cd.class_array[missing], return_index=True)[1]].tolist()
+    h = np.flatnonzero(in_h)
+    coset_at = np.full(n, -1, dtype=np.intp)
+    coset_at[h] = 0
+    cosets = [h]
+    for c in cosets:  # grows while it is walked
+        for j, col in enumerate(t.right):
+            if coset_at[col[c[0]]] < 0:
+                coset_at[right[j][c]] = len(cosets)
+                cosets.append(right[j][c])
+    return h.size, coset_at
+
+
 # ------------------------------------------------- modular linear algebra
 
 
@@ -357,20 +424,22 @@ def _poly_roots(poly: np.ndarray, l: int) -> list[int]:
 # ------------------------------------------------------------ eigen splitting
 
 
-def _split_common_eigenvectors(matrices, l: int) -> list[np.ndarray]:
-    """Common eigenvectors (as rows, unnormalized) of the commuting family.
+def _split_common_eigenvectors(matrices, order, b, piv, l: int) -> list[np.ndarray]:
+    """Common eigenvectors (as rows, unnormalized) of the commuting family
+    inside the invariant subspace with basis b.
 
-    matrices: callable i -> ndarray giving M_i on demand; processed in
-    ascending i until every invariant subspace is one-dimensional.  Each
-    subspace is a basis b in reduced row echelon form with pivot columns
-    piv, and M_i is restricted to it before anything else; a subspace on
-    which M_i acts as a scalar is its own single eigenspace and is kept.
+    b is in reduced row echelon form with pivot columns piv, and its r
+    columns are the classes.  matrices: callable i -> ndarray giving M_i on
+    demand; consumed for i in order until every invariant subspace is
+    one-dimensional.  Each subspace is such a basis, and M_i is restricted
+    to it before anything else; a subspace on which M_i acts as a scalar is
+    its own single eigenspace and is kept.
     """
-    r = matrices(0).shape[0]
+    r = b.shape[1]
     if r * (l - 1) ** 2 >= 1 << 63:
         raise CapExceeded(f"{r} classes with modulus {l} overflow int64 dot products")
-    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    for i in range(1, r):
+    subspaces = [(b, piv)] if len(b) else []
+    for i in order:
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
         mt = matrices(i).T % l
@@ -409,27 +478,46 @@ def character_degrees(
     r = cd.count
     if r > class_cap:
         raise CapExceeded(f"{r} conjugacy classes exceed cap {class_cap}")
-    l = dixon_modulus(g, cd)
     order = sum(cd.sizes)
-    size_invs = [pow(s, l - 2, l) for s in cd.sizes]
-    degrees = []
-    for v in _split_common_eigenvectors(lambda i: class_matrix(g, cd, i), l):
-        if v[0] == 0:
-            raise SelfCheckFailed("eigenvector with zero identity coordinate")
-        inv = pow(int(v[0]), l - 2, l)
-        w = [int(x) * inv % l for x in v]  # central character, w[0] = 1
-        t = 0
-        for j in range(r):
-            t = (t + w[j] * w[cd.inverse_class[j]] * size_invs[j]) % l
-        if t == 0:
-            raise SelfCheckFailed("vanishing norm for a central character")
-        dd = order * pow(t, l - 2, l) % l
-        if not 1 <= dd <= order:
-            raise NotPerfectSquare(f"degree square {dd} outside [1, {order}]")
-        d = isqrt(dd)
-        if d * d != dd:
-            raise NotPerfectSquare(f"recovered degree square {dd} is not a square")
-        degrees.append(d)
+    derived, coset_at = _derived_cosets(cd)
+    coset = coset_at[[m[0] for m in cd.member_at]]
+    if (coset[cd.class_array] != coset_at).any():
+        raise SelfCheckFailed("a conjugacy class meets two cosets of the derived subgroup")
+    coset = coset.tolist()
+    last = {c: k for k, c in enumerate(coset)}
+    piv = [k for k, c in enumerate(coset) if last[c] != k]
+    degrees = [1] * (order // derived)
+    if piv:
+        l = dixon_modulus(g, cd)
+        basis = np.zeros((len(piv), r), dtype=np.int64)  # e_k − e_last of k's coset
+        basis[range(len(piv)), piv] = 1
+        basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
+        central_first = sorted(range(1, r), key=lambda i: cd.sizes[i] > 1)
+        size_invs = [pow(s, l - 2, l) for s in cd.sizes]
+        for v in _split_common_eigenvectors(
+            lambda i: class_matrix(g, cd, i), central_first, basis, piv, l
+        ):
+            if v[0] == 0:
+                raise SelfCheckFailed("eigenvector with zero identity coordinate")
+            inv = pow(int(v[0]), l - 2, l)
+            w = [int(x) * inv % l for x in v]  # central character, w[0] = 1
+            t = 0
+            for j in range(r):
+                t = (t + w[j] * w[cd.inverse_class[j]] * size_invs[j]) % l
+            if t == 0:
+                raise SelfCheckFailed("vanishing norm for a central character")
+            dd = order * pow(t, l - 2, l) % l
+            if not 1 <= dd <= order:
+                raise NotPerfectSquare(f"degree square {dd} outside [1, {order}]")
+            d = isqrt(dd)
+            if d * d != dd:
+                raise NotPerfectSquare(f"recovered degree square {dd} is not a square")
+            degrees.append(d)
+    if len(degrees) != r:
+        raise SelfCheckFailed(
+            f"splitting W gave {len(degrees) - order // derived} characters, "
+            f"not r − |G:G′| = {r - order // derived}"
+        )
     if sum(d * d for d in degrees) != order:
         raise SumOfSquaresMismatch(
             f"degree squares sum to {sum(d * d for d in degrees)}, order is {order}"

@@ -120,6 +120,15 @@ class IndexTables:
             return self.keys[e]
         return self.keys[_row_keys(np.array([e], dtype=self.rows.dtype))[0]]
 
+    def word(self, x: int) -> list[int]:
+        """The generator indices j_1, ..., j_k of x's path in the closure's
+        tree: elements[x] = g_{j_1} ··· g_{j_k}."""
+        word = []
+        while x > 0:
+            word.append(self.via[x])
+            x = self.parent[x]
+        return word[::-1]
+
     @cached_property
     def elements(self) -> tuple:
         """Every element in discovery order."""

@@ -4,6 +4,7 @@ Everything runs in-process through run(argv) so exit codes and both output
 streams are observable without spawning subprocesses.
 """
 
+import hashlib
 import json
 import signal
 
@@ -104,6 +105,46 @@ def test_degrees_csv_counts(capsys):
     )
     assert code == 0
     assert out == "degree,count\n1,3\n3,1\n"
+
+
+# stdout of `degrees --spec S --no-timestamp`: the csv text, and the sha256
+# of the json text, whose degree lists run to 249 entries.
+DEGREES_GOLDEN = {
+    "prod(xsp:3:2,cyclic:3)": (
+        "degree,count\n1,243\n9,6\n",
+        "c830432cba0f77c40080157ed5a6b08c95e001092b453597eb69a023eac8b399",
+    ),
+    "prod(xsp:3:2,cyclic:2)": (
+        "degree,count\n1,162\n9,4\n",
+        "b4a928f40409bfb48a7deea58610a78a06b0436f52259b218cc2559d857333c4",
+    ),
+    "xsp:3:2": (
+        "degree,count\n1,81\n9,2\n",
+        "840bd9f11ee6cb2f7b92a148a2563ad062024402fdd117e9b4419825ba71efd6",
+    ),
+    "psl2:37": (
+        "degree,count\n1,1\n19,2\n36,9\n37,1\n38,8\n",
+        "98b5eea5fa037aafd0402e4080e1a4d33c47d6433a17147f76db1fd7ca79df34",
+    ),
+    "frob:191^1:19": (
+        "degree,count\n1,19\n19,10\n",
+        "0b38932526da609ee8c3a8915f20f7401a29305ee063ebf46f05b8006fc43759",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DEGREES_GOLDEN))
+def test_degrees_stdout_golden(capsys, spec):
+    csv_text, json_sha = DEGREES_GOLDEN[spec]
+    code, out, _ = invoke(
+        capsys, "degrees", "--spec", spec, "--format", "csv", "--no-timestamp"
+    )
+    assert (code, out) == (0, csv_text)
+    code, out, _ = invoke(
+        capsys, "degrees", "--spec", spec, "--format", "json", "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha
 
 
 def test_gvalue_catalog_degree(capsys):
@@ -275,6 +316,27 @@ def test_element_cap_above_default_is_honoured(capsys):
     assert len(data["degrees"]) == 42
 
 
+def test_class_cap_setting(capsys):
+    """629 classes: over the default class cap of 500, under the one given;
+    gvalue's witness check honours the setting too."""
+    code, _, err = invoke(capsys, "degrees", "--spec", "xsp:5:2", "--no-timestamp")
+    assert code == 3
+    assert "629 conjugacy classes exceed cap 500" in err
+    code, out, err = invoke(
+        capsys, "degrees", "--spec", "xsp:5:2", "--class-cap", "629",
+        "--format", "csv", "--no-timestamp",
+    )
+    assert (code, out) == (0, "degree,count\n1,625\n25,4\n"), err
+    code, out, _ = invoke(
+        capsys, "gvalue", "--degree", "9", "--class-cap", "5",
+        "--format", "json", "--no-timestamp",
+    )
+    data = json.loads(out)
+    assert code == 1
+    assert not data["verified"]
+    assert any("exceed cap 5" in a for a in data["anomalies"])
+
+
 def test_budget_exceeded_exits_3(capsys):
     code, _, _ = invoke(
         capsys, "enumerate", "--order", "12", "--budget", "10", "--no-timestamp"
@@ -395,6 +457,7 @@ def test_bad_env_integer_exits_2(capsys, monkeypatch):
 
 SETTING_USERS = {
     "element_cap": ["degrees", "--spec", "cyclic:5"],
+    "class_cap": ["degrees", "--spec", "cyclic:5"],
     "budget": ["enumerate", "--order", "4"],
     "oracle_cap": ["verify", "--degree", "2"],
 }

@@ -5,7 +5,8 @@ a general-purpose computer algebra system and frozen here; the module under
 test must reproduce them from first principles.
 """
 
-from math import lcm
+import time
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from chardeg.errors import (
     SelfCheckFailed,
     SumOfSquaresMismatch,
 )
-from chardeg.groups import GroupRealization, element_order, enumerate_elements, exponent
+from chardeg.groups import (
+    GroupRealization,
+    derived_subgroup_order,
+    element_order,
+    enumerate_elements,
+    exponent,
+)
 from chardeg.smallgroups import enumerate_groups, table_to_realization
 
 
@@ -115,6 +122,51 @@ def reference_rref(a, l):
     return a[: len(piv)], piv
 
 
+def reference_split(g, cd, l):
+    """Common eigenvectors of every class matrix on the whole class space:
+    the identity basis, class matrices consumed in ascending class index."""
+    r = cd.count
+    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    for i in range(1, r):
+        if all(b.shape[0] == 1 for b, _ in subspaces):
+            break
+        mt = class_matrix(g, cd, i).T % l
+        done = []
+        for b, piv in subspaces:
+            if b.shape[0] == 1:
+                done.append((b, piv))
+                continue
+            rmat = b @ mt[:, piv] % l
+            eye = np.eye(rmat.shape[0], dtype=np.int64)
+            if (rmat == rmat[0, 0] * eye).all():
+                done.append((b, piv))
+                continue
+            cp = degrees._charpoly(degrees._hessenberg(rmat.copy(), l), l)
+            for lam in degrees._poly_roots(cp, l):
+                coords = degrees._kernel((rmat - lam * eye).T % l, l)
+                done.append(reference_rref(coords @ b % l, l))
+        subspaces = done
+    assert all(b.shape[0] == 1 for b, _ in subspaces)
+    return [b[0] for b, _ in subspaces]
+
+
+def reference_degrees(g):
+    """Every degree from the full-space split, |G| / chi(1)^2 = sum_i w_i
+    w_{i'} / |C_i| for each central character w."""
+    cd = conjugacy_classes(g)
+    l = dixon_modulus(g, cd)
+    order = sum(cd.sizes)
+    out = []
+    for v in reference_split(g, cd, l):
+        w = [int(x) * pow(int(v[0]), l - 2, l) % l for x in v]
+        t = sum(
+            w[j] * w[cd.inverse_class[j]] * pow(cd.sizes[j], l - 2, l)
+            for j in range(cd.count)
+        )
+        out.append(isqrt(order * pow(t % l, l - 2, l) % l))
+    return tuple(sorted(out))
+
+
 def no_generators():
     return GroupRealization(
         identity=0,
@@ -163,6 +215,14 @@ def test_index_engine_matches_reference(build):
         got = class_matrix(g, cd, i)
         assert got.dtype == np.int64
         assert (got == reference_class_matrix(g, cd, i)).all()
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in REFERENCE_CASES], ids=[t for t, _ in REFERENCE_CASES]
+)
+def test_split_of_w_matches_full_space_reference(build):
+    g = build()
+    assert character_degrees(g).degrees == reference_degrees(g)
 
 
 @pytest.mark.parametrize("text", ["psl2:7", "prod(xsp:3:1,cyclic:2)"])
@@ -221,20 +281,18 @@ def test_kernel_spans_null_space():
 
 
 def test_split_guards_int64_overflow():
-    """r·(l−1)² ≥ 2⁶³ raises before any class matrix beyond M_0 is used."""
+    """r·(l−1)² ≥ 2⁶³ raises before any class matrix is built."""
     g = make("cyclic:4")
     cd = conjugacy_classes(g)
-    big = 2**31 - 1
+    full = np.eye(4, dtype=np.int64), list(range(4))
 
     def guarded(i):
-        if i:
-            pytest.fail("the split went past the overflow guard")
-        return class_matrix(g, cd, i) % big
+        pytest.fail("the split went past the overflow guard")
 
     with pytest.raises(CapExceeded):
-        degrees._split_common_eigenvectors(guarded, big)
+        degrees._split_common_eigenvectors(guarded, range(1, 4), *full, 2**31 - 1)
     vectors = degrees._split_common_eigenvectors(
-        lambda i: class_matrix(g, cd, i) % 5, 5
+        lambda i: class_matrix(g, cd, i) % 5, range(1, 4), *full, 5
     )
     assert len(vectors) == 4
 
@@ -440,6 +498,92 @@ def test_linear_count_equals_abelianization():
         assert ones == group_data(g).abelianization_order
 
 
+# ---------------------------------------------------------- derived subgroup
+
+
+CATALOG_CORPUS = sorted({t for t, _ in FROZEN_DEGREES} | set(REFERENCE_GROUPS))
+
+
+DERIVED_CASES = [(text, lambda text=text: make(text)) for text in CATALOG_CORPUS] + [
+    (f"order{n}[{k}]", lambda t=t: table_to_realization(t))
+    for n in range(1, 13)
+    for k, t in enumerate(enumerate_groups(n))
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in DERIVED_CASES], ids=[t for t, _ in DERIVED_CASES]
+)
+def test_derived_cosets_match_element_path(build):
+    """|G′| over positions equals the one got by multiplying elements, and
+    the cosets partition the group into |G:G′| blocks of |G′|, each a union
+    of classes."""
+    g = build()
+    cd = conjugacy_classes(g)
+    derived, coset_at = degrees._derived_cosets(cd)
+    assert derived == derived_subgroup_order(g)
+    n = len(cd.tables)
+    assert (np.bincount(coset_at) == derived).all()
+    assert len(np.bincount(coset_at)) == n // derived
+    for m in cd.member_at:
+        assert len(set(coset_at[m].tolist())) == 1
+
+
+def test_perfect_group_stops_at_half():
+    """psl2:37 is perfect: the closure stops once it holds over half of G."""
+    cd = conjugacy_classes(make("psl2:37"))
+    derived, coset_at = degrees._derived_cosets(cd)
+    assert derived == len(cd.tables) and not coset_at.any()
+
+
+def wrong_cosets(monkeypatch, move):
+    """Patch _derived_cosets so that move(derived, coset_at) returns its
+    (wrong) answer."""
+    real = degrees._derived_cosets
+
+    def patched(cd):
+        derived, coset_at = real(cd)
+        return move(derived, coset_at.copy(), cd)
+
+    monkeypatch.setattr(degrees, "_derived_cosets", patched)
+
+
+def test_class_meeting_two_cosets_is_caught(monkeypatch):
+    def move(derived, coset_at, cd):
+        x = next(m for m in cd.member_at if len(m) > 1)[-1]  # not the rep
+        coset_at[x] = (coset_at[x] + 1) % coset_at.max()
+        return derived, coset_at
+
+    wrong_cosets(monkeypatch, move)
+    with pytest.raises(SelfCheckFailed, match="meets two cosets"):
+        character_degrees(make("xsp:3:1"))
+
+
+def test_wrong_derived_order_is_caught(monkeypatch):
+    def move(derived, coset_at, cd):
+        return derived * 3, coset_at
+
+    wrong_cosets(monkeypatch, move)
+    with pytest.raises(SelfCheckFailed, match="not r − "):
+        character_degrees(make("xsp:3:1"))
+
+
+def test_central_classes_split_first(monkeypatch):
+    """Three many-class specs split W with 6 class matrices, each of a
+    central class; splitting the full space took 161 + 127 + 72."""
+    built = []
+    real = degrees.class_matrix
+
+    def counting(g, cd, i):
+        built.append(cd.sizes[i])
+        return real(g, cd, i)
+
+    monkeypatch.setattr(degrees, "class_matrix", counting)
+    for text in ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2"]:
+        character_degrees(make(text))
+    assert built == [1] * 6
+
+
 # -------------------------------------------------------------- closed forms
 
 
@@ -502,6 +646,23 @@ def test_dixon_matches_closed_forms():
         character_degrees(make("named:S3")), character_degrees(make("named:A4"))
     )
     assert left == right
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2)])
+def test_many_class_extraspecial_matches_closed_form(p, n):
+    """629, 731 and 2,407 classes, over the default class cap of 500."""
+    g = make(f"xsp:{p}:{n}")
+    with pytest.raises(CapExceeded):
+        character_degrees(g)
+    assert character_degrees(g, class_cap=2407) == extraspecial_degrees_closed_form(p, n)
+
+
+def test_abelian_group_needs_no_split():
+    """cyclic:499 has 499 classes and G′ = 1, so W is empty."""
+    t0 = time.perf_counter()
+    d = character_degrees(make("cyclic:499"))
+    assert time.perf_counter() - t0 < 1.0
+    assert d.degrees == (1,) * 499
 
 
 # ---------------------------------------------------------------- invariants

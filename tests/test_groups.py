@@ -102,6 +102,17 @@ def test_closure_contains_inverses_and_products():
             assert g.multiply(a, b) in els
 
 
+def test_word_multiplies_out_to_its_element():
+    g = sym3()
+    t = index_tables(g)
+    assert t.word(0) == []
+    for x, e in enumerate(t.elements):
+        y = g.identity
+        for j in t.word(x):
+            y = g.multiply(y, g.generators[j])
+        assert y == e
+
+
 def test_direct_product():
     g = direct_product(ints_mod(4), ints_mod(6))
     els = enumerate_elements(g)
