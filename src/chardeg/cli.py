@@ -44,7 +44,7 @@ from .catalog import (
     realize,
     spec_text,
 )
-from .degrees import DEFAULT_CLASS_CAP, character_degrees
+from .degrees import character_degrees
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -74,9 +74,8 @@ _DEFAULTS = {
     "oracle_cap": DEFAULT_ORDER_CAP,
     "budget": DEFAULT_NODE_BUDGET,
     "element_cap": DEFAULT_ELEMENT_CAP,
-    "class_cap": DEFAULT_CLASS_CAP,
 }
-_INT_SETTINGS = {"oracle_cap", "budget", "element_cap", "class_cap"}
+_INT_SETTINGS = {"oracle_cap", "budget", "element_cap"}
 
 
 def _read_config(path: str) -> dict:
@@ -213,12 +212,7 @@ def _report_dict(report) -> dict:
 
 
 def _cmd_gvalue(args, settings) -> int:
-    report = g_report(
-        args.degree,
-        verify=not args.no_verify,
-        cap=settings.element_cap,
-        class_cap=settings.class_cap,
-    )
+    report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
     data = _report_dict(report)
     witnesses = ", ".join(data["witness_specs"]) or "(none verified)"
     pretty = [f"g({report.n}) = {report.min_order}   case {report.case_label}"]
@@ -291,7 +285,7 @@ def _cmd_degrees(args, settings) -> int:
     cached = entry is not None
     if entry is None:
         g = realize(parse_spec(canonical), settings.element_cap)
-        multiset = character_degrees(g, settings.element_cap, settings.class_cap)
+        multiset = character_degrees(g, settings.element_cap)
         entry = CacheEntry(
             spec_text=canonical,
             order=multiset.group_order,
@@ -319,12 +313,7 @@ def _cmd_degrees(args, settings) -> int:
 
 
 def _cmd_witness(args, settings) -> int:
-    report = g_report(
-        args.degree,
-        verify=not args.no_verify,
-        cap=settings.element_cap,
-        class_cap=settings.class_cap,
-    )
+    report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
     specs = report.witness_specs or tuple(
         c.spec for c in report.candidates if c.order == report.min_order
     )
@@ -445,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--element-cap", dest="element_cap", type=int, default=None
     )
-    common.add_argument("--class-cap", dest="class_cap", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="chardeg",

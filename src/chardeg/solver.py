@@ -47,7 +47,7 @@ from .catalog import (
     spec_text,
     witnesses_for_degree,
 )
-from .degrees import DEFAULT_CLASS_CAP, character_degrees
+from .degrees import character_degrees
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 from .groups import DEFAULT_ELEMENT_CAP
 from .smallgroups import (
@@ -129,19 +129,14 @@ class KanoldRow:
 _CASE_BY_LABEL = {"psl2": "a", "pgroup5": "a", "frobenius": "b", "product": "c"}
 
 
-def verify_witness(
-    spec: GroupSpec,
-    n: int,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> bool:
+def verify_witness(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Realize the spec and check the claimed degree from scratch.  The
     realized order is checked against `expected_order` when the degree
     engine enumerates it (`groups.index_tables`)."""
-    return n in character_degrees(realize(spec, cap), cap, class_cap).degrees
+    return n in character_degrees(realize(spec, cap), cap).degrees
 
 
-def _finish_report(n, candidates, verify, cap, class_cap) -> CandidateReport:
+def _finish_report(n, candidates, verify, cap) -> CandidateReport:
     min_order = min(c.order for c in candidates)
     winners = tuple(c for c in candidates if c.order == min_order)
     anomalies = []
@@ -158,7 +153,7 @@ def _finish_report(n, candidates, verify, cap, class_cap) -> CandidateReport:
         verified = True
         for w in winners:
             try:
-                ok = verify_witness(w.spec, n, cap, class_cap)
+                ok = verify_witness(w.spec, n, cap)
             except (CapExceeded, BudgetExceeded) as exc:
                 anomalies.append(f"n={n}: verification of {w.label} hit a cap: {exc}")
                 ok = False
@@ -178,12 +173,7 @@ def _finish_report(n, candidates, verify, cap, class_cap) -> CandidateReport:
     )
 
 
-def g_prime(
-    p: int,
-    verify: bool = True,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> CandidateReport:
+def g_prime(p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
     candidates = []
@@ -191,14 +181,11 @@ def g_prime(
         candidates.append(Candidate("psl2", psl2_order(p), Psl2(p)))
     pp = least_prime_power_1mod(p)
     candidates.append(Candidate("frobenius", p * pp.value, Frob(pp.q, pp.m, p)))
-    return _finish_report(p, candidates, verify, cap, class_cap)
+    return _finish_report(p, candidates, verify, cap)
 
 
 def g_prime_squared(
-    p: int,
-    verify: bool = True,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
+    p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP
 ) -> CandidateReport:
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
@@ -209,7 +196,7 @@ def g_prime_squared(
     base = g_prime(p, verify=False)
     w = base.witness_specs[0]
     candidates.append(Candidate("product", base.min_order**2, Prod(w, w)))
-    report = _finish_report(n, candidates, verify, cap, class_cap)
+    report = _finish_report(n, candidates, verify, cap)
     winner_labels = {c.label for c in report.candidates if c.order == report.min_order}
     if "product" in winner_labels and base.case_label != "b":
         note = (
@@ -220,12 +207,7 @@ def g_prime_squared(
     return report
 
 
-def catalog_report(
-    n: int,
-    verify: bool = True,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> CandidateReport:
+def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
     """Report built from the fixed catalog witnesses put forward for degree n.
 
     witness_specs lists the minimal-order entries whose degree-n claim the
@@ -247,7 +229,7 @@ def catalog_report(
     verified = False
     if verify:
         for c in winners:
-            multiset = character_degrees(realize(c.spec, cap), cap, class_cap)
+            multiset = character_degrees(realize(c.spec, cap), cap)
             if n in multiset.degrees:
                 verified_specs.append(c.spec)
             else:
@@ -268,21 +250,16 @@ def catalog_report(
     )
 
 
-def g_report(
-    n: int,
-    verify: bool = True,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> CandidateReport:
+def g_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
     """Dispatch on the degree: prime, prime squared, or catalog-backed."""
     if n < 2:
         raise InvalidParam("degree must be >= 2")
     if is_prime(n):
-        return g_prime(n, verify, cap, class_cap)
+        return g_prime(n, verify, cap)
     root = isqrt(n)
     if root * root == n and is_prime(root):
-        return g_prime_squared(root, verify, cap, class_cap)
-    return catalog_report(n, verify, cap, class_cap)
+        return g_prime_squared(root, verify, cap)
+    return catalog_report(n, verify, cap)
 
 
 def scan_theorem_a(max_p: int) -> ScanResult:

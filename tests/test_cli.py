@@ -316,25 +316,11 @@ def test_element_cap_above_default_is_honoured(capsys):
     assert len(data["degrees"]) == 42
 
 
-def test_class_cap_setting(capsys):
-    """629 classes: over the default class cap of 500, under the one given;
-    gvalue's witness check honours the setting too."""
-    code, _, err = invoke(capsys, "degrees", "--spec", "xsp:5:2", "--no-timestamp")
-    assert code == 3
+def test_degrees_over_class_cap_exits_3(capsys):
+    """xsp:5:2 has 629 classes, over the default class cap of 500."""
+    code, out, err = invoke(capsys, "degrees", "--spec", "xsp:5:2", "--no-timestamp")
+    assert (code, out) == (3, "")
     assert "629 conjugacy classes exceed cap 500" in err
-    code, out, err = invoke(
-        capsys, "degrees", "--spec", "xsp:5:2", "--class-cap", "629",
-        "--format", "csv", "--no-timestamp",
-    )
-    assert (code, out) == (0, "degree,count\n1,625\n25,4\n"), err
-    code, out, _ = invoke(
-        capsys, "gvalue", "--degree", "9", "--class-cap", "5",
-        "--format", "json", "--no-timestamp",
-    )
-    data = json.loads(out)
-    assert code == 1
-    assert not data["verified"]
-    assert any("exceed cap 5" in a for a in data["anomalies"])
 
 
 def test_budget_exceeded_exits_3(capsys):
@@ -457,7 +443,6 @@ def test_bad_env_integer_exits_2(capsys, monkeypatch):
 
 SETTING_USERS = {
     "element_cap": ["degrees", "--spec", "cyclic:5"],
-    "class_cap": ["degrees", "--spec", "cyclic:5"],
     "budget": ["enumerate", "--order", "4"],
     "oracle_cap": ["verify", "--degree", "2"],
 }
