@@ -2,9 +2,14 @@
 
 Primality, factorization, multiplicative orders, and the least prime /
 prime-power searches in arithmetic progressions that drive the minimal-order
-computations.  All functions are deterministic; the Miller-Rabin witness set
-used here is exact for every 64-bit input, and the searches scan residue
-classes in increasing value so returned minima are true minima.
+computations.  All functions are deterministic.  `is_prime` (Miller-Rabin on
+the first 13 primes) is exact below psi_13 = 3,317,044,064,679,887,385,961,981
+(Sorenson & Webster, Math. Comp. 86, 2017) and raises `CapExceeded` above it
+rather than guess.  The searches take the candidates n+1, 2n+1, ... in
+increasing value, so the returned minima are true minima.  A batch of moduli
+(a prime scan) reads its first candidates from one numpy sieve coding each
+value as not a prime power, prime, or proper prime power; a modulus with no
+hit there, and every single query, walks on one test per candidate.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotCoprime, SearchExhausted
+import numpy as np
+
+from .errors import CapExceeded, NotCoprime, SearchExhausted
 
 __all__ = [
     "is_prime",
@@ -22,6 +29,7 @@ __all__ = [
     "multiplicative_order",
     "PrimePower",
     "prime_power_decomposition",
+    "least_prime_powers_1mod",
     "least_prime_power_1mod",
     "least_prime_1mod",
     "kanold_holds",
@@ -30,19 +38,35 @@ __all__ = [
     "primes_up_to",
 ]
 
-# Sufficient for a deterministic test of every n < 3.3e24 (so all 64-bit n).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes are a deterministic witness set for every n < psi_13;
+# psi_13 itself is a strong pseudoprime to all of them.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SEARCH_CAP = 2**63
 
+# Batched searches read K = _WINDOW candidates per modulus from one sieve of
+# 0..b, b = min(K * max modulus + 1, _SIEVE_PER_MODULUS * moduli, _SIEVE_MAX),
+# one int8 code per value; below _SIEVE_MIN the scalar walk is cheaper.
+_PRIME, _PROPER_POWER = 1, 2
+_WINDOW = 32
+_SIEVE_PER_MODULUS = 5000
+_SIEVE_MIN = 2**16
+_SIEVE_MAX = 2**23
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test, exact below psi_13."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n >= _MR_EXACT_BELOW:
+        raise CapExceeded(
+            f"primality of {n} is not decided: the Miller-Rabin witnesses "
+            f"are exact only below {_MR_EXACT_BELOW}"
+        )
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s
@@ -174,40 +198,104 @@ def prime_power_decomposition(v: int) -> PrimePower | None:
     """(q, m) with v = q**m and q prime, or None."""
     if v < 2:
         return None
+    for q in _MR_WITNESSES:  # a small prime factor leaves only its own powers
+        if v % q == 0:
+            m = 0
+            while v % q == 0:
+                v //= q
+                m += 1
+            return PrimePower(q, m) if v == 1 else None
     if is_prime(v):
         return PrimePower(v, 1)
     for m in range(2, v.bit_length() + 1):
         r = _nth_root(v, m)
-        if r < 2:
+        if r <= _MR_WITNESSES[-1]:  # r has no small factor, so r > 41
             break
         if r**m == v and is_prime(r):
             return PrimePower(r, m)
     return None
 
 
+def _prime_power_codes(b: int) -> np.ndarray:
+    """int8 code of every v in 0..b: 0 not a prime power, 1 prime, 2 proper
+    prime power."""
+    codes = np.ones(b + 1, dtype=np.int8)
+    codes[:2] = 0
+    root = math.isqrt(b)
+    for i in range(2, root + 1):
+        if codes[i]:
+            codes[i * i :: i] = 0
+    for q in np.flatnonzero(codes[: root + 1]).tolist():
+        v = q * q
+        while v <= b:
+            codes[v] = _PROPER_POWER
+            v *= q
+    return codes
+
+
+def _walk_1mod(n: int, k: int, primes_only: bool) -> PrimePower:
+    """Least prime (power) among k*n+1, (k+1)*n+1, ..., one test per candidate."""
+    v = k * n + 1
+    while v < _SEARCH_CAP:
+        if primes_only:
+            if is_prime(v):
+                return PrimePower(v, 1)
+        else:
+            pp = prime_power_decomposition(v)
+            if pp is not None:
+                return pp
+        v += n
+    kind = "prime" if primes_only else "prime power"
+    raise SearchExhausted(f"no {kind} = 1 mod {n} below 2**63")
+
+
+def least_prime_powers_1mod(moduli, primes_only: bool = False) -> list[PrimePower]:
+    """For each modulus n, the smallest prime power q**m = 1 (mod n), or the
+    smallest prime q (as q**1) when `primes_only`.
+
+    One sieve of 0..b answers every modulus whose answer lies in its first
+    _WINDOW candidates; the others continue with the scalar walk from the
+    first candidate the window did not cover.
+    """
+    moduli = list(moduli)
+    if any(n < 2 for n in moduli):
+        raise ValueError("least_prime_powers_1mod needs every modulus >= 2")
+    b = min(_WINDOW * max(moduli, default=0) + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
+    codes = _prime_power_codes(b) if b >= _SIEVE_MIN else None
+    first = [0] * len(moduli)  # least k <= _WINDOW with k*n+1 a hit in the sieve
+    if codes is not None:
+        # one gather of the k-th candidates of all moduli per k, largest k
+        # first so that the least hit is written last; a candidate past b
+        # reads codes[0], which is no hit (so does every candidate of n >= b,
+        # which min keeps inside int64)
+        ns = np.array([min(n, b) for n in moduli], dtype=np.int64)
+        hits = np.zeros(len(moduli), dtype=np.int64)
+        for k in range(_WINDOW, 0, -1):
+            v = k * ns + 1
+            c = codes[np.where(v <= b, v, 0)]
+            hits[(c == _PRIME) if primes_only else (c != 0)] = k
+        first = hits.tolist()
+    out = []
+    for n, k in zip(moduli, first):
+        if k:
+            v = k * n + 1
+            out.append(
+                PrimePower(v, 1) if codes[v] == _PRIME else prime_power_decomposition(v)
+            )
+        else:
+            top = min(_WINDOW, (b - 1) // n) if codes is not None else 0
+            out.append(_walk_1mod(n, top + 1, primes_only))
+    return out
+
+
 def least_prime_power_1mod(n: int) -> PrimePower:
     """Smallest prime power q**m with q**m = 1 (mod n), scanned by value."""
-    if n < 2:
-        raise ValueError("least_prime_power_1mod needs n >= 2")
-    v = n + 1
-    while v < _SEARCH_CAP:
-        pp = prime_power_decomposition(v)
-        if pp is not None:
-            return pp
-        v += n
-    raise SearchExhausted(f"no prime power = 1 mod {n} below 2**63")
+    return least_prime_powers_1mod([n])[0]
 
 
 def least_prime_1mod(n: int) -> int:
     """Smallest prime q with q = 1 (mod n)."""
-    if n < 2:
-        raise ValueError("least_prime_1mod needs n >= 2")
-    v = n + 1
-    while v < _SEARCH_CAP:
-        if is_prime(v):
-            return v
-        v += n
-    raise SearchExhausted(f"no prime = 1 mod {n} below 2**63")
+    return least_prime_powers_1mod([n], primes_only=True)[0].q
 
 
 def kanold_holds(p: int) -> bool:
@@ -233,9 +321,4 @@ def primes_up_to(n: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return np.flatnonzero(_prime_power_codes(n) == _PRIME).tolist()

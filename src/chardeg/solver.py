@@ -29,12 +29,12 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .arith import (
+    PrimePower,
     is_cyclic_number,
     is_prime,
-    least_prime_1mod,
     least_prime_power_1mod,
+    least_prime_powers_1mod,
     primes_up_to,
-    psl2_order,
 )
 from .catalog import (
     Frob,
@@ -176,12 +176,7 @@ def _finish_report(n, candidates, verify, cap) -> CandidateReport:
 def g_prime(p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
-    candidates = []
-    if p >= 5:
-        candidates.append(Candidate("psl2", psl2_order(p), Psl2(p)))
-    pp = least_prime_power_1mod(p)
-    candidates.append(Candidate("frobenius", p * pp.value, Frob(pp.q, pp.m, p)))
-    return _finish_report(p, candidates, verify, cap)
+    return _candidate_report(p, least_prime_power_1mod(p), None, verify, cap)
 
 
 def g_prime_squared(
@@ -189,13 +184,30 @@ def g_prime_squared(
 ) -> CandidateReport:
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
+    pp, pp_sq = least_prime_powers_1mod([p, p * p])
+    return _candidate_report(p, pp, pp_sq, verify, cap)
+
+
+def _candidate_report(
+    p: int, pp: PrimePower, pp_sq: PrimePower | None, verify: bool, cap: int
+) -> CandidateReport:
+    """The degree-p report of the prime p, or with pp_sq the degree-p^2 one,
+    given the least prime powers pp = 1 mod p and pp_sq = 1 mod p^2."""
+    candidates = []
+    if p >= 5:
+        # |PSL2(p)| for odd p, without psl2_order's primality test
+        candidates.append(Candidate("psl2", p * (p * p - 1) // 2, Psl2(p)))
+    candidates.append(Candidate("frobenius", p * pp.value, Frob(pp.q, pp.m, p)))
+    if pp_sq is None:
+        return _finish_report(p, candidates, verify, cap)
+    base = _finish_report(p, candidates, False, cap)
     n = p * p
-    candidates = [Candidate("pgroup5", p**5, Xsp(p, 2))]
-    pp = least_prime_power_1mod(n)
-    candidates.append(Candidate("frobenius", n * pp.value, Frob(pp.q, pp.m, n)))
-    base = g_prime(p, verify=False)
     w = base.witness_specs[0]
-    candidates.append(Candidate("product", base.min_order**2, Prod(w, w)))
+    candidates = [
+        Candidate("pgroup5", p**5, Xsp(p, 2)),
+        Candidate("frobenius", n * pp_sq.value, Frob(pp_sq.q, pp_sq.m, n)),
+        Candidate("product", base.min_order**2, Prod(w, w)),
+    ]
     report = _finish_report(n, candidates, verify, cap)
     winner_labels = {c.label for c in report.candidates if c.order == report.min_order}
     if "product" in winner_labels and base.case_label != "b":
@@ -264,21 +276,26 @@ def g_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> Can
 
 def scan_theorem_a(max_p: int) -> ScanResult:
     """Candidate comparison for every prime p <= max_p, by formula only."""
-    return _scan(max_p, g_prime)
+    return _scan(max_p, squared=False)
 
 
 def scan_theorem_b(max_p: int) -> ScanResult:
-    return _scan(max_p, g_prime_squared)
+    return _scan(max_p, squared=True)
 
 
-def _scan(max_p: int, per_prime) -> ScanResult:
+def _scan(max_p: int, squared: bool) -> ScanResult:
+    """One batched search answers every prime of the scan: mod p, and for
+    degree p^2 also mod p^2."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
+    primes = primes_up_to(max_p)
+    pps = least_prime_powers_1mod(primes + [p * p for p in primes] if squared else primes)
+    pps_sq = pps[len(primes):] if squared else [None] * len(primes)
     rows = []
     case_a = []
     anomalies: list[str] = []
-    for p in primes_up_to(max_p):
-        report = per_prime(p, verify=False)
+    for p, pp, pp_sq in zip(primes, pps, pps_sq):
+        report = _candidate_report(p, pp, pp_sq, False, DEFAULT_ELEMENT_CAP)
         rows.append(ScanRow(p=p, case_label=report.case_label, min_order=report.min_order))
         if report.case_label == "a":
             case_a.append(p)
@@ -355,9 +372,10 @@ def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
     """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1)."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
+    primes = primes_up_to(max_p)
     rows = []
-    for p in primes_up_to(max_p):
-        q = least_prime_1mod(p)
+    for p, pp in zip(primes, least_prime_powers_1mod(primes, primes_only=True)):
+        q = pp.q
         companion = (p * p - 1) // (2 if p > 2 else 1)
         rows.append(
             KanoldRow(p=p, q=q, holds=q < p * p, companion_holds=q < companion)

@@ -147,6 +147,39 @@ def test_degrees_stdout_golden(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == json_sha
 
 
+# sha256 of `--format json --no-timestamp` stdout, taken before scans were
+# answered by one batched search.
+SCAN_GOLDEN = {
+    ("scan-a", "30000"): "e0535944baaa29aae477a48be17b34b8c9c84db3e1cbebecb31dc6a8adae49ab",
+    ("scan-b", "300"): "7b76a18cb353db3c96bb5789b00d07593f8824c79c3b238e12cef626d48b3e97",
+    ("kanold", "30000"): "c3c12b216d3375039fa6ac56392bf2cddec61a61f00a5330964865f53c0074cb",
+}
+
+
+@pytest.mark.parametrize("command,max_p", sorted(SCAN_GOLDEN))
+def test_scan_stdout_golden(capsys, command, max_p):
+    code, out, _ = invoke(
+        capsys, command, "--max-p", max_p, "--format", "json", "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command, max_p]
+
+
+def test_gvalue_beyond_exact_primality(capsys):
+    """psi_12 is a strong pseudoprime to bases 2..37 but composite, so it is
+    no prime degree (exit 2); psi_13 is where the witnesses stop (exit 3)."""
+    code, out, err = invoke(
+        capsys, "gvalue", "--degree", "318665857834031151167461", "--no-verify"
+    )
+    assert (code, out) == (2, "")
+    assert "no catalog witness claims degree" in err
+    code, out, err = invoke(
+        capsys, "gvalue", "--degree", "3317044064679887385961981", "--no-verify"
+    )
+    assert (code, out) == (3, "")
+    assert "Miller-Rabin" in err
+
+
 def test_gvalue_catalog_degree(capsys):
     code, out, _ = invoke(
         capsys, "gvalue", "--degree", "6", "--format", "json", "--no-timestamp"

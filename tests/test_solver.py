@@ -9,6 +9,7 @@ import pytest
 
 from chardeg.catalog import Frob, Named, Prod, Psl2, Xsp, spec_text
 from chardeg import solver
+from chardeg.arith import least_prime_1mod
 from chardeg.errors import CapExceeded, InvalidParam
 from chardeg.solver import (
     catalog_report,
@@ -200,6 +201,19 @@ def test_scan_theorem_b_to_71():
     assert all(row.min_order > row.p**4 for row in result.rows)
 
 
+def test_scan_rows_match_single_reports():
+    """A scan answers every prime from one batched search; each row must be
+    what the single report of that prime says."""
+    for scan, single in ((scan_theorem_a(2000), g_prime), (scan_theorem_b(300), g_prime_squared)):
+        anomalies = []
+        for row in scan.rows:
+            report = single(row.p, verify=False)
+            assert (row.case_label, row.min_order) == (report.case_label, report.min_order)
+            anomalies += report.anomalies
+        assert list(scan.anomalies) == anomalies
+        assert scan.case_a == (19,)
+
+
 def test_scan_rejects_tiny_bound():
     with pytest.raises(InvalidParam):
         scan_theorem_a(1)
@@ -269,6 +283,12 @@ def test_kanold_rows():
     assert (rows[19].q, rows[19].holds, rows[19].companion_holds) == (191, True, False)
     assert all(r.holds for r in rows.values())
     assert [p for p, r in sorted(rows.items()) if not r.companion_holds] == [2, 3, 7, 19]
+
+
+def test_kanold_scan_matches_single_queries():
+    rows = kanold_scan(5000)
+    assert len(rows) == 669
+    assert all(r.q == least_prime_1mod(r.p) for r in rows)
 
 
 # ----------------------------------------------------------------- witness
