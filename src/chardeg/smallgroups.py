@@ -14,20 +14,43 @@ filled row-major by backtracking with:
   * Latin-square row/column masks,
   * associativity propagation: each placed product a*b = c triggers the
     forced consequences (a*b)*x = a*(b*x) and x*(a*b) = (x*a)*b in both
-    directions, plus last-cell completion of rows and columns.
+    directions, plus last-cell completion of rows and columns,
+  * order pruning: a node is dropped once some x has x, x^2, ..., x^m
+    known and none of them 0, since then x has order above m,
+  * lex-leader pruning (Crawford, Ginsberg, Luks & Roy, KR 1996): choosing
+    other coset representatives g^(s_b)x_b, in another block order, is a
+    relabelling pi that fixes 0 and 1 and commutes with x -> 1*x, so it
+    maps each table T of the sub-search to another one, T^pi with
+    T^pi[pi(a)][pi(b)] = pi(T[a][b]).  A node is dropped once, for some pi
+    in a set S of these, T^pi is lex-smaller than T (row-major) at the
+    first cell where they differ, both known there.
 
-The labelling is not a full canonical form, so survivors are deduplicated
-by an invariant fingerprint (element-order profile, class sizes) followed
-by exact isomorphism search.  Every emitted table is re-verified against
-all n^3 associativity triples; the sub-searches share one node budget,
-and exceeding it raises rather than return partial results, so an
-exhaustive answer is always exhaustive.
+Both prunings are exact.  Every completion below a dropped node has an
+element of order above m, or a relabelling that is lex-smaller; so the
+lex-least table of each orbit is never dropped, and no class is lost
+whatever S is (S is all such pi while |S|*n^2 fits an entry budget, and
+those moving fewest blocks otherwise).  The search emits its tables in lex
+order, so the first table of each class is still the lex-least one in its
+sub-search, as it is with no pruning: the pruned tables are only later
+relabellings, and the enumeration returns the tables the unpruned search
+would.
+
+The survivors may still hold several tables of one class (relabellings
+outside S, and other choices of g), so they are deduplicated by an
+invariant fingerprint (element-order profile, class sizes) followed by
+exact isomorphism search.  Every emitted table is re-verified against all
+n^3 associativity triples; the sub-searches share one node budget, and
+exceeding it raises rather than return partial results, so an exhaustive
+answer is always exhaustive.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .arith import factor
 from .errors import BudgetExceeded, InvalidParam, SelfCheckFailed
@@ -44,6 +67,9 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 16
 DEFAULT_NODE_BUDGET = 10**9
+# Entry budget for a sub-search's relabellings: |S| * n^2 stays under it,
+# which bounds both the permutation arrays and each node's gather.
+_SYMMETRY_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -63,11 +89,9 @@ class CayleyTable:
                 raise InvalidParam("table is not a Latin square")
 
     def is_associative(self) -> bool:
-        t = self.table
-        rng = range(self.n)
-        return all(
-            t[t[a][b]][c] == t[a][t[b][c]] for a in rng for b in rng for c in rng
-        )
+        """All n^3 triples at once: t[t][a,b,c] = (ab)c, t[:, t][a,b,c] = a(bc)."""
+        t = np.array(self.table, dtype=np.intp)
+        return bool((t[t] == t[:, t]).all())
 
     def element_orders(self) -> tuple[int, ...]:
         out = []
@@ -120,6 +144,10 @@ class _Search:
         self.trail: list[tuple[int, int]] = []
         self.found: list[CayleyTable] = []
         self.first_only = False
+        # set per sub-search: the largest element order, and its relabellings
+        self.m = n
+        self.inverses = np.zeros((0, n), dtype=np.intp)
+        self.images = np.zeros((0, n + 1), dtype=np.intp)
 
     # -- assignment with propagation; returns False on contradiction
 
@@ -203,8 +231,55 @@ class _Search:
                 return r, self.table[r].index(-1)
         return None
 
-    def run(self):
+    def orders_within(self) -> bool:
+        """False once some x has x, x^2, ..., x^m all known and not 0."""
+        t = self.table
+        for x in range(2, self.n):
+            y = x
+            for _ in range(self.m - 1):
+                y = t[y][x]
+                if y <= 0:
+                    break
+            else:
+                return False
+        return True
+
+    def survivors(self, alive: np.ndarray, cell) -> np.ndarray | None:
+        """None if this node is pruned, else the relabellings (rows of
+        self.images) that may still prune below it.
+
+        For pi in alive, T^pi[pi(a)][pi(b)] = pi(T[a][b]) is compared with T
+        row-major up to the first empty cell of T, from row m on (rows below
+        m are the powers of 1, which every pi fixes).  At the first cell
+        where they differ with T^pi known, T^pi smaller prunes the node and
+        T^pi larger drops pi for the whole subtree; an unknown T^pi cell, or
+        no difference, keeps pi.
+        """
+        if not self.orders_within():
+            return None
+        if not alive.size:
+            return alive
+        n, m = self.n, self.m
+        r0, c0 = cell if cell is not None else (n - 1, n)
+        t = np.array(self.table, dtype=np.intp)
+        prefix = t[m : r0 + 1].ravel()[: (r0 - m) * n + c0]
+        if not prefix.size:
+            return alive
+        inv = self.inverses[alive]
+        pre = t[inv[:, m : r0 + 1, None], inv[:, None, :]].reshape(len(alive), -1)
+        pre = pre[:, : prefix.size]
+        img = self.images[alive[:, None], pre]
+        first = (img != prefix).argmax(axis=1)
+        a, b = img[np.arange(len(alive)), first], prefix[first]
+        if ((a >= 0) & (a < b)).any():
+            return None
+        return alive[a <= b]
+
+    def run(self, alive: np.ndarray):
         cell = self.next_cell()
+        alive = self.survivors(alive, cell)
+        if alive is None:
+            return
         if cell is None:
             table = CayleyTable(self.n, tuple(map(tuple, self.table)))
             if not table.is_associative():
@@ -221,25 +296,65 @@ class _Search:
             mark = len(self.trail)
             queue: list[tuple[int, int]] = []
             if self.assign(r, c, v, queue) and self.propagate(queue):
-                self.run()
+                self.run(alive)
             self.undo_to(mark)
             if self.first_only and self.found:
                 return
 
     def sub_search(self, m: int) -> list[CayleyTable]:
         """The tables with row 1 in the coset pattern of an element of
-        order m, and m the largest element order.  For m = 2 that is the
-        one elementary abelian table, if n is a power of 2."""
+        order m, and m the largest element order, with no table that a
+        relabelling from _relabellings(n, m) makes lex-smaller.  For m = 2
+        that is the one elementary abelian table, if n is a power of 2."""
         cells = [(1, c, c // m * m + (c % m + 1) % m) for c in range(1, self.n)]
         if m == 2:
             cells += [(x, x, 0) for x in range(1, self.n)]
         queue: list[tuple[int, int]] = []
         self.found = []
         self.first_only = m == 2
+        self.m = m
+        perms = _relabellings(self.n, m)
+        rows = np.arange(len(perms))[:, None]
+        self.inverses = np.empty_like(perms)
+        self.inverses[rows, perms] = np.arange(self.n)
+        # column n stays -1, so an empty cell (-1) gathers -1
+        self.images = np.full((len(perms), self.n + 1), -1, dtype=np.intp)
+        self.images[:, :-1] = perms
         if all(self.assign(*cell, queue) for cell in cells) and self.propagate(queue):
-            self.run()
+            self.run(np.arange(len(perms)))
         self.undo_to(0)
-        return [t for t in self.found if max(t.element_orders()) == m]
+        return self.found
+
+
+def _relabellings(n: int, m: int) -> np.ndarray:
+    """Rows pi(b*m + i) = sigma(b)*m + (i + s_b) % m, sigma(0) = 0 and s_0 = 0:
+    they move the blocks of sub-search m whole and rotate each, so they fix
+    0 and 1, commute with x -> 1*x and map its tables to its tables.
+
+    Those moving fewest blocks come first, and the rows stop after
+    _SYMMETRY_ENTRIES // n^2 of them; any subset prunes soundly.  The
+    identity is left out, and so is everything when m = 2 (that sub-search
+    stops at its first table)."""
+    cap = _SYMMETRY_ENTRIES // (n * n) if m > 2 else 0
+    rows = []
+    for moved, images, shifts in itertools.islice(_block_moves(n // m, m), cap):
+        pi = list(range(n))
+        for b, a, s in zip(moved, images, shifts):
+            pi[b * m : b * m + m] = [a * m + (i + s) % m for i in range(m)]
+        rows.append(pi)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
+def _block_moves(k: int, m: int):
+    """Every (moved, images, shifts) with block moved[j] sent to images[j]
+    and rotated by shifts[j], each block moved (not sent to itself
+    unrotated), by ascending len(moved)."""
+    for j in range(1, k):
+        for moved in itertools.combinations(range(1, k), j):
+            for images in itertools.permutations(moved):
+                for shifts in itertools.product(range(m), repeat=j):
+                    if all(a != b or s for b, a, s in zip(moved, images, shifts)):
+                        yield moved, images, shifts
 
 
 # ------------------------------------------------------------- isomorphism

@@ -165,6 +165,25 @@ def test_scan_stdout_golden(capsys, command, max_p):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command, max_p]
 
 
+# sha256 of `enumerate --order n --format json --no-timestamp` stdout, taken
+# before the sub-searches pruned relabelled tables.
+ENUMERATE_GOLDEN = {
+    6: "56bd69c33887673a7850878fbcf183c2d9dac28faceb0a7293bf275a32b83c6f",
+    8: "9edced4871c4a78033151decd026f59cc29090f7dde33c26a1289ee7fc035022",
+    12: "b47d3293a34abe851437c1087c63a633b3a75c1439323809ebd00d94846d632f",
+    16: "54640652673cfe70eee13e57be6e6c13aaa68fe6f0609dc293475401947dbbdd",
+}
+
+
+@pytest.mark.parametrize("order", sorted(ENUMERATE_GOLDEN))
+def test_enumerate_stdout_golden(capsys, order):
+    code, out, _ = invoke(
+        capsys, "enumerate", "--order", str(order), "--format", "json", "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_GOLDEN[order]
+
+
 def test_gvalue_beyond_exact_primality(capsys):
     """psi_12 is a strong pseudoprime to bases 2..37 but composite, so it is
     no prime degree (exit 2); psi_13 is where the witnesses stop (exit 3)."""

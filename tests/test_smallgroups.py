@@ -4,15 +4,21 @@ Class counts for small orders are classical: (1,1,1,2,1,2,1,5,2,2) for
 n = 1..10 and (1,5,1,2,1,14) for n = 11..16.
 """
 
+import hashlib
+from math import factorial
+
 import pytest
 
+from chardeg.arith import factor
 from chardeg.catalog import parse_spec, realize
 from chardeg.degrees import character_degrees
 from chardeg.errors import BudgetExceeded, InvalidParam, SelfCheckFailed
 from chardeg.groups import enumerate_elements
 from chardeg.smallgroups import (
+    _SYMMETRY_ENTRIES,
     CayleyTable,
     _fingerprint,
+    _relabellings,
     _Search,
     enumerate_groups,
     is_isomorphic,
@@ -23,6 +29,38 @@ COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
     9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14,
 }
+
+# sha256 of repr([t.table for t in enumerate_groups(n)]), taken before the
+# sub-searches pruned relabelled tables.
+TABLES_GOLDEN = {
+    1: "4ac279b94d8c735ee76858c2b50da00526af1f31a8c2e829581bbbeae1fea620",
+    2: "d38b092e58757f89eb1061ccf8439cd715c8b7db3cbfa41122d1a8ca3bac7eca",
+    3: "3fbf8e55fa658d03b1ce61f99060ce70167599881f25691c471ed13a62f9a8f5",
+    4: "aad849db59633be0370b7773f8a43c3b1ebe06c70630eeb05a5db1debf62dec3",
+    5: "98727697c6837a46a8ae6ed5ffef9037ed0f4327db1f8ba8cf3b804c5d725f94",
+    6: "b8525a6fbdf1fd69e56cd46cb4cbf4012e4e18c1a56399970088a65be992d635",
+    7: "9e00b08c520ea96826a0eda85e2f951e158d6cc44263321aacae5e3842fbff91",
+    8: "24692fa851e28664ae515c1d8f3b74cc0573015dbdaec2a2e037466345962ffb",
+    9: "55f16e0da17dad48c81363221f97af790fd8f903d0110decb58edd13c78d29ae",
+    10: "aa2c9f39de5f7e87c47c372a71d8cc33d6abc95609663b8864b596b5f6cac6ba",
+    11: "931e722c9a3753160fafcc866c9e3940be25e426b2a7a21269d88931757f44c6",
+    12: "3bb5d955bade6119efe757e4f68eeda8c3acddad86e9432fdeaafd6afabbca1c",
+    13: "d29f894985c8529dd1fe9645119e87f704b167f8d0c8fd295c69d19dda770ae1",
+    14: "db0ced445c5241dd575043100290de8a25f4a629b1770663f62fbaa7277ab1bb",
+    15: "047d904965113a98e84d3ccdbde94f8c904219ab32b038ac2262167377831698",
+    16: "5f57723305c356da035e42686ee4731287808c6ce7f9eb1db1f268e7ee7f0e8b",
+}
+
+LOOP = CayleyTable(  # a Latin square with identity that is not associative
+    5,
+    (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    ),
+)
 
 
 class _FirstOccurrenceSearch(_Search):
@@ -52,6 +90,47 @@ class _FirstOccurrenceSearch(_Search):
             if self.assign(r, c, v, queue) and self.propagate(queue):
                 self.run()
             self.undo_to(mark)
+
+
+class _UnprunedSearch(_Search):
+    """The search with order and lex-leader pruning off: every table with
+    row 1 in the pattern, whatever its largest element order."""
+
+    def survivors(self, alive, cell):
+        return alive
+
+
+class _NoPropagation(_Search):
+    """The search with associativity propagation off, so its leaves are any
+    Latin squares with row 1 in the pattern."""
+
+    def propagate(self, queue):
+        return True
+
+
+def associative_by_loop(t: CayleyTable) -> bool:
+    tab, rng = t.table, range(t.n)
+    return all(
+        tab[tab[a][b]][c] == tab[a][tab[b][c]] for a in rng for b in rng for c in rng
+    )
+
+
+def relabel(table, pi):
+    """T^pi: T^pi[pi(a)][pi(b)] = pi(T[a][b])."""
+    out = [[0] * len(pi) for _ in pi]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[pi[a]][pi[b]] = pi[c]
+    return tuple(map(tuple, out))
+
+
+def sub_searches(n):
+    least = factor(n).factors[-1][0] if n > 1 else 1
+    return [m for m in range(least, n + 1) if n % m == 0]
+
+
+# (n, m) for every sub-search of order n <= 12 with relabellings to prune by
+SYMMETRIC = [(n, m) for n in range(2, 13) for m in sub_searches(n) if 2 < m < n]
 
 
 def reference_enumerate(n):
@@ -103,6 +182,81 @@ def test_matches_reference_enumeration(n):
         assert sum(is_isomorphic(b, a) for a in mine) == 1
 
 
+@pytest.mark.parametrize("n", sorted(TABLES_GOLDEN))
+def test_tables_golden(n):
+    tables = [t.table for t in enumerate_groups(n)]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == TABLES_GOLDEN[n]
+
+
+def test_symmetric_sub_searches_listed():
+    assert SYMMETRIC == [(6, 3), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4), (12, 6)]
+    for n in range(2, 13):
+        for m in sub_searches(n):
+            assert (len(_relabellings(n, m)) > 0) == ((n, m) in SYMMETRIC)
+
+
+@pytest.mark.parametrize("n,m", SYMMETRIC)
+def test_sub_search_keeps_lex_least_of_each_orbit(n, m):
+    """Up to n = 12 the relabellings are all of Pi minus the identity, so
+    the pruned sub-search returns the lex-least table of each Pi-orbit of
+    the unpruned one's tables of largest element order m, in lex order."""
+    k = n // m
+    identity = tuple(range(n))
+    perms = [tuple(p) for p in _relabellings(n, m).tolist()]
+    row1 = [c // m * m + (c % m + 1) % m for c in range(n)]
+    # fixing 0 and commuting with row 1 makes pi an element of Pi
+    assert len(set(perms)) == len(perms) == factorial(k - 1) * m ** (k - 1) - 1
+    for pi in perms:
+        assert sorted(pi) == list(identity) and pi != identity and pi[0] == 0
+        assert all(pi[row1[x]] == row1[pi[x]] for x in range(n))
+    unpruned = {
+        t.table
+        for t in _UnprunedSearch(n, budget=10**9).sub_search(m)
+        if max(t.element_orders()) == m
+    }
+    leaders = sorted({min(relabel(t, pi) for pi in [identity, *perms]) for t in unpruned})
+    assert set(leaders) <= unpruned
+    pruned = _Search(n, budget=10**9).sub_search(m)
+    assert [t.table for t in pruned] == leaders
+    assert all(max(t.element_orders()) == m for t in pruned)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_relabellings_stay_under_entry_budget(n):
+    """|S| * n^2 bounds the permutation arrays and each node's gather; at
+    order 30, m = 5, Pi has 5! * 5^5 = 375,000 elements."""
+    for m in sub_searches(n):
+        perms = _relabellings(n, m)
+        assert len(perms) * n * n <= _SYMMETRY_ENTRIES
+        assert (perms[:, :2] == [0, 1]).all()
+        assert (perms.argsort(axis=1).argsort(axis=1) == perms).all()
+    assert len(_relabellings(30, 5)) == _SYMMETRY_ENTRIES // 900
+
+
+def test_associativity_check_matches_triple_loop():
+    tables = [t for n in range(1, 17) for t in enumerate_groups(n)]
+    for t in tables + [LOOP]:
+        assert t.is_associative() == associative_by_loop(t)
+
+
+def test_search_without_propagation_fails_its_self_check(monkeypatch):
+    """With propagation off, the first leaf is not associative, and the
+    search raises there rather than emit it."""
+    checked = []
+    check = CayleyTable.is_associative
+
+    def recording(self):
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CayleyTable, "is_associative", recording)
+    search = _NoPropagation(6, budget=10**9)
+    with pytest.raises(SelfCheckFailed):
+        search.sub_search(3)
+    assert len(checked) == 1 and search.found == []
+    assert not associative_by_loop(checked[0])
+
+
 def test_sub_searches_share_one_budget():
     """Order 12 runs sub-searches for m = 3, 4, 6, 12; a budget that covers
     the largest of them alone but not their sum must still be exceeded."""
@@ -115,6 +269,13 @@ def test_sub_searches_share_one_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_groups(12, budget=max(nodes))
     assert len(enumerate_groups(12, budget=sum(nodes))) == 5
+
+
+def test_pruning_keeps_node_counts_down():
+    """The pruned searches take 576 and 990 nodes; with no pruning orders
+    12 and 16 take 7,248 and 28,814."""
+    assert len(enumerate_groups(12, budget=600)) == 5
+    assert len(enumerate_groups(16, budget=1000)) == 14
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -232,14 +393,4 @@ def test_table_validation():
 
 
 def test_nonassociative_loop_detected():
-    loop = CayleyTable(
-        5,
-        (
-            (0, 1, 2, 3, 4),
-            (1, 0, 3, 4, 2),
-            (2, 4, 0, 1, 3),
-            (3, 2, 4, 0, 1),
-            (4, 3, 1, 2, 0),
-        ),
-    )
-    assert not loop.is_associative()
+    assert not LOOP.is_associative()
