@@ -1,6 +1,6 @@
 """Compute character-degree multisets straight from group multiplication.
 
-The engine needs nothing but identity/multiply/inverse: it finds conjugacy
+The engine needs nothing but identity/multiply/generators: it finds conjugacy
 classes, builds class-multiplication matrices, splits their common
 eigenvectors over a prime field chosen larger than the group, and reads
 each irreducible degree off its central character.  Two families also have

@@ -10,7 +10,7 @@ Layering, lowest first:
 
     arith        primality, factoring, multiplicative orders
     ffield       small finite fields and matrices over them
-    groups       generic group realizations from identity/multiply/inverse
+    groups       generic group realizations from identity/multiply/generators
     catalog      the group-spec mini-language and its realizations
     degrees      conjugacy classes and character degrees (modular method)
     smallgroups  exhaustive enumeration of groups of small order

@@ -2,9 +2,11 @@
 
 Entries are keyed by canonical spec text plus engine version, so a stale
 engine never serves old multisets.  The file is guarded by an advisory lock
-for concurrent CLI processes; unreadable lines are skipped with a warning
-rather than failing the run, and a cache hit must agree with a fresh
-computation field for field.
+for concurrent CLI processes.  A line is skipped with a warning, so the
+multiset is computed afresh, if it is unreadable, breaks a DegreeMultiset
+law (squares summing to the order, a linear character, every degree
+dividing the order), or is looked up under another order than its own.
+A hit that passes these checks is served as it stands, not recomputed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+from .degrees import DegreeMultiset
+from .errors import SelfCheckFailed, SumOfSquaresMismatch
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +57,10 @@ class CacheEntry:
             engine_version=str(raw["engine_version"]),
             timestamp=str(raw["timestamp"]),
         )
-        if sum(d * d for d in entry.degrees) != entry.order:
-            raise ValueError("degree squares do not sum to the order")
+        try:
+            DegreeMultiset(entry.degrees, entry.order)
+        except (SumOfSquaresMismatch, SelfCheckFailed) as exc:
+            raise ValueError(exc) from exc
         return entry
 
 
@@ -86,10 +93,14 @@ class DegreeCache:
                 log.warning("cache line %d corrupt, skipping: %s", i, exc)
         return entries
 
-    def lookup(self, spec_text: str, engine_version: str) -> CacheEntry | None:
+    def lookup(self, spec_text: str, engine_version: str, order: int) -> CacheEntry | None:
+        """The first entry for the spec and engine whose order is the spec's."""
         for entry in self._load():
-            if entry.spec_text == spec_text and entry.engine_version == engine_version:
+            if (entry.spec_text, entry.engine_version) != (spec_text, engine_version):
+                continue
+            if entry.order == order:
                 return entry
+            log.warning("cache entry of order %d, not %d, skipping", entry.order, order)
         return None
 
     def store(self, entry: CacheEntry):

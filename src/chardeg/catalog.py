@@ -294,12 +294,11 @@ def spec_text(spec: GroupSpec) -> str:
 
 
 def _matrix_group(q, m, mats) -> GroupRealization:
-    """The matrices under multiplication mod q.  Only closure and element
-    orders are taken over it, and neither needs an inverse."""
+    """The matrices under multiplication mod q, for closure and element
+    orders."""
     return GroupRealization(
         identity=ffield.mat_identity(m),
         multiply=functools.partial(ffield.mat_mul, q),
-        inverse=None,
         generators=mats,
         descriptor=f"matrix group over F_{q}",
     )
@@ -329,22 +328,12 @@ def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
 
 def _perm_realization(images_list, descriptor, expected):
-    npts = len(images_list[0])
-    ident = tuple(range(npts))
-
     def mul(a, b):
         return tuple(a[x] for x in b)
 
-    def inv(a):
-        out = [0] * npts
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
-
     return GroupRealization(
-        identity=ident,
+        identity=tuple(range(len(images_list[0]))),
         multiply=mul,
-        inverse=inv,
         generators=[tuple(p) for p in images_list],
         descriptor=descriptor,
         expected_order=expected,
@@ -357,7 +346,6 @@ def _realize_cyclic(spec: Cyclic) -> GroupRealization:
     return GroupRealization(
         identity=0,
         multiply=lambda a, b: (a + b) % n,
-        inverse=lambda a: (-a) % n,
         generators=[1 % n],
         descriptor=spec_text(spec),
         expected_order=n,
@@ -403,10 +391,6 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
             (a + b) % p for a, b in zip(x[: 2 * n], y[: 2 * n])
         ) + ((x[2 * n] + y[2 * n] + dot) % p,)
 
-    def inv(x):
-        dot = sum(x[i] * x[n + i] for i in range(n))
-        return tuple((-a) % p for a in x[: 2 * n]) + ((dot - x[2 * n]) % p,)
-
     gens = []
     for j in range(2 * n):
         g = [0] * (2 * n + 1)
@@ -415,7 +399,6 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
     return GroupRealization(
         identity=(0,) * (2 * n + 1),
         multiply=mul,
-        inverse=inv,
         generators=gens,
         descriptor=spec_text(spec),
         expected_order=p ** (2 * n + 1),

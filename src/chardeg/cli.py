@@ -39,6 +39,7 @@ from .catalog import (
     Prod,
     Psl2,
     Xsp,
+    expected_order,
     named_underlying,
     parse_spec,
     realize,
@@ -279,9 +280,11 @@ def _cmd_kanold(args, settings) -> int:
 
 
 def _cmd_degrees(args, settings) -> int:
-    canonical = spec_text(parse_spec(args.spec))
+    spec = parse_spec(args.spec)
+    canonical = spec_text(spec)
     cache = DegreeCache(settings.cache_dir) if args.cache else None
-    entry = cache.lookup(canonical, __version__) if cache else None
+    order = expected_order(spec, settings.element_cap) if cache else None
+    entry = cache.lookup(canonical, __version__, order) if cache else None
     cached = entry is not None
     if entry is None:
         g = realize(parse_spec(canonical), settings.element_cap)

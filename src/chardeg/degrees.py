@@ -151,18 +151,21 @@ def conjugacy_classes(
     """Orbits of conjugation by the generators, walked over element positions.
 
     h⁻¹·x·h is right[h][left[x]], where left[x] is the position of h⁻¹·x.
-    left is filled along the closure's tree from left[0] = h⁻¹, since
-    h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is needed.
+    left is filled along the closure's tree from left[0] = h⁻¹, the x with
+    x·h = 1, since h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is
+    needed.  Inverses follow the tree too: (p·s)⁻¹ = s⁻¹·p⁻¹.
     """
     t = index_tables(g, cap)
     right, parent, via = t.right, t.parent, t.via
     n = len(t)
+    lefts = []  # lefts[j][x] = position of g_j⁻¹ · x
     conj = []  # conj[j][x] = position of g_j⁻¹ · x · g_j
-    for h, col in zip(g.generators, right):
+    for col in right:
         left = [0] * n
-        left[0] = t.position(g.inverse(h))
+        left[0] = col.index(0)
         for x in range(1, n):
             left[x] = right[via[x]][left[parent[x]]]
+        lefts.append(left)
         conj.append([col[y] for y in left])
     class_at = [-1] * n
     count = 0
@@ -181,11 +184,18 @@ def conjugacy_classes(
     member_at = tuple([] for _ in range(count))
     for x in range(n):
         member_at[class_at[x]].append(x)
-    reps = tuple(t.element(m[0]) for m in member_at)
+    inv = {0: 0}  # position -> its inverse's, on the reps' paths from 0
+    for m in member_at:
+        path, x = [], m[0]
+        while x not in inv:
+            path.append(x)
+            x = parent[x]
+        for x in reversed(path):
+            inv[x] = lefts[via[x]][inv[parent[x]]]
     cd = ClassData(
-        reps=reps,
+        reps=tuple(t.element(m[0]) for m in member_at),
         sizes=tuple(map(len, member_at)),
-        inverse_class=tuple(class_at[t.position(g.inverse(rep))] for rep in reps),
+        inverse_class=tuple(class_at[inv[m[0]]] for m in member_at),
         class_at=class_at,
         member_at=member_at,
         tables=t,

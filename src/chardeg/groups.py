@@ -1,10 +1,10 @@
 """Abstract engine for concrete finite groups.
 
-A group is handed around as a GroupRealization: an identity element plus
-multiply/inverse callables over opaque elements.  Elements only need to be
-hashable (permutations are image tuples, tuple groups are coefficient
-tuples, table groups are integers, direct products are pairs); they are
-never compared by order.  A permutation group may also give a batch
+A group is handed around as a GroupRealization: an identity element, a
+multiply callable over opaque elements, and generators.  Elements only
+need to be hashable (permutations are image tuples, tuple groups are
+coefficient tuples, table groups are integers, direct products are pairs);
+they are never compared by order.  A permutation group may also give a batch
 right-multiply, act, over elements stored as rows of an integer array.
 
 Enumeration is a breadth-first closure of the generators, one level at a
@@ -14,7 +14,7 @@ is one gather over the rows and dedup runs on row bytes; without it each
 product is one multiply call.  The closure's discovery order, with the
 identity at position 0, is the only element order: its products x·g are
 kept as index tables over those positions (IndexTables), so later stages
-can multiply by generators without multiplying elements again.
+can multiply by generators, and invert, without multiplying elements again.
 """
 
 from __future__ import annotations
@@ -48,21 +48,20 @@ DEFAULT_ELEMENT_CAP = 50_000
 
 
 class GroupRealization:
-    """A finite group presented by identity / multiply / inverse callables.
+    """A finite group presented by identity / multiply / generators; the
+    engine reads inverses off the closure's index tables.
 
-    Closure and element orders never call inverse, so a realization used
-    only for those may pass None.  A permutation group whose elements are
-    image tuples of range(w) may pass act(rows, gens): rows is a (k, w) and
-    gens an (s, w) array of elements, and the result is the (k, s, w) array
-    of the products rows[i]·gens[j].  Its closure is then taken over rows,
-    without calling multiply.
+    A permutation group whose elements are image tuples of range(w) may
+    pass act(rows, gens): rows is a (k, w) and gens an (s, w) array of
+    elements, and the result is the (k, s, w) array of the products
+    rows[i]·gens[j].  Its closure is then taken over rows, without calling
+    multiply.
     """
 
     def __init__(
         self,
         identity,
         multiply: Callable,
-        inverse: Callable | None,
         generators: Iterable,
         descriptor: str,
         expected_order: int | None = None,
@@ -70,7 +69,6 @@ class GroupRealization:
     ):
         self.identity = identity
         self.multiply = multiply
-        self.inverse = inverse
         self.generators = list(generators)
         if not self.generators:
             self.generators = [identity]
@@ -94,31 +92,29 @@ class IndexTables:
     elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
     -1.  This discovery order is the only element order the engine uses.
 
-    keys maps each element's key to its position.  Without rows the key is
-    the element itself; with rows, rows[x] is elements[x] as an array and
-    the key is its bytes, and element tuples are built only on demand.
+    stored holds the elements themselves, or, for a closure run with act,
+    the rows of an array, rows[x] being elements[x]; element tuples are then
+    built only on demand.  Nothing maps an element back to its position.
     """
 
     right: tuple[list[int], ...]
     parent: list[int]
     via: list[int]
-    keys: dict = field(repr=False)
-    rows: np.ndarray | None = field(default=None, repr=False)
+    stored: tuple | np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.parent)
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The elements as rows of an array, if the closure ran over rows."""
+        return self.stored if isinstance(self.stored, np.ndarray) else None
 
     def element(self, x: int):
         """The element at position x."""
         if self.rows is None:
             return self.elements[x]
         return tuple(self.rows[x].tolist())
-
-    def position(self, e) -> int:
-        """The position of element e."""
-        if self.rows is None:
-            return self.keys[e]
-        return self.keys[_row_keys(np.array([e], dtype=self.rows.dtype))[0]]
 
     def word(self, x: int) -> list[int]:
         """The generator indices j_1, ..., j_k of x's path in the closure's
@@ -133,15 +129,8 @@ class IndexTables:
     def elements(self) -> tuple:
         """Every element in discovery order."""
         if self.rows is None:
-            return tuple(self.keys)  # a dict keeps insertion order
+            return self.stored
         return tuple(map(tuple, self.rows.tolist()))
-
-    @cached_property
-    def index(self) -> dict:
-        """Element -> position."""
-        if self.rows is None:
-            return self.keys
-        return {e: x for x, e in enumerate(self.elements)}
 
     @cached_property
     def right_array(self) -> np.ndarray:
@@ -206,10 +195,11 @@ def _closure(
     parent = [-1] + [q // s for q in found]
     via = [-1] + [q % s for q in found]
     right = tuple(pos[j::s] for j in range(s))
-    rows = None
-    if act is not None:
-        rows = np.frombuffer(b"".join(keys), dtype=dtype).reshape(len(keys), w)
-    return IndexTables(right, parent, via, keys, rows)
+    if act is None:
+        stored = tuple(keys)  # a dict keeps insertion order
+    else:
+        stored = np.frombuffer(b"".join(keys), dtype=dtype).reshape(len(keys), w)
+    return IndexTables(right, parent, via, stored)
 
 
 def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
@@ -262,27 +252,31 @@ def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
 
 
 def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Order of the commutator subgroup.
+    """Order of the commutator subgroup, by multiplying elements.
 
     Generator-pair commutators are closed into a subgroup, then repeatedly
     conjugated by the group generators and re-closed until stable; the result
     is the normal closure of the commutators, which is the derived subgroup.
+    g⁻¹ is g^(o(g)−1), the last element of the closure of g alone, so the
+    index tables are never read.
     """
     mul = group.multiply
-    inv = group.inverse
     gens = group.generators
+    invs = [
+        _closure(group.identity, mul, [g], cap, group.descriptor).elements[-1]
+        for g in gens
+    ]
     comms = {
-        mul(mul(inv(g), inv(h)), mul(g, h))
-        for g, h in itertools.product(gens, repeat=2)
+        mul(mul(gi, hi), mul(g, h))
+        for (g, gi), (h, hi) in itertools.product(zip(gens, invs), repeat=2)
     }
     comms.discard(group.identity)
     if not comms:
         return 1
-    sub = set(_closure(group.identity, mul, comms, cap, group.descriptor).index)
+    sub = set(_closure(group.identity, mul, comms, cap, group.descriptor).elements)
     while True:
         new = set()
-        for g in gens:
-            gi = inv(g)
+        for g, gi in zip(gens, invs):
             for x in sub:
                 y = mul(gi, mul(x, g))
                 if y not in sub:
@@ -290,20 +284,16 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
         if not new:
             return len(sub)
         sub = set(
-            _closure(group.identity, mul, sub | new, cap, group.descriptor).index
+            _closure(group.identity, mul, sub | new, cap, group.descriptor).elements
         )
 
 
 def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization:
     """External direct product; elements are (a, b) pairs."""
     gmul, hmul = g.multiply, h.multiply
-    ginv, hinv = g.inverse, h.inverse
 
     def mul(x, y):
         return (gmul(x[0], y[0]), hmul(x[1], y[1]))
-
-    def inv(x):
-        return (ginv(x[0]), hinv(x[1]))
 
     gens = [(a, h.identity) for a in g.generators]
     gens += [(g.identity, b) for b in h.generators]
@@ -313,7 +303,6 @@ def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization
     return GroupRealization(
         identity=(g.identity, h.identity),
         multiply=mul,
-        inverse=inv,
         generators=gens,
         descriptor=f"prod({g.descriptor},{h.descriptor})",
         expected_order=expected,

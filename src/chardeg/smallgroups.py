@@ -109,21 +109,19 @@ class CayleyTable:
         generated by the ones before it, so there are at most log2(n)."""
         rows = self.table
         gens: list[int] = []
-        closed = {0: 0}
+        closed = (0,)
         while len(closed) < self.n:
             gens.append(next(x for x in range(self.n) if x not in closed))
             closed = _closure(
                 0, lambda a, b: rows[a][b], gens, self.n, f"table:{self.n}"
-            ).index
+            ).elements
         return tuple(gens)
 
 
 def table_to_realization(t: CayleyTable) -> GroupRealization:
-    inverse = [t.table[r].index(0) for r in range(t.n)]
     return GroupRealization(
         identity=0,
         multiply=lambda a, b: t.table[a][b],
-        inverse=lambda a: inverse[a],
         generators=t.generator_chain,
         descriptor=f"table:{t.n}",
         expected_order=t.n,

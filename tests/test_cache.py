@@ -29,6 +29,21 @@ def test_from_json_rejects_inconsistent_degrees():
         CacheEntry.from_json(json.dumps(raw))
 
 
+@pytest.mark.parametrize(
+    "order,degrees",
+    [
+        (1, [1, 0]),  # no degree 0, and the least degree is not 1
+        (8, [2, 2]),  # no linear character
+        (5, [1, 2]),  # 2 does not divide 5
+    ],
+)
+def test_from_json_rejects_broken_degree_laws(order, degrees):
+    raw = json.loads(entry().to_json())
+    raw["order"], raw["degrees"] = order, degrees  # squares still sum to the order
+    with pytest.raises(ValueError):
+        CacheEntry.from_json(json.dumps(raw))
+
+
 def test_utc_now_shape():
     stamp = utc_now()
     assert stamp.endswith("Z") and "T" in stamp and len(stamp) == 20
@@ -36,23 +51,36 @@ def test_utc_now_shape():
 
 def test_store_then_lookup(tmp_path):
     cache = DegreeCache(tmp_path)
-    assert cache.lookup("cyclic:6", "0.1.0") is None
+    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
     e = entry()
     cache.store(e)
-    assert cache.lookup("cyclic:6", "0.1.0") == e
+    assert cache.lookup("cyclic:6", "0.1.0", 6) == e
 
 
 def test_lookup_keyed_by_engine_version(tmp_path):
     cache = DegreeCache(tmp_path)
     cache.store(entry(version="0.0.9"))
-    assert cache.lookup("cyclic:6", "0.1.0") is None
-    assert cache.lookup("cyclic:6", "0.0.9") is not None
+    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
+    assert cache.lookup("cyclic:6", "0.0.9", 6) is not None
+
+
+def test_lookup_skips_entry_of_another_order(tmp_path, caplog):
+    cache = DegreeCache(tmp_path)
+    wrong = CacheEntry("named:S3", 12, (1, 1, 1, 1, 2, 2), "0.1.0", utc_now())
+    right = CacheEntry("named:S3", 6, (1, 1, 2), "0.1.0", utc_now())
+    cache.store(wrong)  # obeys the degree laws, but S3 has order 6
+    with caplog.at_level("WARNING"):
+        assert cache.lookup("named:S3", "0.1.0", 6) is None
+    assert any("order 12, not 6" in r.getMessage() for r in caplog.records)
+    cache.store(right)
+    assert cache.lookup("named:S3", "0.1.0", 6) == right
+    assert cache.lookup("named:S3", "0.1.0", 12) == wrong
 
 
 def test_lookup_keyed_by_spec_text(tmp_path):
     cache = DegreeCache(tmp_path)
     cache.store(entry(spec="cyclic:6"))
-    assert cache.lookup("cyclic:7", "0.1.0") is None
+    assert cache.lookup("cyclic:7", "0.1.0", 6) is None
 
 
 def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
@@ -62,7 +90,7 @@ def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
         fh.write("not json at all\n")
         fh.write(json.dumps({"spec_text": "x"}) + "\n")  # missing fields
     with caplog.at_level("WARNING"):
-        found = cache.lookup("cyclic:6", "0.1.0")
+        found = cache.lookup("cyclic:6", "0.1.0", 6)
     assert found is not None
     assert any("skip" in r.message or "cache" in r.message for r in caplog.records)
 
@@ -73,7 +101,7 @@ def test_corrupt_invariant_line_skipped(tmp_path):
     bad["order"] = 7  # breaks the sum-of-squares invariant
     with open(cache.path.parent / "degrees.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(bad) + "\n")
-    assert cache.lookup("cyclic:6", "0.1.0") is None
+    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
     assert cache.stats()["entries"] == 0
 
 

@@ -10,6 +10,7 @@ import signal
 
 import pytest
 
+from chardeg import __version__
 from chardeg.cli import run
 
 
@@ -590,6 +591,38 @@ def test_corrupt_cache_is_not_fatal(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["degrees"] == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "spec,order,degrees,want",
+    [
+        ("named:S3", 12, [1, 1, 1, 1, 2, 2], (6, [1, 1, 2])),  # another order
+        ("cyclic:1", 1, [1, 0], (1, [1])),  # a degree 0
+    ],
+)
+def test_cache_entry_contradicting_its_spec_is_recomputed(
+    capsys, tmp_path, spec, order, degrees, want
+):
+    line = {
+        "spec_text": spec,
+        "order": order,
+        "degrees": degrees,
+        "engine_version": __version__,
+        "timestamp": "2026-01-01T00:00:00Z",
+    }
+    (tmp_path / "degrees.jsonl").write_text(json.dumps(line) + "\n")
+    argv = (
+        "degrees", "--spec", spec, "--cache", "--cache-dir", str(tmp_path),
+        "--format", "json", "--no-timestamp", "--verbose",
+    )
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["group_order"], data["degrees"]) == want
+    assert "skipping" in err and "cache hit" not in err
+    code, again, err = invoke(capsys, *argv)  # the recomputed line is served
+    assert code == 0 and again == out
+    assert "skipping" in err and "cache hit" in err
 
 
 def test_cache_stats_and_clear(capsys, tmp_path):

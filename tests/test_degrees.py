@@ -35,6 +35,7 @@ from chardeg.groups import (
     element_order,
     enumerate_elements,
     exponent,
+    index_tables,
 )
 from chardeg.smallgroups import enumerate_groups, table_to_realization
 
@@ -46,13 +47,21 @@ def make(text):
 # ---------------------------------------------- brute-force references
 
 
+def inverse(g, x):
+    """x⁻¹ = x^(o(x)−1), by multiplying elements."""
+    y = x
+    while (z := g.multiply(y, x)) != g.identity:
+        y = z
+    return y
+
+
 def reference_classes(g):
     """Conjugacy classes by multiplying elements: (reps, sizes, class_of,
     inverse_class, members), in the conventions of ClassData: elements in
     discovery order, each class numbered by its first-discovered member."""
     class_of = {}
     reps, sizes = [], []
-    gen_invs = [g.inverse(x) for x in g.generators]
+    gen_invs = [inverse(g, x) for x in g.generators]
     els = enumerate_elements(g)
     for x in els:
         if x in class_of:
@@ -71,7 +80,7 @@ def reference_classes(g):
                     orbit.append(z)
         reps.append(x)
         sizes.append(len(orbit))
-    inverse_class = tuple(class_of[g.inverse(rep)] for rep in reps)
+    inverse_class = tuple(class_of[inverse(g, rep)] for rep in reps)
     members = tuple(
         tuple(x for x in els if class_of[x] == k) for k in range(len(reps))
     )
@@ -91,7 +100,7 @@ def reference_class_matrix(g, cd, i):
     for x in cd.tables.elements:
         if classes[x] != i:
             continue
-        xi = g.inverse(x)
+        xi = inverse(g, x)
         for k, z in enumerate(cd.reps):
             a[classes[g.multiply(xi, z)], k] += 1
     return a
@@ -170,7 +179,6 @@ def no_generators():
     return GroupRealization(
         identity=0,
         multiply=lambda a, b: 0,
-        inverse=lambda a: 0,
         generators=[],
         descriptor="1",
         expected_order=1,
@@ -186,6 +194,8 @@ REFERENCE_GROUPS = [
     "xsp:2:2",
     "prod(xsp:3:1,cyclic:2)",
     "named:G72D",
+    "cyclic:60",  # long tree paths to the representatives
+    "prod(cyclic:25,named:S3)",
 ]
 REFERENCE_CASES = (
     [(text, lambda text=text: make(text)) for text in REFERENCE_GROUPS]
@@ -310,9 +320,9 @@ def test_sym3_classes():
     cd = conjugacy_classes(make("named:S3"))
     assert sorted(cd.sizes) == [1, 2, 3]
     assert cd.sizes[0] == 1
-    at = cd.tables.index
-    assert cd.sizes[cd.class_at[at[(0, 2, 1)]]] == 3  # the transpositions
-    assert cd.sizes[cd.class_at[at[(1, 2, 0)]]] == 2  # the 3-cycles
+    at = cd.tables.elements.index
+    assert cd.sizes[cd.class_at[at((0, 2, 1))]] == 3  # the transpositions
+    assert cd.sizes[cd.class_at[at((1, 2, 0))]] == 2  # the 3-cycles
 
 
 def test_psl2_5_classes():
@@ -363,7 +373,7 @@ def test_identity_class_matrix():
 def test_transposition_pairs_hitting_identity():
     g = make("named:S3")
     cd = conjugacy_classes(g)
-    t = cd.class_at[cd.tables.index[(0, 2, 1)]]
+    t = cd.class_at[cd.tables.elements.index((0, 2, 1))]
     m = class_matrix(g, cd, t)
     assert m[t][0] == 3  # three pairs (t, t^-1) multiply to the identity
 
@@ -466,7 +476,6 @@ def test_unorderable_elements():
     g = GroupRealization(
         identity=_Perm((0, 1, 2)),
         multiply=lambda a, b: _Perm(a.images[x] for x in b.images),
-        inverse=lambda a: _Perm(sorted(range(3), key=a.images.__getitem__)),
         generators=[_Perm((1, 2, 0)), _Perm((1, 0, 2))],
         descriptor="S3",
         expected_order=6,
@@ -526,6 +535,32 @@ def test_derived_cosets_match_element_path(build):
     assert len(np.bincount(coset_at)) == n // derived
     for m in cd.member_at:
         assert len(set(coset_at[m].tolist())) == 1
+
+
+@pytest.mark.parametrize("text", ["named:S3", "prod(named:A4,cyclic:3)", "xsp:3:1"])
+def test_no_element_arithmetic_after_the_closure(text):
+    """A realization with no inverse: once index_tables has run, classes,
+    inverse classes and G′ come from the tables alone, so a multiply that
+    raises is never reached."""
+    ref = make(text)
+    g = GroupRealization(
+        identity=ref.identity,
+        multiply=ref.multiply,
+        generators=ref.generators,
+        descriptor=ref.descriptor,
+        expected_order=ref.expected_order,
+    )
+    index_tables(g)
+
+    def refuse(a, b):
+        raise AssertionError("multiply called after the closure")
+
+    g.multiply = refuse
+    cd = conjugacy_classes(g)
+    derived, _ = degrees._derived_cosets(cd)
+    reps, sizes, _, inverse_class, _ = reference_classes(ref)
+    assert (cd.reps, cd.sizes, cd.inverse_class) == (reps, sizes, inverse_class)
+    assert derived == derived_subgroup_order(ref)
 
 
 def test_perfect_group_stops_at_half():
