@@ -46,8 +46,9 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 _SEARCH_CAP = 2**63
 
 # Batched searches read K = _WINDOW candidates per modulus from one sieve of
-# 0..b, b = min(K * max modulus + 1, _SIEVE_PER_MODULUS * moduli, _SIEVE_MAX),
-# one int8 code per value; below _SIEVE_MIN the scalar walk is cheaper.
+# 0..b, b = min(K * max modulus + 1, _SIEVE_PER_MODULUS * moduli, _SIEVE_MAX)
+# cut back to the last candidate any modulus reads below it, one int8 code
+# per odd value; below _SIEVE_MIN the scalar walk is cheaper.
 _PRIME, _PROPER_POWER = 1, 2
 _WINDOW = 32
 _SIEVE_PER_MODULUS = 5000
@@ -217,18 +218,19 @@ def prime_power_decomposition(v: int) -> PrimePower | None:
 
 
 def _prime_power_codes(b: int) -> np.ndarray:
-    """int8 code of every v in 0..b: 0 not a prime power, 1 prime, 2 proper
-    prime power."""
-    codes = np.ones(b + 1, dtype=np.int8)
-    codes[:2] = 0
+    """int8 code of every odd v in 0..b, at v // 2: 0 not a prime power, 1
+    prime, 2 proper prime power.  The even prime powers are 2 and its
+    powers, which need no sieve."""
+    codes = np.ones((b + 1) // 2, dtype=np.int8)
+    codes[:1] = 0
     root = math.isqrt(b)
-    for i in range(2, root + 1):
-        if codes[i]:
-            codes[i * i :: i] = 0
-    for q in np.flatnonzero(codes[: root + 1]).tolist():
+    for i in range(3, root + 1, 2):
+        if codes[i // 2]:
+            codes[i * i // 2 :: i] = 0
+    for q in (2 * np.flatnonzero(codes[: (root + 1) // 2]) + 1).tolist():
         v = q * q
         while v <= b:
-            codes[v] = _PROPER_POWER
+            codes[v // 2] = _PROPER_POWER
             v *= q
     return codes
 
@@ -261,27 +263,31 @@ def least_prime_powers_1mod(moduli, primes_only: bool = False) -> list[PrimePowe
     if any(n < 2 for n in moduli):
         raise ValueError("least_prime_powers_1mod needs every modulus >= 2")
     b = min(_WINDOW * max(moduli, default=0) + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
-    codes = _prime_power_codes(b) if b >= _SIEVE_MIN else None
+    codes = None
+    if b >= _SIEVE_MIN:
+        b = max(min(_WINDOW, (b - 1) // n) * n + 1 for n in moduli)  # the last one read
+        codes = _prime_power_codes(b)
     first = [0] * len(moduli)  # least k <= _WINDOW with k*n+1 a hit in the sieve
     if codes is not None:
         # one gather of the k-th candidates of all moduli per k, largest k
-        # first so that the least hit is written last; a candidate past b
-        # reads codes[0], which is no hit (so does every candidate of n >= b,
-        # which min keeps inside int64)
+        # first so that the least hit is written last; an even candidate or
+        # one past b reads codes[0], which is no hit (so does every candidate
+        # of n >= b, which min keeps inside int64), and an even one up to b
+        # is a prime power if it is a power of 2
         ns = np.array([min(n, b) for n in moduli], dtype=np.int64)
         hits = np.zeros(len(moduli), dtype=np.int64)
         for k in range(_WINDOW, 0, -1):
             v = k * ns + 1
-            c = codes[np.where(v <= b, v, 0)]
-            hits[(c == _PRIME) if primes_only else (c != 0)] = k
+            inside = v <= b
+            c = codes[np.where(inside & (v & 1 == 1), v >> 1, 0)]
+            hits[(c == _PRIME) if primes_only else (c != 0) | inside & (v & (v - 1) == 0)] = k
         first = hits.tolist()
     out = []
     for n, k in zip(moduli, first):
         if k:
             v = k * n + 1
-            out.append(
-                PrimePower(v, 1) if codes[v] == _PRIME else prime_power_decomposition(v)
-            )
+            prime = v & 1 and codes[v >> 1] == _PRIME
+            out.append(PrimePower(v, 1) if prime else prime_power_decomposition(v))
         else:
             top = min(_WINDOW, (b - 1) // n) if codes is not None else 0
             out.append(_walk_1mod(n, top + 1, primes_only))
@@ -321,4 +327,4 @@ def primes_up_to(n: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive."""
     if n < 2:
         return []
-    return np.flatnonzero(_prime_power_codes(n) == _PRIME).tolist()
+    return [2] + (2 * np.flatnonzero(_prime_power_codes(n) == _PRIME) + 1).tolist()

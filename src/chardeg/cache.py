@@ -7,6 +7,8 @@ multiset is computed afresh, if it is unreadable, breaks a DegreeMultiset
 law (squares summing to the order, a linear character, every degree
 dividing the order), or is looked up under another order than its own.
 A hit that passes these checks is served as it stands, not recomputed.
+The next store rewrites the file without the lines that are unreadable or
+break a law, so such a line is warned about until then, not forever.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import SelfCheckFailed, SumOfSquaresMismatch
 log = logging.getLogger(__name__)
 
 CACHE_FILE = "degrees.jsonl"
+_BAD_LINE = (ValueError, KeyError, TypeError)  # what CacheEntry.from_json raises
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,14 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _parses(line: str) -> bool:
+    try:
+        CacheEntry.from_json(line)
+    except _BAD_LINE:
+        return False
+    return True
+
+
 class DegreeCache:
     def __init__(self, directory: str | os.PathLike):
         self.path = Path(directory) / CACHE_FILE
@@ -89,7 +100,7 @@ class DegreeCache:
                 continue
             try:
                 entries.append(CacheEntry.from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
+            except _BAD_LINE as exc:
                 log.warning("cache line %d corrupt, skipping: %s", i, exc)
         return entries
 
@@ -104,9 +115,17 @@ class DegreeCache:
         return None
 
     def store(self, entry: CacheEntry):
+        """Append the entry, first dropping, under the same exclusive lock,
+        every line that fails CacheEntry.from_json."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "a+", encoding="utf-8") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.seek(0)
+            lines = fh.readlines()
+            kept = [line.rstrip("\n") + "\n" for line in lines if _parses(line)]
+            if kept != lines:
+                fh.truncate(0)
+                fh.writelines(kept)
             fh.write(entry.to_json() + "\n")
             fh.flush()
             fcntl.flock(fh, fcntl.LOCK_UN)

@@ -29,6 +29,11 @@ Realizations:
             translations by the unit vectors plus the given matrices
     prod    pairs acting componentwise
 
+psl2, frob and affine groups of _CODES_FROM elements or more also code
+their elements as range(order) and are closed over the codes: PSL2(p) by a
+determinant-1 matrix up to sign (_psl2_act), the affine groups by (matrix,
+translation) (_realize_affine).
+
 Realized orders are checked against the closed-form prediction at enumeration
 time rather than trusted, and a spec predicted past the element cap is
 refused before it is built.
@@ -48,9 +53,9 @@ from .errors import CapExceeded, InvalidParam, SelfCheckFailed, SpecSyntaxError
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     GroupRealization,
+    IndexTables,
     direct_product,
-    element_order,
-    enumerate_elements,
+    index_tables,
 )
 
 __all__ = [
@@ -315,11 +320,7 @@ def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         case Xsp(p, n):
             return p ** (2 * n + 1)
         case Affine(q, m, mats):
-            # closes the matrices, not the points, so the order of the point
-            # action realized from them is checked against an independent count
-            pts = q**m
-            group = _matrix_group(q, m, mats)
-            return pts * len(enumerate_elements(group, max(1, cap // pts)))
+            return _affine_order(q, m, _matrix_group(q, m, mats), cap)
         case Prod(left, right):
             return expected_order(left, cap) * expected_order(right, cap)
         case Named(name):
@@ -327,17 +328,44 @@ def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
-def _perm_realization(images_list, descriptor, expected):
+def _affine_order(q: int, m: int, matrices: GroupRealization, cap: int) -> int:
+    """q^m times the order of the matrix group.  It closes the matrices, not
+    the points, so the order of the point action realized from them is
+    checked against a count of its own."""
+    pts = q**m
+    return pts * len(index_tables(matrices, max(1, cap // pts)))
+
+
+# Order from which a permutation family's closure runs over integer codes.
+# A breadth-first level over codes costs some 25 numpy calls whatever its
+# size, more than multiplying the few products of a smaller group's level.
+_CODES_FROM = 64
+
+
+def _perm_realization(images_list, descriptor, order, coding):
+    """Permutations as image tuples, multiplied as maps (a·b)(x) = a(b(x)).
+    coding() gives act over the codes range(order), which the closure runs
+    over when the group has _CODES_FROM elements or more; its tables are
+    built by the first act call, so a realization never closed builds
+    none."""
+    act = None
+    if order >= _CODES_FROM:
+        coding = functools.cache(coding)
+
+        def act(codes):
+            return coding()(codes)
+
     def mul(a, b):
-        return tuple(a[x] for x in b)
+        return tuple([a[x] for x in b])
 
     return GroupRealization(
         identity=tuple(range(len(images_list[0]))),
         multiply=mul,
         generators=[tuple(p) for p in images_list],
         descriptor=descriptor,
-        expected_order=expected,
-        act=lambda rows, gens: np.take(rows, gens, axis=1),
+        expected_order=order,
+        act=act,
+        code_space=order if act else 0,
     )
 
 
@@ -356,7 +384,8 @@ def _realize_frob(spec: Frob, order: int) -> GroupRealization:
     """The affine group of F_q^m whose one matrix multiplies by an element of
     order k."""
     a = ffield.multiplier(spec.q, spec.m, spec.k)
-    return _realize_affine(spec.q, spec.m, (a,), order, spec_text(spec))
+    matrices = _matrix_group(spec.q, spec.m, (a,))
+    return _realize_affine(spec.q, spec.m, matrices, order, spec_text(spec))
 
 
 def _realize_psl2(spec: Psl2) -> GroupRealization:
@@ -379,7 +408,50 @@ def _realize_psl2(spec: Psl2) -> GroupRealization:
     t = [inf if z == inf else (z + 1) % p for z in pts]
     s = [s_img(z) for z in pts]
     d = [inf if z == inf else z * uu % p for z in pts]
-    return _perm_realization([t, s, d], spec_text(spec), psl2_order(p))
+    # the same maps as Moebius matrices: z+1, -1/z and uz/u^-1
+    mats = np.array([[1, 1, 0, 1], [0, p - 1, 1, 0], [u, 0, 0, pow(u, p - 2, p)]])
+    order = psl2_order(p)
+    coding = functools.partial(_psl2_act, p, mats)
+    return _perm_realization([t, s, d], spec_text(spec), order, coding)
+
+
+def _psl2_act(p: int, gens: np.ndarray):
+    """Right multiplication on the codes of PSL2(p): (a b; c d) of
+    determinant 1, up to sign, with a (or b when a = 0) in 1..p//2.  With
+    h = p//2, a != 0 has code ((a-1)p + b)p + c, since a, b and c fix
+    d = (1 + bc)/a, and a = 0 has code hp^2 + (b-1)p + d, since c = -1/b.
+    So the identity is 0 and the codes are range(|PSL2(p)|).  gens holds
+    the generators' entries (a, b, c, d) as rows.
+
+    A product multiplies each row of the matrix by the generator, one
+    lookup among the p^2 row vectors (x, y), numbered xp + y; the product's
+    code is looked up by (a, b, and c or d), numbered (ap + b)p + c or d."""
+    h = p // 2
+    r = np.arange(p)
+    neg = -r % p
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    a, b, c = r[1 : h + 1, None, None], r[:, None], r  # codes below hp^2
+    d = (1 + b * c) * inv[a] % p
+    bb, dd = r[1 : h + 1, None], r  # codes from hp^2 on
+    cc = neg[inv[bb]]
+    upper = np.concatenate([np.broadcast_to(a * p + b, d.shape).ravel(), np.repeat(bb, p)])
+    lower = np.concatenate([(c * p + d).ravel(), (cc * p + dd).ravel()])
+    code_at = np.zeros(p**3, dtype=np.intp)
+    top = h * p * p
+    code_at[p * p : top + p * p] = np.arange(top)
+    code_at[((p - a) * p + neg[b]) * p + neg[c]] = np.arange(top).reshape(d.shape)
+    code_at[p : (h + 1) * p] = np.arange(top, upper.size)
+    code_at[neg[bb] * p + neg[dd]] = np.arange(top, upper.size).reshape(h, p)
+    x, y = r[:, None, None], r[:, None]
+    g0, g1, g2, g3 = gens.T
+    times = ((x * g0 + y * g2) % p * p + (x * g1 + y * g3) % p).reshape(p * p, -1)
+
+    def act(codes):
+        ab = times[upper[codes]]
+        c, d = np.divmod(times[lower[codes]], p)
+        return code_at[ab * p + np.where(ab >= p, c, d)]
+
+    return act
 
 
 def _realize_xsp(spec: Xsp) -> GroupRealization:
@@ -405,17 +477,60 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
     )
 
 
-def _realize_affine(q: int, m: int, mats, order: int, descriptor: str) -> GroupRealization:
+def _realize_affine(
+    q: int, m: int, matrices: GroupRealization, order: int, descriptor: str
+) -> GroupRealization:
     """Permutations of the q^m vectors of F_q^m, numbered by ffield.undigits:
-    translations by the unit vectors, then the given matrices.  Each generator
-    is one product over the m x q^m array whose column i is digits(i)."""
+    translations by the unit vectors, then the matrices' generators.  Each
+    generator is one product over the m x q^m array whose column i is
+    digits(i).
+
+    The element v -> Av + b has code (position of A in the matrices'
+    closure)·q^m + (the number of b), so the identity is 0 and the codes are
+    range(order).  Right multiplication by the translation e_j takes b to
+    b + A e_j, and by the matrix M takes A to AM."""
+    mats = matrices.generators
     vecs = np.array(ffield.digits(np.arange(q**m), q, m))
     unit = np.eye(m, dtype=np.int64)
     images = [(vecs + unit[:, [j]]) % q for j in range(m)]
     images += [np.array(mat) @ vecs % q for mat in mats]
     return _perm_realization(
-        [ffield.undigits(v, q).tolist() for v in images], descriptor, order
+        [ffield.undigits(v, q).tolist() for v in images],
+        descriptor,
+        order,
+        lambda: _affine_act(q, m, index_tables(matrices)),
     )
+
+
+def _affine_act(q: int, m: int, mt: IndexTables):
+    """Right multiplication on the codes of _realize_affine, given the index
+    tables of the matrix group."""
+    size = q**m
+    places = q ** np.arange(m)
+    dt = np.min_scalar_type(2 * q - 2)
+    cols = np.array(mt.elements, dtype=dt).transpose(0, 2, 1)  # cols[A, j] = A e_j
+    by_matrix = mt.right_array.T * size  # by_matrix[A, k] = code of (A M_k, 0)
+    if q == 2:  # digitwise sums mod 2 are xor
+        col_codes = cols @ places
+
+        def translated(a, v):
+            return v[:, None] ^ col_codes[a]
+
+    else:
+        vec_digits = np.array(ffield.digits(np.arange(size), q, m), dtype=dt).T
+
+        def translated(a, v):  # (k, j) -> number of v + A e_j
+            return (vec_digits[v][:, None, :] + cols[a]) % q @ places
+
+    def act(codes):
+        a, v = np.divmod(codes, size)
+        out = np.empty((len(codes), m + by_matrix.shape[1]), dtype=np.intp)
+        out[:, :m] = translated(a, v)
+        out[:, :m] += (codes - v)[:, None]
+        out[:, m:] = by_matrix[a] + v[:, None]
+        return out
+
+    return act
 
 
 def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization:
@@ -424,7 +539,11 @@ def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization
     A spec whose predicted order exceeds cap is refused before anything is
     built, since enumerating it would allocate every element first.
     """
-    order = expected_order(spec, cap)
+    if isinstance(spec, Affine):  # one closure of the matrices counts and codes
+        matrices = _matrix_group(spec.q, spec.m, spec.mats)
+        order = _affine_order(spec.q, spec.m, matrices, cap)
+    else:
+        order = expected_order(spec, cap)
     if order > cap:
         raise CapExceeded(f"{spec_text(spec)}: order {order} exceeds cap {cap}")
     match spec:
@@ -436,8 +555,8 @@ def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization
             return _realize_psl2(spec)
         case Xsp():
             return _realize_xsp(spec)
-        case Affine(q, m, mats):
-            return _realize_affine(q, m, mats, order, spec_text(spec))
+        case Affine(q, m):
+            return _realize_affine(q, m, matrices, order, spec_text(spec))
         case Prod(left, right):
             return direct_product(realize(left, cap), realize(right, cap))
         case Named(name):
@@ -474,33 +593,32 @@ _D8_PROFILE = (1, 2, 2, 2, 2, 2, 4, 4)
 _Q8_PROFILE = (1, 2, 4, 4, 4, 4, 4, 4)
 
 
-def _mat_order_profile(q, m, mats):
-    g = _matrix_group(q, m, mats)
-    return tuple(sorted(element_order(g, a) for a in enumerate_elements(g, 1024)))
-
-
-def _check_complement(name: str) -> int:
+def _check_complement(name: str) -> GroupRealization:
     """The order-72 witnesses carry their complement structure as a claim;
-    returns the complement's order."""
+    returns the complement, closed."""
     mats = _D8_MATS if name == "G72D" else _Q8_MATS
     want = _D8_PROFILE if name == "G72D" else _Q8_PROFILE
-    got = _mat_order_profile(3, 2, mats)
+    g = _matrix_group(3, 2, mats)
+    t = index_tables(g, 1024)
+    got = tuple(sorted(map(t.order, range(len(t)))))
     if got != want:
         raise SelfCheckFailed(f"{name}: complement order profile {got} != {want}")
     if name == "G72Q":
         for mat in mats:
             if ffield.mat_det(3, mat) != 1:
                 raise SelfCheckFailed(f"{name}: generator {mat} not in SL2(3)")
-    return len(got)
+    return g
 
 
 def _realize_named(name: str, cap: int) -> GroupRealization:
     spec, order, _claim = _NAMED[name]
     if name in ("G72D", "G72Q"):
         # the complement's one closure also predicts the order, as
-        # expected_order(spec) would by closing the same matrices again
-        predicted = spec.q**spec.m * _check_complement(name)
-        g = _realize_affine(spec.q, spec.m, spec.mats, predicted, spec_text(spec))
+        # expected_order(spec) would by closing the same matrices again, and
+        # codes the elements
+        matrices = _check_complement(name)
+        predicted = _affine_order(spec.q, spec.m, matrices, cap)
+        g = _realize_affine(spec.q, spec.m, matrices, predicted, spec_text(spec))
     else:
         g = realize(spec, cap)
     g.descriptor = f"named:{name}"

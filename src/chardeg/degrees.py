@@ -52,7 +52,6 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     GroupRealization,
     IndexTables,
-    element_order,
     index_tables,
 )
 
@@ -245,12 +244,16 @@ def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
     """Least prime l ≡ 1 (mod exp(G)) with l > |G|.
 
     exp(G) is the lcm of the orders of the class representatives, since
-    element order is a class invariant.
+    element order is a class invariant; each is walked over the index
+    tables and must divide |G|.
     """
-    e = 1
-    for rep in cd.reps:
-        e = lcm(e, element_order(g, rep))
     order = sum(cd.sizes)
+    e = 1
+    for m in cd.member_at:
+        k = cd.tables.order(m[0])
+        if order % k:
+            raise SelfCheckFailed(f"position {m[0]} has order {k}, not dividing {order}")
+        e = lcm(e, k)
     v = e + 1
     while v <= order or not is_prime(v):
         v += e

@@ -4,17 +4,21 @@ A group is handed around as a GroupRealization: an identity element, a
 multiply callable over opaque elements, and generators.  Elements only
 need to be hashable (permutations are image tuples, tuple groups are
 coefficient tuples, table groups are integers, direct products are pairs);
-they are never compared by order.  A permutation group may also give a batch
-right-multiply, act, over elements stored as rows of an integer array.
+they are never compared by order.  A realization may also code its
+elements as the integers range(code_space), the identity as 0, and give a
+batch right-multiply, act, over arrays of codes.
 
 Enumeration is a breadth-first closure of the generators, one level at a
 time, cached on the realization behind a lock, so repeated
 conjugacy/character computations share one element list.  With act a level
-is one gather over the rows and dedup runs on row bytes; without it each
-product is one multiply call.  The closure's discovery order, with the
-identity at position 0, is the only element order: its products x·g are
-kept as index tables over those positions (IndexTables), so later stages
-can multiply by generators, and invert, without multiplying elements again.
+is one act call over the front's codes, and dedup is one array of
+positions by code plus a first-occurrence pass over the unseen codes;
+without it each product is one multiply call, deduplicated in a dict.  The
+closure's discovery order, with the identity at position 0, is the only
+element order: its products x·g are kept as index tables over those
+positions (IndexTables), so later stages can multiply by generators, and
+invert, without multiplying elements again.  A closure over codes keeps no
+elements; one is built on demand by multiplying along its tree path.
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ class GroupRealization:
     """A finite group presented by identity / multiply / generators; the
     engine reads inverses off the closure's index tables.
 
-    A permutation group whose elements are image tuples of range(w) may
-    pass act(rows, gens): rows is a (k, w) and gens an (s, w) array of
-    elements, and the result is the (k, s, w) array of the products
-    rows[i]·gens[j].  Its closure is then taken over rows, without calling
-    multiply.
+    A realization may also code its elements as the integers
+    range(code_space), the identity as 0, and pass act(codes): codes is a
+    1-D integer array of element codes, and the result is the (k, s) array
+    of the codes of the products codes[i]·generators[j].  Its closure is
+    then taken over codes, without calling multiply; the code space must
+    stay within a small multiple of the order, since the closure keeps one
+    position per code.
     """
 
     def __init__(
@@ -66,6 +72,7 @@ class GroupRealization:
         descriptor: str,
         expected_order: int | None = None,
         act: Callable | None = None,
+        code_space: int = 0,
     ):
         self.identity = identity
         self.multiply = multiply
@@ -75,6 +82,7 @@ class GroupRealization:
         self.descriptor = descriptor
         self.expected_order = expected_order
         self.act = act
+        self.code_space = code_space
         self._tables: IndexTables | None = None
         self._lock = threading.Lock()
 
@@ -92,29 +100,51 @@ class IndexTables:
     elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
     -1.  This discovery order is the only element order the engine uses.
 
-    stored holds the elements themselves, or, for a closure run with act,
-    the rows of an array, rows[x] being elements[x]; element tuples are then
-    built only on demand.  Nothing maps an element back to its position.
+    stored holds the elements if the closure multiplied them; a closure over
+    codes keeps none, and an element is then built on demand by multiplying
+    along its path in the tree.  Nothing maps an element back to its
+    position.
     """
 
     right: tuple[list[int], ...]
     parent: list[int]
     via: list[int]
-    stored: tuple | np.ndarray = field(repr=False)
+    identity: object = field(repr=False)
+    multiply: Callable = field(repr=False)
+    generators: list = field(repr=False)
+    stored: tuple | None = field(default=None, repr=False)
+    _built: dict = field(default_factory=dict, repr=False)  # position -> element
 
     def __len__(self) -> int:
         return len(self.parent)
 
-    @property
-    def rows(self) -> np.ndarray | None:
-        """The elements as rows of an array, if the closure ran over rows."""
-        return self.stored if isinstance(self.stored, np.ndarray) else None
-
     def element(self, x: int):
         """The element at position x."""
-        if self.rows is None:
-            return self.elements[x]
-        return tuple(self.rows[x].tolist())
+        if self.stored is not None:
+            return self.stored[x]
+        built, path = self._built, []
+        while x > 0 and x not in built:
+            path.append(x)
+            x = self.parent[x]
+        y = built[x] if x else self.identity
+        for x in reversed(path):
+            y = built[x] = self.multiply(y, self.generators[self.via[x]])
+        return y
+
+    def order(self, x: int) -> int:
+        """The order of elements[x]: its powers are walked over positions,
+        each a right multiplication by elements[x] along its word, until
+        position 0.  Tables whose walk takes more than len(self) steps are
+        not a group's."""
+        cols = [self.right[j] for j in self.word(x)]
+        n, y, k = len(self), x, 1
+        while y:
+            for col in cols:
+                y = col[y]
+            k += 1
+            if k > n:
+                raise SelfCheckFailed(f"position {x}: no power is the identity")
+        return k
 
     def word(self, x: int) -> list[int]:
         """The generator indices j_1, ..., j_k of x's path in the closure's
@@ -128,9 +158,13 @@ class IndexTables:
     @cached_property
     def elements(self) -> tuple:
         """Every element in discovery order."""
-        if self.rows is None:
+        if self.stored is not None:
             return self.stored
-        return tuple(map(tuple, self.rows.tolist()))
+        mul, gens = self.multiply, self.generators
+        out = [self.identity]
+        for p, j in zip(self.parent[1:], self.via[1:]):
+            out.append(mul(out[p], gens[j]))
+        return tuple(out)
 
     @cached_property
     def right_array(self) -> np.ndarray:
@@ -138,48 +172,42 @@ class IndexTables:
         return np.array(self.right, dtype=np.intp).reshape(len(self.right), -1)
 
 
-def _row_dtype(points: int) -> np.dtype:
-    """The least unsigned integer type that holds the point indices below points."""
-    return np.min_scalar_type(points - 1)
-
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a C-contiguous 2-D array."""
-    width = rows.dtype.itemsize * rows.shape[1]
-    return rows.view(np.dtype((np.void, width))).ravel().tolist()
-
-
 def _closure(
-    identity, multiply, generators, cap: int, what: str, act: Callable | None = None
+    identity,
+    multiply,
+    generators,
+    cap: int,
+    what: str,
+    act: Callable | None = None,
+    code_space: int = 0,
 ) -> IndexTables:
     """Breadth-first closure of the generators, one level at a time.
 
-    A level's products x·g are keyed in (x, g) order and each unseen key
+    A level's products x·g are taken in (x, g) order and each unseen one
     takes the next position, so positions, parents and right tables are
     those of multiplying one element by one generator at a time.  With act
-    the level's products are one batch over rows, keyed by their bytes;
-    without it they are multiply calls, keyed by themselves.
+    the level's products are one batch over codes, looked up in an array
+    of positions by code; without it they are multiply calls, keyed by
+    themselves in a dict.
     """
     gens = list(generators)
-    s = len(gens)
-    if act is None:
-        front = [identity]
-        keys = {identity: 0}
+    if act is not None:
+        right, parent, via = _code_levels(act, code_space, len(gens), cap, what)
+        stored = None
     else:
-        w = len(identity)
-        dtype = _row_dtype(w)
-        front = np.array([identity], dtype=dtype)
-        gen_rows = np.array(gens, dtype=np.intp).reshape(s, w)
-        keys = {_row_keys(front)[0]: 0}
+        right, parent, via, stored = _multiply_levels(identity, multiply, gens, cap, what)
+    return IndexTables(right, parent, via, identity, multiply, gens, stored)
+
+
+def _multiply_levels(identity, multiply, gens, cap, what):
+    s = len(gens)
+    front = [identity]
+    keys = {identity: 0}
     pos: list[int] = []  # pos[x * s + j] = right[j][x]
     found = []  # x * s + j for the product x·g_j that found position 1, 2, ...
-    while len(front):
-        if act is None:
-            level = [multiply(x, g) for x in front for g in gens]
-        else:
-            level = _row_keys(act(front, gen_rows).reshape(len(front) * s, w))
+    while front:
         new = []
-        for k in level:
+        for k in [multiply(x, g) for x in front for g in gens]:
             p = keys.get(k)
             if p is None:
                 p = keys[k] = len(keys)
@@ -188,18 +216,47 @@ def _closure(
             pos.append(p)
         if len(keys) > cap:
             raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
-        if act is None:
-            front = new
-        else:
-            front = np.frombuffer(b"".join(new), dtype=dtype).reshape(len(new), w)
+        front = new
+    right = tuple(pos[j::s] for j in range(s))
     parent = [-1] + [q // s for q in found]
     via = [-1] + [q % s for q in found]
-    right = tuple(pos[j::s] for j in range(s))
-    if act is None:
-        stored = tuple(keys)  # a dict keeps insertion order
-    else:
-        stored = np.frombuffer(b"".join(keys), dtype=dtype).reshape(len(keys), w)
-    return IndexTables(right, parent, via, stored)
+    return right, parent, via, tuple(keys)  # a dict keeps insertion order
+
+
+def _code_levels(act, code_space, s, cap, what):
+    at = np.full(code_space, -1, dtype=np.intp)  # the position of each code
+    at[0] = 0
+    front = np.zeros(1, dtype=np.intp)
+    done = 0  # positions below the front, whose products are taken
+    pos, found = [], []
+    while front.size:
+        prods = act(front).ravel()
+        p = at[prods]
+        fresh = np.flatnonzero(p < 0)
+        total = done + front.size
+        if fresh.size:
+            # the first occurrence of each unseen code, in (x, g) order: at
+            # is scratch space for the least index of each until it is given
+            # its position
+            codes = prods[fresh]
+            at[codes] = len(prods)
+            np.minimum.at(at, codes, fresh)
+            fresh = fresh[at[codes] == fresh]
+            at[prods[fresh]] = np.arange(total, total + fresh.size)
+            found.append(fresh + done * s)
+            p = at[prods]
+        pos.append(p)
+        done, front = total, prods[fresh]
+        if done + front.size > cap:
+            raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
+    # lists of one shared int object per position, which the Python walks
+    # over these tables read faster than a fresh object per entry
+    ints = list(range(done)).__getitem__
+    right = np.concatenate(pos).reshape(-1, s).T.tolist()
+    found = np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
+    parent = [-1] + list(map(ints, (found // s).tolist()))
+    via = [-1] + (found % s).tolist()
+    return tuple(list(map(ints, col)) for col in right), parent, via
 
 
 def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
@@ -214,6 +271,7 @@ def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> Ind
                 cap,
                 group.descriptor,
                 group.act,
+                group.code_space,
             )
             n = len(t)
             if group.expected_order is not None and n != group.expected_order:
@@ -234,7 +292,8 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) 
 
 
 def element_order(group: GroupRealization, x) -> int:
-    """Least k >= 1 with x**k = identity, by repeated multiplication."""
+    """Least k >= 1 with x**k = identity, by repeated multiplication; the
+    engine walks orders over the index tables instead (IndexTables.order)."""
     k = 1
     y = x
     while y != group.identity:
@@ -245,10 +304,8 @@ def element_order(group: GroupRealization, x) -> int:
 
 def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """lcm of the element orders."""
-    out = 1
-    for x in enumerate_elements(group, cap):
-        out = math.lcm(out, element_order(group, x))
-    return out
+    t = index_tables(group, cap)
+    return math.lcm(*map(t.order, range(len(t))))
 
 
 def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:

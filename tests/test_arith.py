@@ -238,7 +238,8 @@ def test_batch_reads_one_sieve_and_single_queries_none(monkeypatch):
         # almost every modulus crosses the sieve edge into the scalar walk
         {"_WINDOW": 1, "_SIEVE_MIN": 2},
         {"_WINDOW": 2, "_SIEVE_MIN": 2},
-        # b = 2**17 is a proper prime power, and most windows run past it
+        # b = 2**17, a proper prime power, cut back to the last candidate
+        # read; most windows run past it
         {"_SIEVE_MAX": 2**17},
     ],
 )
@@ -269,6 +270,29 @@ def test_batch_mixed_code_windows(monkeypatch, gate):
         monkeypatch.setattr(arith, "_SIEVE_MIN", gate)
     got = arith.least_prime_powers_1mod(moduli)[:3]
     assert [(pp.q, pp.m) for pp in got] == [(2, 2), (11, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("max_p", [300, 2000])
+def test_sieve_serves_every_hit_its_windows_reach(monkeypatch, max_p):
+    """The moduli of scan-b: the sieve ends at the last candidate a window
+    reads below b0 = min(K·max n + 1, 5000·moduli, 2^23), so exactly the
+    moduli whose answer lies past their candidates below b0 walk.  (Ending
+    it at the window of the largest modulus whose whole window fits below
+    b0 would send 51,529 = 227² on to the walk at max_p = 300: its answer
+    618,349 lies between that end and b0.)"""
+    primes = arith.primes_up_to(max_p)
+    moduli = primes + [p * p for p in primes]
+    built, walked = [], []
+    codes, walk = arith._prime_power_codes, arith._walk_1mod
+    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: built.append(b) or codes(b))
+    monkeypatch.setattr(arith, "_walk_1mod", lambda n, k, po: walked.append(n) or walk(n, k, po))
+    got = arith.least_prime_powers_1mod(moduli)
+    w = arith._WINDOW
+    b0 = min(w * max(moduli) + 1, arith._SIEVE_PER_MODULUS * len(moduli), arith._SIEVE_MAX)
+    reach = [min(w, (b0 - 1) // n) for n in moduli]
+    assert built == [max(k * n + 1 for k, n in zip(reach, moduli))]
+    assert built[0] <= b0
+    assert walked == [n for n, k, pp in zip(moduli, reach, got) if (pp.value - 1) // n > k]
 
 
 def test_batch_rejects_small_moduli():

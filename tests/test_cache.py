@@ -105,6 +105,41 @@ def test_corrupt_invariant_line_skipped(tmp_path):
     assert cache.stats()["entries"] == 0
 
 
+def test_store_drops_lines_that_fail_their_checks(tmp_path, caplog):
+    """A hand-edited line that breaks the degree laws is warned about once;
+    the next store rewrites the file without it, so later lookups are
+    silent."""
+    cache = DegreeCache(tmp_path)
+    first = entry()
+    cache.store(first)
+    bad = json.loads(entry(spec="cyclic:1").to_json())
+    bad["order"], bad["degrees"] = 1, [1, 0]
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    with caplog.at_level("WARNING"):
+        assert cache.lookup("cyclic:1", "0.1.0", 1) is None
+    assert [r.getMessage()[:23] for r in caplog.records] == ["cache line 2 corrupt, s"]
+    good = CacheEntry("cyclic:1", 1, (1,), "0.1.0", utc_now())
+    cache.store(good)
+    lines = cache.path.read_text(encoding="utf-8").splitlines()
+    assert [CacheEntry.from_json(line) for line in lines] == [first, good]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert cache.lookup("cyclic:1", "0.1.0", 1) == good
+        assert cache.lookup("cyclic:6", "0.1.0", 6) == first
+    assert not caplog.records
+
+
+def test_store_keeps_a_last_line_without_newline(tmp_path):
+    cache = DegreeCache(tmp_path)
+    first = entry()
+    cache.path.write_text(first.to_json(), encoding="utf-8")  # no trailing newline
+    second = entry(spec="cyclic:7")
+    cache.store(second)
+    assert cache.lookup("cyclic:6", "0.1.0", 6) == first
+    assert cache.lookup("cyclic:7", "0.1.0", 6) == second
+
+
 def test_stats_and_clear(tmp_path):
     cache = DegreeCache(tmp_path)
     assert cache.stats()["entries"] == 0

@@ -5,6 +5,7 @@ a general-purpose computer algebra system and frozen here; the module under
 test must reproduce them from first principles.
 """
 
+import dataclasses
 from math import isqrt, lcm
 
 import numpy as np
@@ -422,6 +423,41 @@ def test_dixon_modulus(text, modulus):
     assert l > len(enumerate_elements(g))
     assert (l - 1) % exponent(g) == 0
     assert exponent(g) == lcm(*(element_order(g, x) for x in conjugacy_classes(g).reps))
+
+
+ORDER_CASES = REFERENCE_CASES + [
+    (text, lambda text=text: make(text))
+    for text in ("psl2:5", "psl2:37", "frob:2^8:17", "frob:191^1:19", "named:A4A4", "xsp:3:2")
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in ORDER_CASES], ids=[t for t, _ in ORDER_CASES]
+)
+def test_walked_orders_match_element_order(build):
+    """Orders walked over the index tables equal those got by multiplying."""
+    g = build()
+    cd = conjugacy_classes(g)
+    walked = [cd.tables.order(m[0]) for m in cd.member_at]
+    assert walked == [element_order(g, x) for x in cd.reps]
+
+
+@pytest.mark.parametrize(
+    "doctored,message",
+    [
+        ([1, 2, 3, 0, 5, 4], "position 1 has order 4, not dividing 6"),
+        ([1, 2, 1, 4, 5, 3], "position 1: no power is the identity"),
+    ],
+)
+def test_walked_order_must_divide_the_group_order(doctored, message):
+    """Doctored tables of cyclic:6: the powers of position 1 return to 0
+    after 4 steps, or never."""
+    g = make("cyclic:6")
+    cd = conjugacy_classes(g)
+    assert cd.tables.right == ([1, 2, 3, 4, 5, 0],)
+    bad = dataclasses.replace(cd, tables=dataclasses.replace(cd.tables, right=(doctored,)))
+    with pytest.raises(SelfCheckFailed, match=message):
+        dixon_modulus(g, bad)
 
 
 # ------------------------------------------------------------ Dixon degrees

@@ -1,14 +1,14 @@
 """Group engine tests on small hand-built realizations, and the closure
-over rows against the closure by multiply on catalog groups."""
+over integer codes against the closure by multiply on catalog groups."""
 
 import numpy as np
 import pytest
 
+from chardeg import catalog
 from chardeg.catalog import parse_spec, realize
 from chardeg.errors import CapExceeded, SelfCheckFailed
 from chardeg.groups import (
     GroupRealization,
-    _row_dtype,
     direct_product,
     element_order,
     enumerate_elements,
@@ -132,15 +132,20 @@ def test_expected_order_mismatch():
         enumerate_elements(ints_mod(12, expected=13))
 
 
-# ------------------------------------------------- closure over rows
+# ------------------------------------------------- closure over codes
 
 EQUIVALENCE_SPECS = [
+    "psl2:2",
+    "psl2:3",
     "psl2:7",
     "psl2:37",
     "frob:2^3:7",
     "frob:2^8:17",
+    "named:S3",
+    "named:G72D",
     "named:G72Q",
     "affine:3^2:0,2,1,0;1,0,0,2",
+    "affine:257^1:16",
     "prod(psl2:5,cyclic:3)",  # pairs: no act on either side
 ]
 
@@ -156,40 +161,82 @@ def without_act(g):
     )
 
 
+@pytest.fixture
+def coded(monkeypatch):
+    """Realize permutation families over codes whatever their order."""
+    monkeypatch.setattr(catalog, "_CODES_FROM", 0)
+
+
+# The test names keep "rows" from the closure over rows of image tuples that
+# the closure over codes replaced.
 @pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
-def test_closure_over_rows_matches_multiply(text):
+def test_closure_over_rows_matches_multiply(text, coded):
+    """The closure over codes gives the positions, tables and elements of
+    the closure by multiply."""
     g = realize(parse_spec(text))
     assert (g.act is None) == text.startswith("prod(")
-    rows, ref = index_tables(g), index_tables(without_act(g))
-    assert (rows.rows is None) == (g.act is None)
-    assert rows.elements == ref.elements
-    assert rows.right == ref.right
-    assert rows.parent == ref.parent
-    assert rows.via == ref.via
+    codes, ref = index_tables(g), index_tables(without_act(g))
+    assert (codes.stored is None) == (g.act is not None)
+    assert codes.right == ref.right
+    assert codes.parent == ref.parent
+    assert codes.via == ref.via
     for x in (0, 1, len(ref) // 2, len(ref) - 1):
-        assert rows.element(x) == ref.elements[x]
+        assert codes.element(x) == ref.elements[x]
+    assert codes.elements == ref.elements
 
 
 @pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
-def test_closure_over_rows_cap_message_matches(text):
+def test_closure_over_rows_cap_message_matches(text, coded):
     g = realize(parse_spec(text))
+    cap = min(20, g.expected_order // 2)
     messages = []
     for h in (g, without_act(g)):
         with pytest.raises(CapExceeded) as err:
-            index_tables(h, cap=20)
+            index_tables(h, cap=cap)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert messages[0] == f"{g.descriptor}: closure exceeded cap of 20 elements"
+    assert messages[0] == f"{g.descriptor}: closure exceeded cap of {cap} elements"
 
 
-def test_row_dtype_holds_every_point():
-    assert _row_dtype(1) == np.uint8
-    assert _row_dtype(256) == np.uint8
-    assert _row_dtype(257) == np.uint16
-    assert _row_dtype(65536) == np.uint16
-    assert _row_dtype(65537) == np.uint32
-    assert index_tables(realize(parse_spec("frob:2^8:17"))).rows.dtype == np.uint8
-    t = index_tables(realize(parse_spec("affine:257^1:16")))  # 257 points
-    assert t.rows.dtype == np.uint16
+CODED_SPECS = [
+    "psl2:2",
+    "psl2:3",
+    "psl2:5",
+    "psl2:37",
+    "frob:2^8:17",
+    "frob:191^1:19",
+    "frob:7^2:16",
+    "named:S3",
+    "named:A4",
+    "named:G72D",
+    "named:G72Q",
+    "affine:3^2:0,2,1,0;1,0,0,2",
+    "affine:257^1:16",
+]
+
+
+def test_codes_lie_below_code_space(coded):
+    """Each family's codes are exactly range(|G|): act maps every code below
+    the code space, each generator permutes the codes, and the closure
+    reaches all of them."""
+    for text in CODED_SPECS:
+        g = realize(parse_spec(text))
+        assert g.code_space == g.expected_order, text
+        prods = g.act(np.arange(g.code_space))
+        assert prods.shape == (g.code_space, len(g.generators)), text
+        for col in prods.T:
+            assert (np.sort(col) == np.arange(g.code_space)).all(), text
+        assert len(index_tables(g)) == g.code_space, text
+    # 257 points: the image tuples rebuilt from the codes keep point 256
+    t = index_tables(realize(parse_spec("affine:257^1:16")))
     assert len(t) == 257 * 4
     assert max(max(e) for e in t.elements) == 256
+
+
+def test_small_groups_close_by_multiply():
+    """Below catalog._CODES_FROM elements a level of numpy calls costs more
+    than its few products, so small permutation groups carry no codes."""
+    small, large = realize(parse_spec("frob:2^3:7")), realize(parse_spec("frob:2^4:5"))
+    assert (small.act, small.code_space) == (None, 0)
+    assert large.act is not None and large.code_space == 80
+    assert catalog._CODES_FROM == 64
