@@ -72,11 +72,9 @@ from .errors import (
     SumOfSquaresMismatch,
 )
 from .groups import (
-    GroupData,
     GroupRealization,
     direct_product,
     enumerate_elements,
-    group_data,
 )
 from .smallgroups import CayleyTable, enumerate_groups, is_isomorphic, table_to_realization
 from .solver import (
@@ -150,11 +148,9 @@ __all__ = [
     "SpecSyntaxError",
     "SumOfSquaresMismatch",
     # groups
-    "GroupData",
     "GroupRealization",
     "direct_product",
     "enumerate_elements",
-    "group_data",
     # smallgroups
     "CayleyTable",
     "enumerate_groups",

@@ -29,10 +29,12 @@ Realizations:
             translations by the unit vectors plus the given matrices
     prod    pairs acting componentwise
 
-psl2, frob and affine groups of _CODES_FROM elements or more also code
-their elements as range(order) and are closed over the codes: PSL2(p) by a
-determinant-1 matrix up to sign (_psl2_act), the affine groups by (matrix,
-translation) (_realize_affine).
+psl2, frob, affine and xsp groups also code their elements as
+range(order): PSL2(p) by a determinant-1 matrix up to sign (_psl2_act), the
+affine groups by (matrix, translation) (_realize_affine), xsp by its digits
+(_xsp_act); products code pairs by their factors' positions
+(groups.direct_product).  Groups of groups._CODES_FROM elements or more are
+closed over the codes; cyclic groups and Cayley tables are not coded.
 
 Realized orders are checked against the closed-form prediction at enumeration
 time rather than trusted, and a spec predicted past the element cap is
@@ -336,24 +338,9 @@ def _affine_order(q: int, m: int, matrices: GroupRealization, cap: int) -> int:
     return pts * len(index_tables(matrices, max(1, cap // pts)))
 
 
-# Order from which a permutation family's closure runs over integer codes.
-# A breadth-first level over codes costs some 25 numpy calls whatever its
-# size, more than multiplying the few products of a smaller group's level.
-_CODES_FROM = 64
-
-
 def _perm_realization(images_list, descriptor, order, coding):
-    """Permutations as image tuples, multiplied as maps (a·b)(x) = a(b(x)).
-    coding() gives act over the codes range(order), which the closure runs
-    over when the group has _CODES_FROM elements or more; its tables are
-    built by the first act call, so a realization never closed builds
-    none."""
-    act = None
-    if order >= _CODES_FROM:
-        coding = functools.cache(coding)
-
-        def act(codes):
-            return coding()(codes)
+    """Permutations as image tuples, multiplied as maps (a·b)(x) = a(b(x)),
+    with coding(cap) giving act over the codes range(order)."""
 
     def mul(a, b):
         return tuple([a[x] for x in b])
@@ -364,8 +351,8 @@ def _perm_realization(images_list, descriptor, order, coding):
         generators=[tuple(p) for p in images_list],
         descriptor=descriptor,
         expected_order=order,
-        act=act,
-        code_space=order if act else 0,
+        coding=coding,
+        code_space=order,
     )
 
 
@@ -411,8 +398,9 @@ def _realize_psl2(spec: Psl2) -> GroupRealization:
     # the same maps as Moebius matrices: z+1, -1/z and uz/u^-1
     mats = np.array([[1, 1, 0, 1], [0, p - 1, 1, 0], [u, 0, 0, pow(u, p - 2, p)]])
     order = psl2_order(p)
-    coding = functools.partial(_psl2_act, p, mats)
-    return _perm_realization([t, s, d], spec_text(spec), order, coding)
+    return _perm_realization(
+        [t, s, d], spec_text(spec), order, lambda _cap: _psl2_act(p, mats)
+    )
 
 
 def _psl2_act(p: int, gens: np.ndarray):
@@ -474,7 +462,27 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
         generators=gens,
         descriptor=spec_text(spec),
         expected_order=p ** (2 * n + 1),
+        coding=lambda _cap: _xsp_act(p, n),
+        code_space=p ** (2 * n + 1),
     )
+
+
+def _xsp_act(p: int, n: int):
+    """Right multiplication on the codes of xsp: (a, b, c) has the base-p
+    digits a_1..a_n, b_1..b_n, c, lowest first, so the identity is 0 and
+    the codes are range(p^(2n+1)).  The generator a_j adds 1 to digit a_j;
+    b_j adds 1 to digit b_j and a_j to digit c."""
+    places = p ** np.arange(2 * n + 1)
+    top = places[-1]
+
+    def act(codes):
+        digit = codes[:, None] // places % p
+        out = codes[:, None] + np.where(digit[:, :-1] == p - 1, 1 - p, 1) * places[:-1]
+        c = digit[:, -1:]
+        out[:, n:] += ((c + digit[:, :n]) % p - c) * top
+        return out
+
+    return act
 
 
 def _realize_affine(
@@ -498,7 +506,7 @@ def _realize_affine(
         [ffield.undigits(v, q).tolist() for v in images],
         descriptor,
         order,
-        lambda: _affine_act(q, m, index_tables(matrices)),
+        lambda _cap: _affine_act(q, m, index_tables(matrices)),
     )
 
 

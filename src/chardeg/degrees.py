@@ -28,7 +28,8 @@ basis, consumes the central classes (size 1) first and then the others,
 each in ascending class index, takes eigenvalues in ascending residue
 order, and keeps subspace bases in reduced row echelon form.  A central z
 acts on the characters by their central character, so it is a cheap matrix
-that separates them early.
+that separates them early; a power of an earlier central z separates
+nothing more, and is skipped.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class ClassData:
     so class 0 is the identity.
     """
 
-    reps: tuple
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     class_at: list[int] = field(compare=False, repr=False)
@@ -94,7 +94,14 @@ class ClassData:
 
     @property
     def count(self) -> int:
-        return len(self.reps)
+        return len(self.sizes)
+
+    @cached_property
+    def reps(self) -> tuple:
+        """The representatives as elements.  The engine reads positions
+        only, and a closure over codes keeps no elements, so they are built
+        on first use."""
+        return tuple(self.tables.element(m[0]) for m in self.member_at)
 
     @cached_property
     def class_array(self) -> np.ndarray:
@@ -192,21 +199,20 @@ def conjugacy_classes(
         for x in reversed(path):
             inv[x] = lefts[via[x]][inv[parent[x]]]
     cd = ClassData(
-        reps=tuple(t.element(m[0]) for m in member_at),
         sizes=tuple(map(len, member_at)),
         inverse_class=tuple(class_at[inv[m[0]]] for m in member_at),
         class_at=class_at,
         member_at=member_at,
         tables=t,
     )
-    _check_class_data(g, cd, n)
+    _check_class_data(cd, n)
     return cd
 
 
-def _check_class_data(g, cd, order):
+def _check_class_data(cd, order):
     if sum(cd.sizes) != order:
         raise SelfCheckFailed("class sizes do not partition the group")
-    if cd.reps[0] != g.identity or cd.sizes[0] != 1:
+    if cd.member_at[0] != [0]:  # position 0 is the identity
         raise SelfCheckFailed("class 0 is not the identity singleton")
     for i, j in enumerate(cd.inverse_class):
         if cd.inverse_class[j] != i or cd.sizes[j] != cd.sizes[i]:
@@ -482,6 +488,21 @@ def _split_common_eigenvectors(matrices, order, b, piv, l: int) -> list[np.ndarr
     return [b[0] for b, _ in subspaces]
 
 
+def _split_order(cd: ClassData) -> list[int]:
+    """The classes the split consumes: the central ones first, then the
+    others, each ascending.  A central class whose element is a power z^k
+    of an earlier central z is left out: on a subspace where M_z acts as
+    the scalar omega(z), M_{z^k} acts as omega(z)^k, so it splits nothing
+    that z has not."""
+    central, powers = [], set()
+    for i in range(1, cd.count):
+        x = cd.member_at[i][0]
+        if cd.sizes[i] == 1 and x not in powers:
+            central.append(i)
+            powers.update(cd.tables.powers(x))
+    return central + [i for i in range(1, cd.count) if cd.sizes[i] > 1]
+
+
 def character_degrees(
     g: GroupRealization,
     cap: int = DEFAULT_ELEMENT_CAP,
@@ -505,10 +526,9 @@ def character_degrees(
         basis = np.zeros((len(piv), r), dtype=np.int64)  # e_k − e_last of k's coset
         basis[range(len(piv)), piv] = 1
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
-        central_first = sorted(range(1, r), key=lambda i: cd.sizes[i] > 1)
         size_invs = [pow(s, l - 2, l) for s in cd.sizes]
         for v in _split_common_eigenvectors(
-            lambda i: class_matrix(g, cd, i), central_first, basis, piv, l
+            lambda i: class_matrix(g, cd, i), _split_order(cd), basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")

@@ -6,24 +6,25 @@ need to be hashable (permutations are image tuples, tuple groups are
 coefficient tuples, table groups are integers, direct products are pairs);
 they are never compared by order.  A realization may also code its
 elements as the integers range(code_space), the identity as 0, and give a
-batch right-multiply, act, over arrays of codes.
+batch right-multiply, act, over arrays of codes.  The psl2, affine/frob
+and xsp families and direct products do (see catalog and direct_product).
 
 Enumeration is a breadth-first closure of the generators, one level at a
 time, cached on the realization behind a lock, so repeated
-conjugacy/character computations share one element list.  With act a level
-is one act call over the front's codes, and dedup is one array of
-positions by code plus a first-occurrence pass over the unseen codes;
-without it each product is one multiply call, deduplicated in a dict.  The
-closure's discovery order, with the identity at position 0, is the only
-element order: its products x·g are kept as index tables over those
-positions (IndexTables), so later stages can multiply by generators, and
-invert, without multiplying elements again.  A closure over codes keeps no
+conjugacy/character computations share one element list.  A coded group
+of _CODES_FROM elements or more is closed over its codes: a level is one
+act call over the front's codes, and dedup is one array of positions by
+code plus a first-occurrence pass over the unseen codes.  Otherwise each
+product is one multiply call, deduplicated in a dict.  The closure's
+discovery order, with the identity at position 0, is the only element
+order: its products x·g are kept as index tables over those positions
+(IndexTables), so later stages can multiply by generators, and invert,
+without multiplying elements again.  A closure over codes keeps no
 elements; one is built on demand by multiplying along its tree path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -37,18 +38,18 @@ from .errors import CapExceeded, SelfCheckFailed
 __all__ = [
     "DEFAULT_ELEMENT_CAP",
     "GroupRealization",
-    "GroupData",
     "IndexTables",
     "enumerate_elements",
     "index_tables",
-    "element_order",
     "exponent",
-    "derived_subgroup_order",
     "direct_product",
-    "group_data",
 ]
 
 DEFAULT_ELEMENT_CAP = 50_000
+# Order from which a coded realization is closed over its codes.  A
+# breadth-first level over codes costs some 25 numpy calls whatever its
+# size, more than multiplying the few products of a smaller group's level.
+_CODES_FROM = 64
 
 
 class GroupRealization:
@@ -56,12 +57,14 @@ class GroupRealization:
     engine reads inverses off the closure's index tables.
 
     A realization may also code its elements as the integers
-    range(code_space), the identity as 0, and pass act(codes): codes is a
-    1-D integer array of element codes, and the result is the (k, s) array
-    of the codes of the products codes[i]·generators[j].  Its closure is
-    then taken over codes, without calling multiply; the code space must
-    stay within a small multiple of the order, since the closure keeps one
-    position per code.
+    range(code_space), the identity as 0, and pass coding(cap), which
+    returns act(codes): codes is a 1-D integer array of element codes, and
+    the result is the (k, s) array of the codes of the products
+    codes[i]·generators[j].  From _CODES_FROM elements on, the closure
+    calls coding once, with its own cap, and is then taken over codes
+    without calling multiply; so the tables act reads are built only when
+    the group is closed.  The code space must stay within a small multiple
+    of the order, since the closure keeps one position per code.
     """
 
     def __init__(
@@ -71,7 +74,7 @@ class GroupRealization:
         generators: Iterable,
         descriptor: str,
         expected_order: int | None = None,
-        act: Callable | None = None,
+        coding: Callable | None = None,
         code_space: int = 0,
     ):
         self.identity = identity
@@ -81,7 +84,7 @@ class GroupRealization:
             self.generators = [identity]
         self.descriptor = descriptor
         self.expected_order = expected_order
-        self.act = act
+        self.coding = coding
         self.code_space = code_space
         self._tables: IndexTables | None = None
         self._lock = threading.Lock()
@@ -132,19 +135,23 @@ class IndexTables:
         return y
 
     def order(self, x: int) -> int:
-        """The order of elements[x]: its powers are walked over positions,
-        each a right multiplication by elements[x] along its word, until
-        position 0.  Tables whose walk takes more than len(self) steps are
-        not a group's."""
+        """The order of elements[x]."""
+        return len(self.powers(x))
+
+    def powers(self, x: int) -> list[int]:
+        """The positions of elements[x]^1, ..., ^k = identity, k its order:
+        the powers are walked over positions, each a right multiplication
+        by elements[x] along its word, until position 0.  Tables whose walk
+        takes more than len(self) steps are not a group's."""
         cols = [self.right[j] for j in self.word(x)]
-        n, y, k = len(self), x, 1
+        n, y, out = len(self), x, [x]
         while y:
             for col in cols:
                 y = col[y]
-            k += 1
-            if k > n:
+            out.append(y)
+            if len(out) > n:
                 raise SelfCheckFailed(f"position {x}: no power is the identity")
-        return k
+        return out
 
     def word(self, x: int) -> list[int]:
         """The generator indices j_1, ..., j_k of x's path in the closure's
@@ -178,20 +185,26 @@ def _closure(
     generators,
     cap: int,
     what: str,
-    act: Callable | None = None,
+    coding: Callable | None = None,
     code_space: int = 0,
 ) -> IndexTables:
     """Breadth-first closure of the generators, one level at a time.
 
     A level's products x·g are taken in (x, g) order and each unseen one
     takes the next position, so positions, parents and right tables are
-    those of multiplying one element by one generator at a time.  With act
-    the level's products are one batch over codes, looked up in an array
-    of positions by code; without it they are multiply calls, keyed by
-    themselves in a dict.
+    those of multiplying one element by one generator at a time.  With a
+    coding the level's products are one act batch over codes, looked up in
+    an array of positions by code; without it they are multiply calls,
+    keyed by themselves in a dict.
     """
     gens = list(generators)
-    if act is not None:
+    if coding is not None:
+        try:
+            act = coding(cap)
+        except CapExceeded:
+            # the tables act reads, such as a product's factors', are no
+            # larger than the group, so the group exceeds the cap too
+            raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements") from None
         right, parent, via = _code_levels(act, code_space, len(gens), cap, what)
         stored = None
     else:
@@ -249,28 +262,34 @@ def _code_levels(act, code_space, s, cap, what):
         done, front = total, prods[fresh]
         if done + front.size > cap:
             raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
+    del at, p, prods
+    pos = np.concatenate(pos)  # pos[x * s + j] = right[j][x]
     # lists of one shared int object per position, which the Python walks
-    # over these tables read faster than a fresh object per entry
+    # over these tables read faster than a fresh object per entry; a column
+    # at a time, so that only one column's fresh ints exist at once
     ints = list(range(done)).__getitem__
-    right = np.concatenate(pos).reshape(-1, s).T.tolist()
+    right = tuple(list(map(ints, pos[j::s].tolist())) for j in range(s))
+    del pos
     found = np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
     parent = [-1] + list(map(ints, (found // s).tolist()))
     via = [-1] + (found % s).tolist()
-    return tuple(list(map(ints, col)) for col in right), parent, via
+    return right, parent, via
 
 
 def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
     """The closure of the generators with its multiplication tables;
-    cached after the first call."""
+    cached after the first call.  It runs over codes if the group has a
+    coding and _CODES_FROM codes or more."""
     with group._lock:
         if group._tables is None:
+            coded = group.coding is not None and group.code_space >= _CODES_FROM
             t = _closure(
                 group.identity,
                 group.multiply,
                 group.generators,
                 cap,
                 group.descriptor,
-                group.act,
+                group.coding if coded else None,
                 group.code_space,
             )
             n = len(t)
@@ -291,66 +310,37 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) 
     return index_tables(group, cap).elements
 
 
-def element_order(group: GroupRealization, x) -> int:
-    """Least k >= 1 with x**k = identity, by repeated multiplication; the
-    engine walks orders over the index tables instead (IndexTables.order)."""
-    k = 1
-    y = x
-    while y != group.identity:
-        y = group.multiply(y, x)
-        k += 1
-    return k
-
-
 def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """lcm of the element orders."""
     t = index_tables(group, cap)
     return math.lcm(*map(t.order, range(len(t))))
 
 
-def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Order of the commutator subgroup, by multiplying elements.
-
-    Generator-pair commutators are closed into a subgroup, then repeatedly
-    conjugated by the group generators and re-closed until stable; the result
-    is the normal closure of the commutators, which is the derived subgroup.
-    g⁻¹ is g^(o(g)−1), the last element of the closure of g alone, so the
-    index tables are never read.
-    """
-    mul = group.multiply
-    gens = group.generators
-    invs = [
-        _closure(group.identity, mul, [g], cap, group.descriptor).elements[-1]
-        for g in gens
-    ]
-    comms = {
-        mul(mul(gi, hi), mul(g, h))
-        for (g, gi), (h, hi) in itertools.product(zip(gens, invs), repeat=2)
-    }
-    comms.discard(group.identity)
-    if not comms:
-        return 1
-    sub = set(_closure(group.identity, mul, comms, cap, group.descriptor).elements)
-    while True:
-        new = set()
-        for g, gi in zip(gens, invs):
-            for x in sub:
-                y = mul(gi, mul(x, g))
-                if y not in sub:
-                    new.add(y)
-        if not new:
-            return len(sub)
-        sub = set(
-            _closure(group.identity, mul, sub | new, cap, group.descriptor).elements
-        )
-
-
 def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization:
-    """External direct product; elements are (a, b) pairs."""
+    """External direct product; elements are (a, b) pairs.
+
+    If both factors predict their orders, (a, b) has code pos_g(a) +
+    |g|·pos_h(b), where pos is the position in each factor's own closure,
+    so the codes are range(|g|·|h|) whatever the factors' families.  act
+    gathers from the factors' right tables: a generator of g moves the low
+    part, one of h the high part.  The factors are closed, under the
+    product's cap, when the product is.
+    """
     gmul, hmul = g.multiply, h.multiply
 
     def mul(x, y):
         return (gmul(x[0], y[0]), hmul(x[1], y[1]))
+
+    def coding(cap):
+        low = np.ascontiguousarray(index_tables(g, cap).right_array.T)  # low[a, j] = a·g_j
+        n = len(low)
+        high = np.ascontiguousarray(index_tables(h, cap).right_array.T) * n
+
+        def act(codes):
+            hi, lo = np.divmod(codes, n)
+            return np.concatenate([low[lo] + (codes - lo)[:, None], high[hi] + lo[:, None]], 1)
+
+        return act
 
     gens = [(a, h.identity) for a in g.generators]
     gens += [(g.identity, b) for b in h.generators]
@@ -363,27 +353,6 @@ def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization
         generators=gens,
         descriptor=f"prod({g.descriptor},{h.descriptor})",
         expected_order=expected,
-    )
-
-
-@dataclass(frozen=True)
-class GroupData:
-    """Headline facts computed from a realization."""
-
-    descriptor: str
-    order: int
-    exponent: int
-    derived_order: int
-    abelianization_order: int
-
-
-def group_data(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> GroupData:
-    order = len(enumerate_elements(group, cap))
-    derived = derived_subgroup_order(group, cap)
-    return GroupData(
-        descriptor=group.descriptor,
-        order=order,
-        exponent=exponent(group, cap),
-        derived_order=derived,
-        abelianization_order=order // derived,
+        coding=coding if expected else None,
+        code_space=expected or 0,
     )

@@ -23,9 +23,10 @@ from chardeg.degrees import (
     frobenius_degrees_closed_form,
     product_degrees,
 )
-from chardeg.groups import derived_subgroup_order, enumerate_elements
+from chardeg.groups import enumerate_elements
 from chardeg.smallgroups import enumerate_groups, is_isomorphic
 
+from group_facts import derived_subgroup_order
 from test_smallgroups import from_spec  # Cayley-table bridge for containment
 
 

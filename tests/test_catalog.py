@@ -24,7 +24,9 @@ from chardeg.catalog import (
 )
 from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
 from chardeg.ffield import digits, multiplier, undigits
-from chardeg.groups import enumerate_elements, exponent, group_data
+from chardeg.groups import enumerate_elements, exponent
+
+from group_facts import group_data
 
 ROUND_TRIP = [
     "cyclic:1",

@@ -32,13 +32,13 @@ from chardeg.errors import (
 )
 from chardeg.groups import (
     GroupRealization,
-    derived_subgroup_order,
-    element_order,
     enumerate_elements,
     exponent,
     index_tables,
 )
 from chardeg.smallgroups import enumerate_groups, table_to_realization
+
+from group_facts import derived_subgroup_order, element_order
 
 
 def make(text):
@@ -534,7 +534,7 @@ def test_degree_count_equals_class_count():
 
 
 def test_linear_count_equals_abelianization():
-    from chardeg.groups import group_data
+    from group_facts import group_data
 
     for text in ["named:A4", "named:G72Q", "frob:2^3:7", "xsp:3:1"]:
         g = make(text)
@@ -639,8 +639,10 @@ def test_wrong_derived_order_is_caught(monkeypatch):
 
 
 def test_central_classes_split_first(monkeypatch):
-    """Three many-class specs split W with 6 class matrices, each of a
-    central class; splitting the full space took 161 + 127 + 72."""
+    """Three many-class specs split W with 5 class matrices, each of a
+    central class; splitting the full space took 161 + 127 + 72.  A
+    central class that is a power of an earlier one is skipped: it was the
+    sixth matrix, and split nothing."""
     built = []
     real = degrees.class_matrix
 
@@ -651,7 +653,21 @@ def test_central_classes_split_first(monkeypatch):
     monkeypatch.setattr(degrees, "class_matrix", counting)
     for text in ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2"]:
         character_degrees(make(text))
-    assert built == [1] * 6
+    assert built == [1] * 5
+
+
+def test_split_order_keeps_one_central_class_per_cyclic_subgroup():
+    """The centre of prod(xsp:3:2,cyclic:3) is C3 x C3: of its 8
+    non-identity classes, one generator of each of its 4 subgroups of order
+    3 is kept, and the other classes follow in ascending order."""
+    cd = conjugacy_classes(make("prod(xsp:3:2,cyclic:3)"))
+    order = degrees._split_order(cd)
+    central = [i for i in range(1, cd.count) if cd.sizes[i] == 1]
+    kept = order[:4]
+    assert len(central) == 8 and set(kept) < set(central)
+    assert order[4:] == [i for i in range(1, cd.count) if cd.sizes[i] > 1]
+    powers = {x for i in kept for x in cd.tables.powers(cd.member_at[i][0])}
+    assert {cd.member_at[i][0] for i in central} < powers
 
 
 # -------------------------------------------------------------- closed forms

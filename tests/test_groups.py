@@ -4,19 +4,18 @@ over integer codes against the closure by multiply on catalog groups."""
 import numpy as np
 import pytest
 
-from chardeg import catalog
+from chardeg import groups
 from chardeg.catalog import parse_spec, realize
 from chardeg.errors import CapExceeded, SelfCheckFailed
 from chardeg.groups import (
     GroupRealization,
     direct_product,
-    element_order,
     enumerate_elements,
     exponent,
-    derived_subgroup_order,
-    group_data,
     index_tables,
 )
+
+from group_facts import derived_subgroup_order, element_order, group_data
 
 
 def ints_mod(n, expected=None):
@@ -146,11 +145,17 @@ EQUIVALENCE_SPECS = [
     "named:G72Q",
     "affine:3^2:0,2,1,0;1,0,0,2",
     "affine:257^1:16",
-    "prod(psl2:5,cyclic:3)",  # pairs: no act on either side
+    "xsp:2:1",
+    "xsp:3:2",
+    "xsp:2:2",
+    "prod(psl2:5,cyclic:3)",
+    "prod(xsp:3:2,cyclic:3)",
+    "named:A4A4",
+    "prod(prod(cyclic:2,cyclic:3),xsp:3:1)",
 ]
 
 
-def without_act(g):
+def without_coding(g):
     """The same generators, closed by multiply one product at a time."""
     return GroupRealization(
         identity=g.identity,
@@ -163,8 +168,8 @@ def without_act(g):
 
 @pytest.fixture
 def coded(monkeypatch):
-    """Realize permutation families over codes whatever their order."""
-    monkeypatch.setattr(catalog, "_CODES_FROM", 0)
+    """Close coded realizations over their codes whatever their order."""
+    monkeypatch.setattr(groups, "_CODES_FROM", 0)
 
 
 # The test names keep "rows" from the closure over rows of image tuples that
@@ -174,9 +179,9 @@ def test_closure_over_rows_matches_multiply(text, coded):
     """The closure over codes gives the positions, tables and elements of
     the closure by multiply."""
     g = realize(parse_spec(text))
-    assert (g.act is None) == text.startswith("prod(")
-    codes, ref = index_tables(g), index_tables(without_act(g))
-    assert (codes.stored is None) == (g.act is not None)
+    assert g.coding is not None  # every spec is coded
+    codes, ref = index_tables(g), index_tables(without_coding(g))
+    assert codes.stored is None
     assert codes.right == ref.right
     assert codes.parent == ref.parent
     assert codes.via == ref.via
@@ -190,7 +195,7 @@ def test_closure_over_rows_cap_message_matches(text, coded):
     g = realize(parse_spec(text))
     cap = min(20, g.expected_order // 2)
     messages = []
-    for h in (g, without_act(g)):
+    for h in (g, without_coding(g)):
         with pytest.raises(CapExceeded) as err:
             index_tables(h, cap=cap)
         messages.append(str(err.value))
@@ -212,6 +217,12 @@ CODED_SPECS = [
     "named:G72Q",
     "affine:3^2:0,2,1,0;1,0,0,2",
     "affine:257^1:16",
+    "xsp:2:1",
+    "xsp:3:2",
+    "xsp:2:2",
+    "prod(xsp:3:2,cyclic:3)",
+    "named:A4A4",
+    "prod(prod(cyclic:2,cyclic:3),xsp:3:1)",
 ]
 
 
@@ -222,7 +233,7 @@ def test_codes_lie_below_code_space(coded):
     for text in CODED_SPECS:
         g = realize(parse_spec(text))
         assert g.code_space == g.expected_order, text
-        prods = g.act(np.arange(g.code_space))
+        prods = g.coding(g.code_space)(np.arange(g.code_space))
         assert prods.shape == (g.code_space, len(g.generators)), text
         for col in prods.T:
             assert (np.sort(col) == np.arange(g.code_space)).all(), text
@@ -234,9 +245,26 @@ def test_codes_lie_below_code_space(coded):
 
 
 def test_small_groups_close_by_multiply():
-    """Below catalog._CODES_FROM elements a level of numpy calls costs more
-    than its few products, so small permutation groups carry no codes."""
+    """Below groups._CODES_FROM elements a level of numpy calls costs more
+    than its few products, so small coded groups are closed by multiply."""
     small, large = realize(parse_spec("frob:2^3:7")), realize(parse_spec("frob:2^4:5"))
-    assert (small.act, small.code_space) == (None, 0)
-    assert large.act is not None and large.code_space == 80
-    assert catalog._CODES_FROM == 64
+    assert (small.code_space, large.code_space) == (56, 80)
+    assert index_tables(small).stored is not None
+    assert index_tables(large).stored is None
+    assert groups._CODES_FROM == 64
+
+
+def test_product_factors_close_under_its_cap(monkeypatch):
+    """A product closes its factors under its own cap, and a factor larger
+    than that cap is reported as the product's closure exceeding it."""
+    monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 100)
+    monkeypatch.setattr(groups.index_tables, "__defaults__", (100,))
+    text = "prod(cyclic:2,xsp:3:2)"
+    assert len(index_tables(realize(parse_spec(text)), cap=486)) == 486
+    for cap in (485, 200):  # 243 elements of xsp:3:2 fit under 485, not 200
+        messages = []
+        for h in (realize(parse_spec(text)), without_coding(realize(parse_spec(text)))):
+            with pytest.raises(CapExceeded) as err:
+                index_tables(h, cap=cap)
+            messages.append(str(err.value))
+        assert messages == [f"{text}: closure exceeded cap of {cap} elements"] * 2

@@ -321,7 +321,7 @@ def test_table_to_realization():
         for t in enumerate_groups(6)
         if sorted(t.element_orders()) == [1, 2, 2, 2, 3, 3]
     )
-    from chardeg.groups import derived_subgroup_order
+    from group_facts import derived_subgroup_order
 
     g = table_to_realization(nonabelian)
     assert sorted(enumerate_elements(g)) == list(range(6))
