@@ -517,7 +517,7 @@ def _affine_act(q: int, m: int, mt: IndexTables):
     places = q ** np.arange(m)
     dt = np.min_scalar_type(2 * q - 2)
     cols = np.array(mt.elements, dtype=dt).transpose(0, 2, 1)  # cols[A, j] = A e_j
-    by_matrix = mt.right_array.T * size  # by_matrix[A, k] = code of (A M_k, 0)
+    by_matrix = mt.right.T * size  # by_matrix[A, k] = code of (A M_k, 0)
     if q == 2:  # digitwise sums mod 2 are xor
         col_codes = cols @ places
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -427,6 +428,7 @@ def _cmd_cache(args, settings) -> int:
 # ------------------------------------------------------------------ parsing
 
 
+@functools.cache  # a parse leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["pretty", "json", "csv"], default=None)

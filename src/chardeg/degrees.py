@@ -80,15 +80,15 @@ class ClassData:
     """Conjugacy classes over positions in the index tables they carry
     (see groups.IndexTables).
 
-    class_at[x] is the class of position x and member_at[k] lists the
-    positions of class k, ascending.  Classes are numbered in the order
-    their first members were discovered, and reps[k] is that first member,
-    so class 0 is the identity.
+    class_at is the intp array of the class of each position, and
+    member_at[k] lists the positions of class k, ascending.  Classes are
+    numbered in the order their first members were discovered, and reps[k]
+    is that first member, so class 0 is the identity.
     """
 
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    class_at: list[int] = field(compare=False, repr=False)
+    class_at: np.ndarray = field(compare=False, repr=False)
     member_at: tuple[list[int], ...] = field(compare=False, repr=False)
     tables: IndexTables = field(compare=False, repr=False)
 
@@ -104,29 +104,27 @@ class ClassData:
         return tuple(self.tables.element(m[0]) for m in self.member_at)
 
     @cached_property
-    def class_array(self) -> np.ndarray:
-        return np.array(self.class_at, dtype=np.intp)
-
-    @cached_property
     def rep_words(self) -> tuple[np.ndarray, list[int]]:
-        """Generator words of the representatives in the closure's tree.
+        """Generator words of the representatives in the closure's tree,
+        aligned at their ends.
 
-        Returns (gens, walking): gens[k, s] = the generator of step s of the
-        word of reps[k], zero-padded; walking[s] = how many words have a
-        step s.  The closure is breadth-first and each rep is its class's
-        first-discovered member, so word lengths never go down as k rises:
-        the words with a step s are the last walking[s] rows of gens.
+        Returns (gens, walking): row k of gens is the word of reps[k],
+        padded on the left with -1 to the longest word's length, and
+        walking[c] = how many words have a step in column c.  The closure
+        is breadth-first and each rep is its class's first-discovered
+        member, so word lengths never go down as k rises: the words with a
+        step in column c are the last walking[c] rows of gens.  The words
+        are walked up the tree for all representatives at once, last step
+        first.
         """
-        words = [self.tables.word(m[0]) for m in self.member_at]
-        steps = len(words[-1])
-        walking = [0] * steps
-        for w in words:
-            for s in range(len(w)):
-                walking[s] += 1
-        gens = np.array(
-            [w + [0] * (steps - len(w)) for w in words], dtype=np.intp
-        ).reshape(self.count, steps)
-        return gens, walking
+        parent, via = self.tables.parent, self.tables.via
+        x = np.array([m[0] for m in self.member_at], dtype=np.intp)
+        back = []  # back[t][k]: step t from the end of word k, or -1
+        while x[-1]:  # the last word is the longest
+            back.append(via[x])
+            x = np.maximum(parent[x], 0)
+        gens = np.array(back[::-1], dtype=np.intp).reshape(len(back), self.count).T
+        return gens, np.count_nonzero(gens >= 0, axis=0).tolist()
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,31 @@ def conjugacy_classes(
     left is filled along the closure's tree from left[0] = h⁻¹, the x with
     x·h = 1, since h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is
     needed.  Inverses follow the tree too: (p·s)⁻¹ = s⁻¹·p⁻¹.
+
+    A closure over codes (a coded group of groups._CODES_FROM elements or
+    more) is walked a breadth-first level at a time in numpy
+    (_level_classes).  A closure by multiply (smaller groups, Cayley tables
+    and cyclic:n, whose levels hold one position each) is walked in Python
+    over list copies of its tables (_walk_classes): there a level's fixed
+    numpy cost would exceed its work.  Both give the same classes.
     """
     t = index_tables(g, cap)
-    right, parent, via = t.right, t.parent, t.via
+    walk = _walk_classes if t.stored is not None else _level_classes
+    class_at, member_at, inverse_class = walk(t)
+    cd = ClassData(
+        sizes=tuple(map(len, member_at)),
+        inverse_class=inverse_class,
+        class_at=class_at,
+        member_at=member_at,
+        tables=t,
+    )
+    _check_class_data(cd, len(t))
+    return cd
+
+
+def _walk_classes(t: IndexTables):
+    """(class_at, member_at, inverse_class), one position at a time."""
+    right, parent, via = t.right.tolist(), t.parent.tolist(), t.via.tolist()
     n = len(t)
     lefts = []  # lefts[j][x] = position of g_j⁻¹ · x
     conj = []  # conj[j][x] = position of g_j⁻¹ · x · g_j
@@ -198,15 +218,71 @@ def conjugacy_classes(
             x = parent[x]
         for x in reversed(path):
             inv[x] = lefts[via[x]][inv[parent[x]]]
-    cd = ClassData(
-        sizes=tuple(map(len, member_at)),
-        inverse_class=tuple(class_at[inv[m[0]]] for m in member_at),
-        class_at=class_at,
-        member_at=member_at,
-        tables=t,
-    )
-    _check_class_data(cd, n)
-    return cd
+    inverse_class = tuple(class_at[inv[m[0]]] for m in member_at)
+    return np.array(class_at, dtype=np.intp), member_at, inverse_class
+
+
+def _level_classes(t: IndexTables):
+    """(class_at, member_at, inverse_class), a breadth-first level at a time.
+
+    parent is non-decreasing, so the level after positions [a, b) is [b, c)
+    with c the first position whose parent is b or more.  Each generator's
+    row of left is one gather per level, and the inverses a second pass
+    once left is complete.  The orbits are joined one generator at a time,
+    in a forest over positions whose every pointer goes to a smaller
+    position: each pair (x, h⁻¹·x·h) whose ends have two roots points the
+    larger root at the smaller, and pointer jumping flattens the forest,
+    until every pair shares its root.  Joining only merges orbits, so the
+    pairs of earlier generators stay joined, and each root ends as its
+    class's least, first-discovered, position.
+    """
+    right, parent, via = t.right, t.parent, t.via
+    s, n = right.shape
+    ends = [1]
+    while ends[-1] < n:
+        ends.append(int(np.searchsorted(parent, ends[-1])))
+    # positions [a, b), their parents, and the flat offsets of their
+    # generators' rows
+    levels = [(a, b, parent[a:b], via[a:b] * n) for a, b in zip(ends, ends[1:])]
+    flat = right.ravel()
+    left = np.empty((s, n), dtype=np.intp)  # left[j, x] = position of g_j⁻¹·x
+    left[:, 0] = np.argmax(right == 0, axis=1)
+    for row in left:
+        for a, b, up, rows in levels:
+            row[a:b] = flat[row[up] + rows]
+    inv = np.zeros(n, dtype=np.intp)  # (p·g)⁻¹ = g⁻¹·p⁻¹
+    for a, b, up, rows in levels:
+        inv[a:b] = left.ravel()[inv[up] + rows]
+    del levels
+    root = np.arange(n)
+    for j in range(s):
+        x, y = np.arange(n), right[j][left[j]]  # y[i] = position of g_j⁻¹·x[i]·g_j
+        while True:
+            rx, ry = root[x], root[y]
+            apart = rx != ry
+            if not apart.any():
+                break
+            rx, ry = rx[apart], ry[apart]
+            root[np.maximum(rx, ry)] = np.minimum(rx, ry)
+            del rx, ry  # the arrays of pairs are the walk's largest
+            x, y = x[apart], y[apart]  # pairs once joined stay joined
+            while True:
+                up = root[root]
+                if (up == root).all():
+                    break
+                root = up
+    del left, x, y
+    first = root == np.arange(n)
+    class_at = (np.cumsum(first) - 1)[root]
+    inverse_class = tuple(class_at[inv[first]].tolist())
+    del root, first, inv
+    sizes = np.bincount(class_at)
+    # a stable sort of the narrowest type, which numpy sorts by radix
+    narrow = class_at.astype(np.min_scalar_type(len(sizes) - 1))
+    members = np.argsort(narrow, kind="stable").tolist()
+    stops = np.cumsum(sizes).tolist()
+    member_at = tuple(members[a:b] for a, b in zip([0] + stops, stops))
+    return class_at, member_at, inverse_class
 
 
 def _check_class_data(cd, order):
@@ -227,7 +303,7 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
     right multiplications along z_k's generator word in the closure's tree,
     each a gather from the index tables.
     """
-    right = cd.tables.right_array
+    right = cd.tables.right
     r = cd.count
     gens, walking = cd.rep_words
     ws = np.array(cd.member_at[cd.inverse_class[i]], dtype=np.intp)
@@ -236,12 +312,11 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
     for b0 in range(0, r, block):
         b1 = min(r, b0 + block)
         v = np.repeat(ws[:, None], b1 - b0, axis=1)
-        for s, n in enumerate(walking):
-            a = max(b0, r - n)  # the block's columns from a on have step s
-            if a >= b1:
-                break
-            v[:, a - b0 :] = right[gens[a:b1, s], v[:, a - b0 :]]
-        flat = cd.class_array[v] * r + np.arange(b0, b1)
+        for c, n in enumerate(walking):
+            a = max(b0, r - n)  # the block's columns from a on have a step in c
+            if a < b1:
+                v[:, a - b0 :] = right[gens[a:b1, c], v[:, a - b0 :]]
+        flat = cd.class_at[v] * r + np.arange(b0, b1)
         counts = counts + np.bincount(flat.ravel(), minlength=r * r)
     return counts.reshape(r, r)
 
@@ -280,7 +355,7 @@ def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
     H·x·g_j is the gather right[j] of the coset H·x.
     """
     t = cd.tables
-    right = t.right_array
+    right = t.right
     s, n = right.shape
     back = np.empty_like(right)  # back[j, x·g_j] = x
     back[np.arange(s)[:, None], right] = np.arange(n)
@@ -316,17 +391,17 @@ def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
             size += front.size
             if 2 * size > n:
                 return n, np.zeros(n, dtype=np.intp)
-        hit = np.bincount(cd.class_array[in_h], minlength=cd.count)
+        hit = np.bincount(cd.class_at[in_h], minlength=cd.count)
         partial = (hit > 0) & (hit < cd.sizes)
-        missing = np.flatnonzero(partial[cd.class_array] & ~in_h)
-        new = missing[np.unique(cd.class_array[missing], return_index=True)[1]].tolist()
+        missing = np.flatnonzero(partial[cd.class_at] & ~in_h)
+        new = missing[np.unique(cd.class_at[missing], return_index=True)[1]].tolist()
     h = np.flatnonzero(in_h)
     coset_at = np.full(n, -1, dtype=np.intp)
     coset_at[h] = 0
     cosets = [h]
     for c in cosets:  # grows while it is walked
-        for j, col in enumerate(t.right):
-            if coset_at[col[c[0]]] < 0:
+        for j in range(s):
+            if coset_at[right[j, c[0]]] < 0:
                 coset_at[right[j][c]] = len(cosets)
                 cosets.append(right[j][c])
     return h.size, coset_at
@@ -515,7 +590,7 @@ def character_degrees(
     order = sum(cd.sizes)
     derived, coset_at = _derived_cosets(cd)
     coset = coset_at[[m[0] for m in cd.member_at]]
-    if (coset[cd.class_array] != coset_at).any():
+    if (coset[cd.class_at] != coset_at).any():
         raise SelfCheckFailed("a conjugacy class meets two cosets of the derived subgroup")
     coset = coset.tolist()
     last = {c: k for k, c in enumerate(coset)}

@@ -19,8 +19,11 @@ product is one multiply call, deduplicated in a dict.  The closure's
 discovery order, with the identity at position 0, is the only element
 order: its products x·g are kept as index tables over those positions
 (IndexTables), so later stages can multiply by generators, and invert,
-without multiplying elements again.  A closure over codes keeps no
-elements; one is built on demand by multiplying along its tree path.
+without multiplying elements again.  The tables are numpy intp arrays,
+filled a level at a time in place by a closure over codes; batch work
+gathers from them, and the scalar walks over positions (an element's
+word, its powers) read memoryviews of them.  A closure over codes keeps
+no elements; one is built on demand by multiplying along its tree path.
 """
 
 from __future__ import annotations
@@ -98,10 +101,16 @@ class IndexTables:
     """Multiplication by generators, over positions in discovery order.
 
     Positions number the group in the closure's breadth-first discovery
-    order, the identity first.  right[j][x] is the position of
+    order, the identity first.  right is an (s, n) intp array over the s
+    generators and n positions: right[j, x] is the position of
     elements[x]·generators[j].  For x > 0, elements[x] =
-    elements[parent[x]]·generators[via[x]] with parent[x] < x; parent[0] is
-    -1.  This discovery order is the only element order the engine uses.
+    elements[parent[x]]·generators[via[x]] with parent[x] < x; parent and
+    via are intp arrays, parent[0] = via[0] = -1, and parent is
+    non-decreasing, so each breadth-first level is a run of positions.
+    This discovery order is the only element order the engine uses.
+    Batch work gathers from the arrays; the scalar walks (element, word,
+    powers) step through memoryviews of them, cached on first use, which
+    read Python ints without numpy's per-item cost.
 
     stored holds the elements if the closure multiplied them; a closure over
     codes keeps none, and an element is then built on demand by multiplying
@@ -109,9 +118,9 @@ class IndexTables:
     position.
     """
 
-    right: tuple[list[int], ...]
-    parent: list[int]
-    via: list[int]
+    right: np.ndarray
+    parent: np.ndarray
+    via: np.ndarray
     identity: object = field(repr=False)
     multiply: Callable = field(repr=False)
     generators: list = field(repr=False)
@@ -121,17 +130,26 @@ class IndexTables:
     def __len__(self) -> int:
         return len(self.parent)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        return tuple(map(memoryview, self.right))
+
+    @cached_property
+    def _tree(self) -> tuple:
+        return memoryview(self.parent), memoryview(self.via)
+
     def element(self, x: int):
         """The element at position x."""
         if self.stored is not None:
             return self.stored[x]
         built, path = self._built, []
+        parent, via = self._tree
         while x > 0 and x not in built:
             path.append(x)
-            x = self.parent[x]
+            x = parent[x]
         y = built[x] if x else self.identity
         for x in reversed(path):
-            y = built[x] = self.multiply(y, self.generators[self.via[x]])
+            y = built[x] = self.multiply(y, self.generators[via[x]])
         return y
 
     def order(self, x: int) -> int:
@@ -143,7 +161,8 @@ class IndexTables:
         the powers are walked over positions, each a right multiplication
         by elements[x] along its word, until position 0.  Tables whose walk
         takes more than len(self) steps are not a group's."""
-        cols = [self.right[j] for j in self.word(x)]
+        rows = self._rows
+        cols = [rows[j] for j in self.word(x)]
         n, y, out = len(self), x, [x]
         while y:
             for col in cols:
@@ -156,10 +175,11 @@ class IndexTables:
     def word(self, x: int) -> list[int]:
         """The generator indices j_1, ..., j_k of x's path in the closure's
         tree: elements[x] = g_{j_1} ··· g_{j_k}."""
+        parent, via = self._tree
         word = []
         while x > 0:
-            word.append(self.via[x])
-            x = self.parent[x]
+            word.append(via[x])
+            x = parent[x]
         return word[::-1]
 
     @cached_property
@@ -169,14 +189,9 @@ class IndexTables:
             return self.stored
         mul, gens = self.multiply, self.generators
         out = [self.identity]
-        for p, j in zip(self.parent[1:], self.via[1:]):
+        for p, j in zip(self.parent[1:].tolist(), self.via[1:].tolist()):
             out.append(mul(out[p], gens[j]))
         return tuple(out)
-
-    @cached_property
-    def right_array(self) -> np.ndarray:
-        """right as a (generators, elements) array, for numpy gathers."""
-        return np.array(self.right, dtype=np.intp).reshape(len(self.right), -1)
 
 
 def _closure(
@@ -216,7 +231,7 @@ def _multiply_levels(identity, multiply, gens, cap, what):
     s = len(gens)
     front = [identity]
     keys = {identity: 0}
-    pos: list[int] = []  # pos[x * s + j] = right[j][x]
+    pos: list[int] = []  # pos[x * s + j] = right[j, x]
     found = []  # x * s + j for the product x·g_j that found position 1, 2, ...
     while front:
         new = []
@@ -230,23 +245,27 @@ def _multiply_levels(identity, multiply, gens, cap, what):
         if len(keys) > cap:
             raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
         front = new
-    right = tuple(pos[j::s] for j in range(s))
-    parent = [-1] + [q // s for q in found]
-    via = [-1] + [q % s for q in found]
+    right = np.array(pos, dtype=np.intp).reshape(len(keys), s).T.copy()
+    parent, via = np.divmod(np.array([-1] + found, dtype=np.intp), s)
+    via[0] = -1  # parent[0] = -1 // s = -1 already
     return right, parent, via, tuple(keys)  # a dict keeps insertion order
 
 
 def _code_levels(act, code_space, s, cap, what):
     at = np.full(code_space, -1, dtype=np.intp)  # the position of each code
     at[0] = 0
+    # each position has its own code, so there are at most code_space; the
+    # tables are filled a level at a time in place
+    size = min(code_space, cap)
+    right = np.empty((s, size), dtype=np.intp)
+    parent, via = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    parent[:1] = via[:1] = -1
     front = np.zeros(1, dtype=np.intp)
     done = 0  # positions below the front, whose products are taken
-    pos, found = [], []
     while front.size:
         prods = act(front).ravel()
         p = at[prods]
         fresh = np.flatnonzero(p < 0)
-        total = done + front.size
         if fresh.size:
             # the first occurrence of each unseen code, in (x, g) order: at
             # is scratch space for the least index of each until it is given
@@ -255,24 +274,19 @@ def _code_levels(act, code_space, s, cap, what):
             at[codes] = len(prods)
             np.minimum.at(at, codes, fresh)
             fresh = fresh[at[codes] == fresh]
-            at[prods[fresh]] = np.arange(total, total + fresh.size)
-            found.append(fresh + done * s)
-            p = at[prods]
-        pos.append(p)
-        done, front = total, prods[fresh]
-        if done + front.size > cap:
+        total = done + front.size
+        new = slice(total, total + fresh.size)
+        if new.stop > cap:
             raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements")
-    del at, p, prods
-    pos = np.concatenate(pos)  # pos[x * s + j] = right[j][x]
-    # lists of one shared int object per position, which the Python walks
-    # over these tables read faster than a fresh object per entry; a column
-    # at a time, so that only one column's fresh ints exist at once
-    ints = list(range(done)).__getitem__
-    right = tuple(list(map(ints, pos[j::s].tolist())) for j in range(s))
-    del pos
-    found = np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
-    parent = [-1] + list(map(ints, (found // s).tolist()))
-    via = [-1] + (found % s).tolist()
+        if fresh.size:
+            at[prods[fresh]] = np.arange(new.start, new.stop)
+            parent[new], via[new] = np.divmod(fresh, s)
+            parent[new] += done
+            p = at[prods]
+        right[:, done:total] = p.reshape(-1, s).T
+        done, front = total, prods[fresh]
+    if done < size:
+        right, parent, via = right[:, :done].copy(), parent[:done].copy(), via[:done].copy()
     return right, parent, via
 
 
@@ -311,9 +325,19 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) 
 
 
 def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """lcm of the element orders."""
+    """lcm of the element orders, over cyclic subgroups: each power of x
+    has an order dividing x's, so one walk of x's powers covers them all,
+    and only positions that are no earlier element's power are walked."""
     t = index_tables(group, cap)
-    return math.lcm(*map(t.order, range(len(t))))
+    covered = bytearray(len(t))
+    e = 1
+    for x in range(len(t)):
+        if not covered[x]:
+            powers = t.powers(x)
+            e = math.lcm(e, len(powers))
+            for y in powers:
+                covered[y] = 1
+    return e
 
 
 def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization:
@@ -332,9 +356,9 @@ def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization
         return (gmul(x[0], y[0]), hmul(x[1], y[1]))
 
     def coding(cap):
-        low = np.ascontiguousarray(index_tables(g, cap).right_array.T)  # low[a, j] = a·g_j
+        low = np.ascontiguousarray(index_tables(g, cap).right.T)  # low[a, j] = a·g_j
         n = len(low)
-        high = np.ascontiguousarray(index_tables(h, cap).right_array.T) * n
+        high = np.ascontiguousarray(index_tables(h, cap).right.T) * n
 
         def act(codes):
             hi, lo = np.divmod(codes, n)

@@ -10,7 +10,7 @@ import signal
 
 import pytest
 
-from chardeg import __version__
+from chardeg import __version__, cli
 from chardeg.cli import run
 
 
@@ -344,6 +344,28 @@ def test_argparse_error_exits_2(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 2
+
+
+def test_one_parser_serves_every_run(capsys):
+    """The parser is built once per process: a failed parse and --help
+    leave it as a fresh one, so every run reads as with its own parser."""
+    runs = [
+        ("gvalue",),  # missing --degree: exit 2
+        ("--help",),
+        ("degrees", "--help"),
+        ("degrees", "--spec", "named:S3", "--format", "json", "--no-timestamp"),
+        ("gvalue", "--degree", "5", "--no-timestamp"),
+    ]
+    cli._build_parser.cache_clear()
+    shared = [invoke(capsys, *argv) for argv in runs]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+    assert "usage: chardeg gvalue" in shared[0][2]
 
 
 def test_cap_exceeded_exits_3(capsys):

@@ -454,8 +454,9 @@ def test_walked_order_must_divide_the_group_order(doctored, message):
     after 4 steps, or never."""
     g = make("cyclic:6")
     cd = conjugacy_classes(g)
-    assert cd.tables.right == ([1, 2, 3, 4, 5, 0],)
-    bad = dataclasses.replace(cd, tables=dataclasses.replace(cd.tables, right=(doctored,)))
+    assert np.array_equal(cd.tables.right, [[1, 2, 3, 4, 5, 0]])
+    doctored = np.array([doctored], dtype=np.intp)
+    bad = dataclasses.replace(cd, tables=dataclasses.replace(cd.tables, right=doctored))
     with pytest.raises(SelfCheckFailed, match=message):
         dixon_modulus(g, bad)
 
@@ -571,6 +572,21 @@ def test_derived_cosets_match_element_path(build):
     assert len(np.bincount(coset_at)) == n // derived
     for m in cd.member_at:
         assert len(set(coset_at[m].tolist())) == 1
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in DERIVED_CASES], ids=[t for t, _ in DERIVED_CASES]
+)
+def test_exponent_matches_element_orders(build):
+    """exponent, walked over cyclic subgroups, is the lcm of every element's
+    order got by multiplying."""
+    g = build()
+    assert exponent(g) == lcm(*(element_order(g, x) for x in enumerate_elements(g)))
+
+
+def test_exponent_of_a_long_cycle():
+    """One walk of the generator's powers covers all of cyclic:499."""
+    assert exponent(make("cyclic:499")) == 499
 
 
 @pytest.mark.parametrize("text", ["named:S3", "prod(named:A4,cyclic:3)", "xsp:3:1"])

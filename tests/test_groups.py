@@ -4,7 +4,7 @@ over integer codes against the closure by multiply on catalog groups."""
 import numpy as np
 import pytest
 
-from chardeg import groups
+from chardeg import degrees, groups
 from chardeg.catalog import parse_spec, realize
 from chardeg.errors import CapExceeded, SelfCheckFailed
 from chardeg.groups import (
@@ -14,6 +14,8 @@ from chardeg.groups import (
     exponent,
     index_tables,
 )
+
+from chardeg.smallgroups import enumerate_groups, table_to_realization
 
 from group_facts import derived_subgroup_order, element_order, group_data
 
@@ -182,12 +184,38 @@ def test_closure_over_rows_matches_multiply(text, coded):
     assert g.coding is not None  # every spec is coded
     codes, ref = index_tables(g), index_tables(without_coding(g))
     assert codes.stored is None
-    assert codes.right == ref.right
-    assert codes.parent == ref.parent
-    assert codes.via == ref.via
+    for name in ("right", "parent", "via"):
+        a, b = getattr(codes, name), getattr(ref, name)
+        assert a.dtype == b.dtype == np.intp, name
+        assert np.array_equal(a, b), name
     for x in (0, 1, len(ref) // 2, len(ref) - 1):
         assert codes.element(x) == ref.elements[x]
     assert codes.elements == ref.elements
+
+
+def assert_class_walks_agree(t):
+    """The numpy walk over levels and the Python walk over positions give
+    the same classes on the same tables."""
+    levels, walk = degrees._level_classes(t), degrees._walk_classes(t)
+    assert levels[0].dtype == walk[0].dtype == np.intp
+    assert np.array_equal(levels[0], walk[0])  # class_at
+    # member_at, whose lengths are the sizes, and inverse_class
+    assert levels[1:] == walk[1:]
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
+def test_class_walks_agree_over_codes(text, coded):
+    t = index_tables(realize(parse_spec(text)))
+    assert t.stored is None  # conjugacy_classes walks it by levels
+    assert_class_walks_agree(t)
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_class_walks_agree_on_cayley_tables(order):
+    for table in enumerate_groups(order):
+        t = index_tables(table_to_realization(table))
+        assert t.stored is not None  # conjugacy_classes walks it in Python
+        assert_class_walks_agree(t)
 
 
 @pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
@@ -242,6 +270,27 @@ def test_codes_lie_below_code_space(coded):
     t = index_tables(realize(parse_spec("affine:257^1:16")))
     assert len(t) == 257 * 4
     assert max(max(e) for e in t.elements) == 256
+
+
+def test_code_space_may_exceed_the_order():
+    """Codes need only lie below the code space: the tables of Z70 coded
+    by its elements in a code space of 140 have one entry per element."""
+    n = 70
+    g = GroupRealization(
+        identity=0,
+        multiply=lambda a, b: (a + b) % n,
+        generators=[1],
+        descriptor="Z70 in 140 codes",
+        expected_order=n,
+        coding=lambda cap: lambda codes: ((codes + 1) % n)[:, None],
+        code_space=2 * n,
+    )
+    t = index_tables(g)
+    assert t.stored is None
+    assert t.right.shape == (1, n) and t.right.flags.c_contiguous
+    assert np.array_equal(t.right[0], (np.arange(n) + 1) % n)
+    assert np.array_equal(t.parent, np.arange(-1, n - 1))
+    assert np.array_equal(t.via, [-1] + [0] * (n - 1))
 
 
 def test_small_groups_close_by_multiply():
