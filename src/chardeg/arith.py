@@ -263,35 +263,33 @@ def least_prime_powers_1mod(moduli, primes_only: bool = False) -> list[PrimePowe
     if any(n < 2 for n in moduli):
         raise ValueError("least_prime_powers_1mod needs every modulus >= 2")
     b = min(_WINDOW * max(moduli, default=0) + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
-    codes = None
-    if b >= _SIEVE_MIN:
-        b = max(min(_WINDOW, (b - 1) // n) * n + 1 for n in moduli)  # the last one read
-        codes = _prime_power_codes(b)
-    first = [0] * len(moduli)  # least k <= _WINDOW with k*n+1 a hit in the sieve
-    if codes is not None:
-        # one gather of the k-th candidates of all moduli per k, largest k
-        # first so that the least hit is written last; an even candidate or
-        # one past b reads codes[0], which is no hit (so does every candidate
-        # of n >= b, which min keeps inside int64), and an even one up to b
-        # is a prime power if it is a power of 2
-        ns = np.array([min(n, b) for n in moduli], dtype=np.int64)
-        hits = np.zeros(len(moduli), dtype=np.int64)
-        for k in range(_WINDOW, 0, -1):
-            v = k * ns + 1
-            inside = v <= b
-            c = codes[np.where(inside & (v & 1 == 1), v >> 1, 0)]
-            hits[(c == _PRIME) if primes_only else (c != 0) | inside & (v & (v - 1) == 0)] = k
-        first = hits.tolist()
-    out = []
-    for n, k in zip(moduli, first):
-        if k:
-            v = k * n + 1
-            prime = v & 1 and codes[v >> 1] == _PRIME
-            out.append(PrimePower(v, 1) if prime else prime_power_decomposition(v))
-        else:
-            top = min(_WINDOW, (b - 1) // n) if codes is not None else 0
-            out.append(_walk_1mod(n, top + 1, primes_only))
-    return out
+    if b < _SIEVE_MIN:
+        return [_walk_1mod(n, 1, primes_only) for n in moduli]
+    # min keeps every candidate of n >= b inside int64: such an n reads none
+    ns = np.array([min(n, b) for n in moduli], dtype=np.int64)
+    reach = np.minimum(_WINDOW, (b - 1) // ns)  # candidates read below b
+    b = int((reach * ns).max()) + 1  # the last one read
+    codes = _prime_power_codes(b)
+    # one gather of the k-th candidates of all moduli per k, largest k first
+    # so that the least hit is written last; an even candidate or one past b
+    # reads codes[0], which is no hit, and an even one up to b is a prime
+    # power if it is a power of 2
+    hits = np.zeros(len(moduli), dtype=np.int64)
+    for k in range(_WINDOW, 0, -1):
+        v = k * ns + 1
+        inside = v <= b
+        c = codes[np.where(inside & (v & 1 == 1), v >> 1, 0)]
+        hits[(c == _PRIME) if primes_only else (c != 0) | inside & (v & (v - 1) == 0)] = k
+    # every hit's value in one gather (1 where the window has none): a prime
+    # is built as it is, and only proper powers and powers of 2 are decomposed
+    v = hits * ns + 1
+    prime = codes[np.where(v & 1 == 1, v >> 1, 0)] == _PRIME
+    return [
+        _walk_1mod(n, top + 1, primes_only) if w == 1
+        else PrimePower(w, 1) if is_p
+        else prime_power_decomposition(w)
+        for n, w, is_p, top in zip(moduli, v.tolist(), prime.tolist(), reach.tolist())
+    ]
 
 
 def least_prime_power_1mod(n: int) -> PrimePower:

@@ -126,25 +126,21 @@ class Settings:
 # ---------------------------------------------------------------- rendering
 
 
-def _emit(
-    args,
-    settings,
-    data: dict,
-    rows: tuple[list[str], list[list]],
-    pretty: list[str],
-    csv_comments: list[str] = (),
-):
+def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
+    """Print the rendering the format asks for.  data (a dict for json),
+    rows (a CSV header and body) and pretty (lines) are functions, and only
+    the one the format prints is called."""
     fmt = settings.format
     if fmt not in ("pretty", "json", "csv"):
         raise InvalidParam(f"unknown format {fmt!r}")
     stamp = not args.no_timestamp
     if fmt == "json":
-        payload = dict(data)
+        payload = dict(data())
         if stamp:
             payload["timestamp"] = utc_now()
         print(json.dumps(payload, sort_keys=True))
     elif fmt == "csv":
-        header, body = rows
+        header, body = rows()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -156,7 +152,7 @@ def _emit(
         if stamp:
             print(f"# generated {utc_now()}")
     else:
-        for line in pretty:
+        for line in pretty():
             print(line)
         if stamp:
             print(f"generated {utc_now()}")
@@ -195,8 +191,12 @@ def _format_element(spec, x) -> str:
     raise InvalidParam(f"cannot format elements of {spec!r}")
 
 
-def _report_dict(report) -> dict:
-    return {
+# -------------------------------------------------------------- subcommands
+
+
+def _cmd_gvalue(args, settings) -> int:
+    report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
+    data = {
         "n": report.n,
         "candidates": [
             {"label": c.label, "order": c.order, "spec": spec_text(c.spec)}
@@ -208,14 +208,6 @@ def _report_dict(report) -> dict:
         "verified": report.verified,
         "anomalies": list(report.anomalies),
     }
-
-
-# -------------------------------------------------------------- subcommands
-
-
-def _cmd_gvalue(args, settings) -> int:
-    report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
-    data = _report_dict(report)
     witnesses = ", ".join(data["witness_specs"]) or "(none verified)"
     pretty = [f"g({report.n}) = {report.min_order}   case {report.case_label}"]
     pretty += [
@@ -232,51 +224,60 @@ def _cmd_gvalue(args, settings) -> int:
             for c in report.candidates
         ],
     )
-    _emit(args, settings, data, rows, pretty)
+    _emit(args, settings, lambda: data, lambda: rows, lambda: pretty)
     attempted = not args.no_verify and report.min_order <= settings.element_cap
     return 1 if attempted and not report.verified else 0
 
 
-def _cmd_scan(args, settings, which: str) -> int:
-    scan = scan_theorem_a(args.max_p) if which == "a" else scan_theorem_b(args.max_p)
-    data = {
-        "rows": [
-            {"p": r.p, "case_label": r.case_label, "min_order": r.min_order}
-            for r in scan.rows
-        ],
-        "case_a": list(scan.case_a),
-        "anomalies": list(scan.anomalies),
-    }
-    pretty = [f"p={r.p:<6} case {r.case_label:<4} min_order {r.min_order}" for r in scan.rows]
-    pretty.append(f"case (a) primes: {list(scan.case_a)}")
-    pretty += [f"anomaly: {a}" for a in scan.anomalies]
-    body = [[r.p, r.case_label, r.min_order] for r in scan.rows]
-    comments = [f"case_a {' '.join(map(str, scan.case_a))}"]
-    _emit(args, settings, data, (["p", "case_label", "min_order"], body), pretty, comments)
+def _cmd_scan(args, settings) -> int:
+    scan = (scan_theorem_a if args.command == "scan-a" else scan_theorem_b)(args.max_p)
+    _emit(
+        args,
+        settings,
+        lambda: {
+            "rows": [
+                {"p": r.p, "case_label": r.case_label, "min_order": r.min_order}
+                for r in scan.rows
+            ],
+            "case_a": list(scan.case_a),
+            "anomalies": list(scan.anomalies),
+        },
+        lambda: (
+            ["p", "case_label", "min_order"],
+            [[r.p, r.case_label, r.min_order] for r in scan.rows],
+        ),
+        lambda: [f"p={r.p:<6} case {r.case_label:<4} min_order {r.min_order}" for r in scan.rows]
+        + [f"case (a) primes: {list(scan.case_a)}"]
+        + [f"anomaly: {a}" for a in scan.anomalies],
+        [f"case_a {' '.join(map(str, scan.case_a))}"],
+    )
     return 0
 
 
 def _cmd_kanold(args, settings) -> int:
     rows = kanold_scan(args.max_p)
-    data = {
-        "rows": [
-            {"p": r.p, "q": r.q, "holds": r.holds, "companion_holds": r.companion_holds}
+    all_hold = all(r.holds for r in rows)
+    _emit(
+        args,
+        settings,
+        lambda: {
+            "rows": [
+                {"p": r.p, "q": r.q, "holds": r.holds, "companion_holds": r.companion_holds}
+                for r in rows
+            ],
+            "all_hold": all_hold,
+        },
+        lambda: (
+            ["p", "q", "holds", "companion_holds"],
+            [[r.p, r.q, int(r.holds), int(r.companion_holds)] for r in rows],
+        ),
+        lambda: [
+            f"p={r.p:<6} q={r.q:<8} q<p^2 {'yes' if r.holds else 'NO'}   "
+            f"companion {'yes' if r.companion_holds else 'no'}"
             for r in rows
-        ],
-        "all_hold": all(r.holds for r in rows),
-    }
-    pretty = [
-        f"p={r.p:<6} q={r.q:<8} q<p^2 {'yes' if r.holds else 'NO'}   "
-        f"companion {'yes' if r.companion_holds else 'no'}"
-        for r in rows
-    ]
-    pretty.append(
-        "conjecture holds over the scanned range"
-        if data["all_hold"]
-        else "CONJECTURE VIOLATED in range"
+        ]
+        + ["conjecture holds over the scanned range" if all_hold else "CONJECTURE VIOLATED in range"],
     )
-    body = [[r.p, r.q, int(r.holds), int(r.companion_holds)] for r in rows]
-    _emit(args, settings, data, (["p", "q", "holds", "companion_holds"], body), pretty)
     return 0
 
 
@@ -312,7 +313,7 @@ def _cmd_degrees(args, settings) -> int:
     pretty = [f"spec {canonical}", f"order {entry.order}"]
     pretty += [f"  degree {d} x{c}" for d, c in sorted(counts.items())]
     body = [[d, c] for d, c in sorted(counts.items())]
-    _emit(args, settings, data, (["degree", "count"], body), pretty)
+    _emit(args, settings, lambda: data, lambda: (["degree", "count"], body), lambda: pretty)
     return 0
 
 
@@ -335,7 +336,7 @@ def _cmd_witness(args, settings) -> int:
     pretty = [f"degree {report.n}: {spec_text(spec)} of order {order}"]
     pretty += [f"  gen {i}: {s}" for i, s in enumerate(gens)]
     body = [[i, s] for i, s in enumerate(gens)]
-    _emit(args, settings, data, (["index", "generator"], body), pretty)
+    _emit(args, settings, lambda: data, lambda: (["index", "generator"], body), lambda: pretty)
     return 0 if report.witness_specs else 1
 
 
@@ -367,13 +368,8 @@ def _cmd_verify(args, settings) -> int:
             ";".join(map(str, status.residual_orders)),
         ]
     ]
-    _emit(
-        args,
-        settings,
-        data,
-        (["n", "lower_bound", "status", "residual_orders"], body),
-        pretty,
-    )
+    header = ["n", "lower_bound", "status", "residual_orders"]
+    _emit(args, settings, lambda: data, lambda: (header, body), lambda: pretty)
     return 1 if any("not minimal" in n for n in status.notes) else 0
 
 
@@ -404,7 +400,8 @@ def _cmd_enumerate(args, settings) -> int:
         ]
         for c in classes
     ]
-    _emit(args, settings, data, (["index", "element_orders", "degrees"], body), pretty)
+    header = ["index", "element_orders", "degrees"]
+    _emit(args, settings, lambda: data, lambda: (header, body), lambda: pretty)
     return 0
 
 
@@ -421,7 +418,7 @@ def _cmd_cache(args, settings) -> int:
         pretty = [f"cache {stats['path']}: {stats['entries']} entries"]
         pretty += [f"  {s}" for s in stats["specs"]]
         body = [["entries", stats["entries"]], ["path", stats["path"]]]
-    _emit(args, settings, data, (["key", "value"], body), pretty)
+    _emit(args, settings, lambda: data, lambda: (["key", "value"], body), lambda: pretty)
     return 0
 
 
@@ -498,10 +495,10 @@ def run(argv: list[str] | None = None) -> int:
     )
     try:
         settings = Settings(args)
-        if args.command in ("scan-a", "scan-b"):
-            return _cmd_scan(args, settings, args.command[-1])
         command = {
             "gvalue": _cmd_gvalue,
+            "scan-a": _cmd_scan,
+            "scan-b": _cmd_scan,
             "kanold": _cmd_kanold,
             "degrees": _cmd_degrees,
             "witness": _cmd_witness,

@@ -25,7 +25,7 @@ when the remaining orders were exhaustively enumerated and cleared, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 from .arith import (
@@ -136,41 +136,36 @@ def verify_witness(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> b
     return n in character_degrees(realize(spec, cap), cap).degrees
 
 
-def _finish_report(n, candidates, verify, cap) -> CandidateReport:
-    min_order = min(c.order for c in candidates)
-    winners = tuple(c for c in candidates if c.order == min_order)
+def _orders(p: int, pp: PrimePower, base_order: int | None = None) -> dict[str, int]:
+    """The candidates' orders by label: for degree p given the least prime
+    power pp = 1 mod p, or for degree p^2 given the least pp = 1 mod p^2
+    and the least degree-p order, which the product squares."""
+    if base_order is not None:
+        return {"pgroup5": p**5, "frobenius": p * p * pp.value, "product": base_order**2}
+    # |PSL2(p)| for odd p, without psl2_order's primality test
+    orders = {"psl2": p * (p * p - 1) // 2} if p >= 5 else {}
+    orders["frobenius"] = p * pp.value
+    return orders
+
+
+def _compare(n: int, orders: dict[str, int], factor_case: str = "b"):
+    """Degree n decided by the candidates' orders alone: the case label, the
+    least order, the winners' labels and the anomalies.  factor_case is the
+    case of the degree-p winner that the product candidate squares."""
+    min_order = min(orders.values())
+    winners = [label for label, order in orders.items() if order == min_order]
     anomalies = []
     if len(winners) > 1:
         case = "tie"
-        anomalies.append(
-            f"n={n}: candidates {', '.join(w.label for w in winners)} "
-            f"tie at order {min_order}"
-        )
+        anomalies.append(f"n={n}: candidates {', '.join(winners)} tie at order {min_order}")
     else:
-        case = _CASE_BY_LABEL[winners[0].label]
-    verified = False
-    if verify and min_order <= cap:
-        verified = True
-        for w in winners:
-            try:
-                ok = verify_witness(w.spec, n, cap)
-            except (CapExceeded, BudgetExceeded) as exc:
-                anomalies.append(f"n={n}: verification of {w.label} hit a cap: {exc}")
-                ok = False
-            if not ok:
-                verified = False
-                anomalies.append(
-                    f"n={n}: witness {w.label} failed the degree-{n} check"
-                )
-    return CandidateReport(
-        n=n,
-        candidates=tuple(candidates),
-        min_order=min_order,
-        case_label=case,
-        witness_specs=tuple(w.spec for w in winners),
-        verified=verified,
-        anomalies=tuple(anomalies),
-    )
+        case = _CASE_BY_LABEL[winners[0]]
+    if "product" in winners and factor_case != "b":
+        anomalies.append(
+            f"n={n}: winning product is built from case-{factor_case} "
+            "factors, not Frobenius ones"
+        )
+    return case, min_order, winners, anomalies
 
 
 def g_prime(p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
@@ -193,30 +188,35 @@ def _candidate_report(
 ) -> CandidateReport:
     """The degree-p report of the prime p, or with pp_sq the degree-p^2 one,
     given the least prime powers pp = 1 mod p and pp_sq = 1 mod p^2."""
-    candidates = []
-    if p >= 5:
-        # |PSL2(p)| for odd p, without psl2_order's primality test
-        candidates.append(Candidate("psl2", p * (p * p - 1) // 2, Psl2(p)))
-    candidates.append(Candidate("frobenius", p * pp.value, Frob(pp.q, pp.m, p)))
-    if pp_sq is None:
-        return _finish_report(p, candidates, verify, cap)
-    base = _finish_report(p, candidates, False, cap)
-    n = p * p
-    w = base.witness_specs[0]
-    candidates = [
-        Candidate("pgroup5", p**5, Xsp(p, 2)),
-        Candidate("frobenius", n * pp_sq.value, Frob(pp_sq.q, pp_sq.m, n)),
-        Candidate("product", base.min_order**2, Prod(w, w)),
-    ]
-    report = _finish_report(n, candidates, verify, cap)
-    winner_labels = {c.label for c in report.candidates if c.order == report.min_order}
-    if "product" in winner_labels and base.case_label != "b":
-        note = (
-            f"n={n}: winning product is built from case-{base.case_label} "
-            "factors, not Frobenius ones"
-        )
-        report = replace(report, anomalies=report.anomalies + (note,))
-    return report
+    n, orders, factor_case = p, _orders(p, pp), "b"  # degree p has no product
+    specs = {"psl2": Psl2(p), "frobenius": Frob(pp.q, pp.m, p)}
+    if pp_sq is not None:
+        factor_case, base_order, winners, _ = _compare(p, orders)
+        n, orders = p * p, _orders(p, pp_sq, base_order)
+        w = specs[winners[0]]
+        specs = {"pgroup5": Xsp(p, 2), "frobenius": Frob(pp_sq.q, pp_sq.m, n), "product": Prod(w, w)}
+    case, min_order, winners, anomalies = _compare(n, orders, factor_case)
+    verified = False
+    if verify and min_order <= cap:
+        verified = True
+        for label in winners:
+            try:
+                ok = verify_witness(specs[label], n, cap)
+            except (CapExceeded, BudgetExceeded) as exc:
+                anomalies.append(f"n={n}: verification of {label} hit a cap: {exc}")
+                ok = False
+            if not ok:
+                verified = False
+                anomalies.append(f"n={n}: witness {label} failed the degree-{n} check")
+    return CandidateReport(
+        n=n,
+        candidates=tuple(Candidate(label, order, specs[label]) for label, order in orders.items()),
+        min_order=min_order,
+        case_label=case,
+        witness_specs=tuple(specs[label] for label in winners),
+        verified=verified,
+        anomalies=tuple(anomalies),
+    )
 
 
 def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
@@ -295,11 +295,13 @@ def _scan(max_p: int, squared: bool) -> ScanResult:
     case_a = []
     anomalies: list[str] = []
     for p, pp, pp_sq in zip(primes, pps, pps_sq):
-        report = _candidate_report(p, pp, pp_sq, False, DEFAULT_ELEMENT_CAP)
-        rows.append(ScanRow(p=p, case_label=report.case_label, min_order=report.min_order))
-        if report.case_label == "a":
+        case, order, _, notes = _compare(p, _orders(p, pp))
+        if squared:
+            case, order, _, notes = _compare(p * p, _orders(p, pp_sq, order), case)
+        rows.append(ScanRow(p=p, case_label=case, min_order=order))
+        if case == "a":
             case_a.append(p)
-        anomalies.extend(report.anomalies)
+        anomalies += notes
     return ScanResult(rows=tuple(rows), case_a=tuple(case_a), anomalies=tuple(anomalies))
 
 
@@ -321,13 +323,13 @@ def verify_minimal(
         raise InvalidParam("degree must be >= 2")
     if witness_order % n != 0:
         raise InvalidParam("witness order must be a multiple of the degree")
-    gap = range(n * n + n, witness_order, n)
-    residual = [m for m in gap if not is_cyclic_number(m)]
-    notes = [
-        f"order {m} skipped: cyclic-number order forces an abelian group"
-        for m in gap
-        if is_cyclic_number(m)
-    ]
+    residual = []
+    notes = []
+    for m in range(n * n + n, witness_order, n):
+        if is_cyclic_number(m):
+            notes.append(f"order {m} skipped: cyclic-number order forces an abelian group")
+        else:
+            residual.append(m)
     if not residual:
         return MinimalityStatus(
             n=n,
@@ -373,11 +375,8 @@ def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
-    rows = []
-    for p, pp in zip(primes, least_prime_powers_1mod(primes, primes_only=True)):
-        q = pp.q
-        companion = (p * p - 1) // (2 if p > 2 else 1)
-        rows.append(
-            KanoldRow(p=p, q=q, holds=q < p * p, companion_holds=q < companion)
-        )
-    return tuple(rows)
+    qs = [pp.q for pp in least_prime_powers_1mod(primes, primes_only=True)]
+    return tuple(
+        KanoldRow(p=p, q=q, holds=q < p * p, companion_holds=q < (p * p - 1) // (2 if p > 2 else 1))
+        for p, q in zip(primes, qs)
+    )

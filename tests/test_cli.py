@@ -166,6 +166,26 @@ def test_scan_stdout_golden(capsys, command, max_p):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command, max_p]
 
 
+# sha256 of the pretty and CSV stdout (`--no-timestamp`) of the same scans,
+# taken while every format was still rendered on every request; each request
+# now renders only the format it prints.
+SCAN_FORMAT_GOLDEN = {
+    ("scan-a", "30000", "pretty"): "3b5f13983c36a7d816f43ade52fd1af4e2e1764f2dd226f114fbddd4ee9b45e7",
+    ("scan-a", "30000", "csv"): "a982cfdee1ddea2511a452088a92b569fb7eaccb757b128fbb248f4d95cf9678",
+    ("scan-b", "300", "pretty"): "bbc2cc2c094d0c745691879b051579bddef9c60860f16e293084ce28c3f206c6",
+    ("scan-b", "300", "csv"): "5bc479050cbe3b59d4a639e973a3ee7778241c60a6b985304c92774f5da0ac75",
+    ("kanold", "30000", "pretty"): "b8c15673ae97e4025cad4cb4a70a67abed25ebaea4da4902811b69d7ff8a2cc2",
+    ("kanold", "30000", "csv"): "30e9a150c9a4fdc09d3858fc24716f923eb4466d3c882cacb15b44c4fb002f0a",
+}
+
+
+@pytest.mark.parametrize("command,max_p,fmt", sorted(SCAN_FORMAT_GOLDEN))
+def test_scan_pretty_and_csv_golden(capsys, command, max_p, fmt):
+    code, out, _ = invoke(capsys, command, "--max-p", max_p, "--format", fmt, "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_FORMAT_GOLDEN[command, max_p, fmt]
+
+
 # sha256 of `enumerate --order n --format json --no-timestamp` stdout, taken
 # before the sub-searches pruned relabelled tables.
 ENUMERATE_GOLDEN = {

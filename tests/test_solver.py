@@ -202,9 +202,10 @@ def test_scan_theorem_b_to_71():
 
 
 def test_scan_rows_match_single_reports():
-    """A scan answers every prime from one batched search; each row must be
-    what the single report of that prime says."""
-    for scan, single in ((scan_theorem_a(2000), g_prime), (scan_theorem_b(300), g_prime_squared)):
+    """A scan answers every prime from one batched search and compares the
+    candidates' orders alone; each row must be what the single report of
+    that prime says, at the size the benchmark scans."""
+    for scan, single in ((scan_theorem_a(30000), g_prime), (scan_theorem_b(300), g_prime_squared)):
         anomalies = []
         for row in scan.rows:
             report = single(row.p, verify=False)
@@ -247,6 +248,24 @@ def test_verify_minimal_degree_5():
     assert status.status == "WitnessOnly"
     assert status.residual_orders == (30, 40, 45, 50)  # 35 pruned: cyclic number
     assert any("35" in note for note in status.notes)
+
+
+def test_verify_minimal_tests_each_gap_order_once(monkeypatch):
+    """One cyclic-number test per order in the gap fills both the residual
+    orders and the skip notes, in gap order.  The oracle cap of 0 keeps
+    the search out of it."""
+    tested = []
+    cyclic = solver.is_cyclic_number
+    monkeypatch.setattr(solver, "is_cyclic_number", lambda m: tested.append(m) or cyclic(m))
+    status = verify_minimal(11, 253, oracle_cap=0)
+    assert tested == list(range(132, 253, 11))
+    assert status.residual_orders == tuple(m for m in tested if not cyclic(m))
+    skipped = [n for n in status.notes if "skipped" in n]
+    assert skipped == [
+        f"order {m} skipped: cyclic-number order forces an abelian group"
+        for m in tested
+        if cyclic(m)
+    ]
 
 
 def test_verify_minimal_degree_9():
