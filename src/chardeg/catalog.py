@@ -352,7 +352,6 @@ def _perm_realization(images_list, descriptor, order, coding):
         descriptor=descriptor,
         expected_order=order,
         coding=coding,
-        code_space=order,
     )
 
 
@@ -463,7 +462,6 @@ def _realize_xsp(spec: Xsp) -> GroupRealization:
         descriptor=spec_text(spec),
         expected_order=p ** (2 * n + 1),
         coding=lambda _cap: _xsp_act(p, n),
-        code_space=p ** (2 * n + 1),
     )
 
 
@@ -565,8 +563,9 @@ def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization
             return _realize_xsp(spec)
         case Affine(q, m):
             return _realize_affine(q, m, matrices, order, spec_text(spec))
-        case Prod(left, right):
-            return direct_product(realize(left, cap), realize(right, cap))
+        case Prod(left, right):  # a square's one factor is realized and closed once
+            g = realize(left, cap)
+            return direct_product(g, g if right == left else realize(right, cap))
         case Named(name):
             return _realize_named(name, cap)
     raise TypeError(f"not a GroupSpec: {spec!r}")

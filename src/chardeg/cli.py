@@ -289,7 +289,7 @@ def _cmd_degrees(args, settings) -> int:
     entry = cache.lookup(canonical, __version__, order) if cache else None
     cached = entry is not None
     if entry is None:
-        g = realize(parse_spec(canonical), settings.element_cap)
+        g = realize(spec, settings.element_cap)
         multiset = character_degrees(g, settings.element_cap)
         entry = CacheEntry(
             spec_text=canonical,

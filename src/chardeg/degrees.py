@@ -80,28 +80,25 @@ class ClassData:
     """Conjugacy classes over positions in the index tables they carry
     (see groups.IndexTables).
 
-    class_at is the intp array of the class of each position, and
-    member_at[k] lists the positions of class k, ascending.  Classes are
-    numbered in the order their first members were discovered, and reps[k]
-    is that first member, so class 0 is the identity.
+    class_at is the intp array of the class of each position.  Classes are
+    numbered in the order their first members were discovered, and reps is
+    the intp array of those first members' positions, each its class's
+    representative, so class 0 is the identity.
     """
 
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     class_at: np.ndarray = field(compare=False, repr=False)
-    member_at: tuple[list[int], ...] = field(compare=False, repr=False)
+    reps: np.ndarray = field(compare=False, repr=False)
     tables: IndexTables = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.sizes)
 
-    @cached_property
-    def reps(self) -> tuple:
-        """The representatives as elements.  The engine reads positions
-        only, and a closure over codes keeps no elements, so they are built
-        on first use."""
-        return tuple(self.tables.element(m[0]) for m in self.member_at)
+    def members(self, k: int) -> np.ndarray:
+        """The positions of class k, ascending."""
+        return np.flatnonzero(self.class_at == k)
 
     @cached_property
     def rep_words(self) -> tuple[np.ndarray, list[int]]:
@@ -118,7 +115,7 @@ class ClassData:
         first.
         """
         parent, via = self.tables.parent, self.tables.via
-        x = np.array([m[0] for m in self.member_at], dtype=np.intp)
+        x = self.reps
         back = []  # back[t][k]: step t from the end of word k, or -1
         while x[-1]:  # the last word is the longest
             back.append(via[x])
@@ -167,21 +164,14 @@ def conjugacy_classes(
     numpy cost would exceed its work.  Both give the same classes.
     """
     t = index_tables(g, cap)
-    walk = _walk_classes if t.stored is not None else _level_classes
-    class_at, member_at, inverse_class = walk(t)
-    cd = ClassData(
-        sizes=tuple(map(len, member_at)),
-        inverse_class=inverse_class,
-        class_at=class_at,
-        member_at=member_at,
-        tables=t,
-    )
+    walk = _walk_classes if t.elements is not None else _level_classes
+    cd = ClassData(*walk(t), tables=t)
     _check_class_data(cd, len(t))
     return cd
 
 
 def _walk_classes(t: IndexTables):
-    """(class_at, member_at, inverse_class), one position at a time."""
+    """(sizes, inverse_class, class_at, reps), one position at a time."""
     right, parent, via = t.right.tolist(), t.parent.tolist(), t.via.tolist()
     n = len(t)
     lefts = []  # lefts[j][x] = position of g_j⁻¹ · x
@@ -194,36 +184,36 @@ def _walk_classes(t: IndexTables):
         lefts.append(left)
         conj.append([col[y] for y in left])
     class_at = [-1] * n
-    count = 0
+    reps, sizes = [], []
     for x in range(n):  # classes are numbered by their first member
         if class_at[x] >= 0:
             continue
-        class_at[x] = count
+        class_at[x] = len(reps)
         orbit = [x]
         for y in orbit:  # orbit grows while it is walked
             for perm in conj:
                 z = perm[y]
                 if class_at[z] < 0:
-                    class_at[z] = count
+                    class_at[z] = len(reps)
                     orbit.append(z)
-        count += 1
-    member_at = tuple([] for _ in range(count))
-    for x in range(n):
-        member_at[class_at[x]].append(x)
+        reps.append(x)
+        sizes.append(len(orbit))
     inv = {0: 0}  # position -> its inverse's, on the reps' paths from 0
-    for m in member_at:
-        path, x = [], m[0]
+    for x in reps:
+        path = []
         while x not in inv:
             path.append(x)
             x = parent[x]
         for x in reversed(path):
             inv[x] = lefts[via[x]][inv[parent[x]]]
-    inverse_class = tuple(class_at[inv[m[0]]] for m in member_at)
-    return np.array(class_at, dtype=np.intp), member_at, inverse_class
+    inverse_class = tuple(class_at[inv[x]] for x in reps)
+    class_at, reps = np.array(class_at, dtype=np.intp), np.array(reps, dtype=np.intp)
+    return tuple(sizes), inverse_class, class_at, reps
 
 
 def _level_classes(t: IndexTables):
-    """(class_at, member_at, inverse_class), a breadth-first level at a time.
+    """(sizes, inverse_class, class_at, reps), a breadth-first level at a
+    time.
 
     parent is non-decreasing, so the level after positions [a, b) is [b, c)
     with c the first position whose parent is b or more.  Each generator's
@@ -274,21 +264,15 @@ def _level_classes(t: IndexTables):
     del left, x, y
     first = root == np.arange(n)
     class_at = (np.cumsum(first) - 1)[root]
-    inverse_class = tuple(class_at[inv[first]].tolist())
-    del root, first, inv
-    sizes = np.bincount(class_at)
-    # a stable sort of the narrowest type, which numpy sorts by radix
-    narrow = class_at.astype(np.min_scalar_type(len(sizes) - 1))
-    members = np.argsort(narrow, kind="stable").tolist()
-    stops = np.cumsum(sizes).tolist()
-    member_at = tuple(members[a:b] for a, b in zip([0] + stops, stops))
-    return class_at, member_at, inverse_class
+    reps = np.flatnonzero(first)
+    inverse_class = tuple(class_at[inv[reps]].tolist())
+    return tuple(np.bincount(class_at).tolist()), inverse_class, class_at, reps
 
 
 def _check_class_data(cd, order):
     if sum(cd.sizes) != order:
         raise SelfCheckFailed("class sizes do not partition the group")
-    if cd.member_at[0] != [0]:  # position 0 is the identity
+    if cd.reps[0] != 0 or cd.sizes[0] != 1:  # position 0 is the identity
         raise SelfCheckFailed("class 0 is not the identity singleton")
     for i, j in enumerate(cd.inverse_class):
         if cd.inverse_class[j] != i or cd.sizes[j] != cd.sizes[i]:
@@ -306,7 +290,7 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
     right = cd.tables.right
     r = cd.count
     gens, walking = cd.rep_words
-    ws = np.array(cd.member_at[cd.inverse_class[i]], dtype=np.intp)
+    ws = cd.members(cd.inverse_class[i])
     block = max(1, _BLOCK_ENTRIES // len(ws))
     counts = 0
     for b0 in range(0, r, block):
@@ -330,10 +314,10 @@ def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
     """
     order = sum(cd.sizes)
     e = 1
-    for m in cd.member_at:
-        k = cd.tables.order(m[0])
+    for x in cd.reps.tolist():
+        k = cd.tables.order(x)
         if order % k:
-            raise SelfCheckFailed(f"position {m[0]} has order {k}, not dividing {order}")
+            raise SelfCheckFailed(f"position {x} has order {k}, not dividing {order}")
         e = lcm(e, k)
     v = e + 1
     while v <= order or not is_prime(v):
@@ -570,9 +554,8 @@ def _split_order(cd: ClassData) -> list[int]:
     the scalar omega(z), M_{z^k} acts as omega(z)^k, so it splits nothing
     that z has not."""
     central, powers = [], set()
-    for i in range(1, cd.count):
-        x = cd.member_at[i][0]
-        if cd.sizes[i] == 1 and x not in powers:
+    for i, x in enumerate(cd.reps.tolist()):
+        if i and cd.sizes[i] == 1 and x not in powers:
             central.append(i)
             powers.update(cd.tables.powers(x))
     return central + [i for i in range(1, cd.count) if cd.sizes[i] > 1]
@@ -589,7 +572,7 @@ def character_degrees(
         raise CapExceeded(f"{r} conjugacy classes exceed cap {class_cap}")
     order = sum(cd.sizes)
     derived, coset_at = _derived_cosets(cd)
-    coset = coset_at[[m[0] for m in cd.member_at]]
+    coset = coset_at[cd.reps]
     if (coset[cd.class_at] != coset_at).any():
         raise SelfCheckFailed("a conjugacy class meets two cosets of the derived subgroup")
     coset = coset.tolist()

@@ -5,8 +5,8 @@ multiply callable over opaque elements, and generators.  Elements only
 need to be hashable (permutations are image tuples, tuple groups are
 coefficient tuples, table groups are integers, direct products are pairs);
 they are never compared by order.  A realization may also code its
-elements as the integers range(code_space), the identity as 0, and give a
-batch right-multiply, act, over arrays of codes.  The psl2, affine/frob
+elements as the integers range(|G|), the identity as 0, and give a batch
+right-multiply, act, over arrays of codes.  The psl2, affine/frob
 and xsp families and direct products do (see catalog and direct_product).
 
 Enumeration is a breadth-first closure of the generators, one level at a
@@ -22,8 +22,9 @@ order: its products x·g are kept as index tables over those positions
 without multiplying elements again.  The tables are numpy intp arrays,
 filled a level at a time in place by a closure over codes; batch work
 gathers from them, and the scalar walks over positions (an element's
-word, its powers) read memoryviews of them.  A closure over codes keeps
-no elements; one is built on demand by multiplying along its tree path.
+word, its powers) read memoryviews of them.  The tables hold positions
+only: a closure over codes keeps no elements, and enumerate_elements
+multiplies them out along its tree.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ class GroupRealization:
     """A finite group presented by identity / multiply / generators; the
     engine reads inverses off the closure's index tables.
 
-    A realization may also code its elements as the integers
-    range(code_space), the identity as 0, and pass coding(cap), which
-    returns act(codes): codes is a 1-D integer array of element codes, and
-    the result is the (k, s) array of the codes of the products
-    codes[i]·generators[j].  From _CODES_FROM elements on, the closure
-    calls coding once, with its own cap, and is then taken over codes
-    without calling multiply; so the tables act reads are built only when
-    the group is closed.  The code space must stay within a small multiple
-    of the order, since the closure keeps one position per code.
+    A realization with an expected_order may also code its elements as
+    the integers range(expected_order), the identity as 0, and pass
+    coding(cap), which returns act(codes): codes is a 1-D integer array of
+    element codes, and the result is the (k, s) array of the codes of the
+    products codes[i]·generators[j].  From _CODES_FROM elements on, the
+    closure calls coding once, with its own cap, and is then taken over
+    codes without calling multiply; so the tables act reads are built only
+    when the group is closed.
     """
 
     def __init__(
@@ -78,7 +78,6 @@ class GroupRealization:
         descriptor: str,
         expected_order: int | None = None,
         coding: Callable | None = None,
-        code_space: int = 0,
     ):
         self.identity = identity
         self.multiply = multiply
@@ -88,7 +87,6 @@ class GroupRealization:
         self.descriptor = descriptor
         self.expected_order = expected_order
         self.coding = coding
-        self.code_space = code_space
         self._tables: IndexTables | None = None
         self._lock = threading.Lock()
 
@@ -108,24 +106,19 @@ class IndexTables:
     via are intp arrays, parent[0] = via[0] = -1, and parent is
     non-decreasing, so each breadth-first level is a run of positions.
     This discovery order is the only element order the engine uses.
-    Batch work gathers from the arrays; the scalar walks (element, word,
-    powers) step through memoryviews of them, cached on first use, which
-    read Python ints without numpy's per-item cost.
+    Batch work gathers from the arrays; the scalar walks (word, powers)
+    step through memoryviews of them, cached on first use, which read
+    Python ints without numpy's per-item cost.
 
-    stored holds the elements if the closure multiplied them; a closure over
-    codes keeps none, and an element is then built on demand by multiplying
-    along its path in the tree.  Nothing maps an element back to its
-    position.
+    elements holds the elements if the closure multiplied them; a closure
+    over codes keeps none (see enumerate_elements).  Nothing maps an
+    element back to its position.
     """
 
     right: np.ndarray
     parent: np.ndarray
     via: np.ndarray
-    identity: object = field(repr=False)
-    multiply: Callable = field(repr=False)
-    generators: list = field(repr=False)
-    stored: tuple | None = field(default=None, repr=False)
-    _built: dict = field(default_factory=dict, repr=False)  # position -> element
+    elements: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -137,20 +130,6 @@ class IndexTables:
     @cached_property
     def _tree(self) -> tuple:
         return memoryview(self.parent), memoryview(self.via)
-
-    def element(self, x: int):
-        """The element at position x."""
-        if self.stored is not None:
-            return self.stored[x]
-        built, path = self._built, []
-        parent, via = self._tree
-        while x > 0 and x not in built:
-            path.append(x)
-            x = parent[x]
-        y = built[x] if x else self.identity
-        for x in reversed(path):
-            y = built[x] = self.multiply(y, self.generators[via[x]])
-        return y
 
     def order(self, x: int) -> int:
         """The order of elements[x]."""
@@ -182,17 +161,6 @@ class IndexTables:
             x = parent[x]
         return word[::-1]
 
-    @cached_property
-    def elements(self) -> tuple:
-        """Every element in discovery order."""
-        if self.stored is not None:
-            return self.stored
-        mul, gens = self.multiply, self.generators
-        out = [self.identity]
-        for p, j in zip(self.parent[1:].tolist(), self.via[1:].tolist()):
-            out.append(mul(out[p], gens[j]))
-        return tuple(out)
-
 
 def _closure(
     identity,
@@ -201,16 +169,16 @@ def _closure(
     cap: int,
     what: str,
     coding: Callable | None = None,
-    code_space: int = 0,
+    order: int = 0,
 ) -> IndexTables:
     """Breadth-first closure of the generators, one level at a time.
 
     A level's products x·g are taken in (x, g) order and each unseen one
     takes the next position, so positions, parents and right tables are
     those of multiplying one element by one generator at a time.  With a
-    coding the level's products are one act batch over codes, looked up in
-    an array of positions by code; without it they are multiply calls,
-    keyed by themselves in a dict.
+    coding the level's products are one act batch over the codes
+    range(order), looked up in an array of positions by code; without it
+    they are multiply calls, keyed by themselves in a dict.
     """
     gens = list(generators)
     if coding is not None:
@@ -220,11 +188,8 @@ def _closure(
             # the tables act reads, such as a product's factors', are no
             # larger than the group, so the group exceeds the cap too
             raise CapExceeded(f"{what}: closure exceeded cap of {cap} elements") from None
-        right, parent, via = _code_levels(act, code_space, len(gens), cap, what)
-        stored = None
-    else:
-        right, parent, via, stored = _multiply_levels(identity, multiply, gens, cap, what)
-    return IndexTables(right, parent, via, identity, multiply, gens, stored)
+        return IndexTables(*_code_levels(act, order, len(gens), cap, what))
+    return IndexTables(*_multiply_levels(identity, multiply, gens, cap, what))
 
 
 def _multiply_levels(identity, multiply, gens, cap, what):
@@ -251,12 +216,13 @@ def _multiply_levels(identity, multiply, gens, cap, what):
     return right, parent, via, tuple(keys)  # a dict keeps insertion order
 
 
-def _code_levels(act, code_space, s, cap, what):
-    at = np.full(code_space, -1, dtype=np.intp)  # the position of each code
+def _code_levels(act, order, s, cap, what):
+    at = np.full(order, -1, dtype=np.intp)  # the position of each code
     at[0] = 0
-    # each position has its own code, so there are at most code_space; the
-    # tables are filled a level at a time in place
-    size = min(code_space, cap)
+    # each position has its own code, so there are at most order positions;
+    # the tables are filled a level at a time in place, and cut to the
+    # positions found if the closure ends short of the order
+    size = min(order, cap)
     right = np.empty((s, size), dtype=np.intp)
     parent, via = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
     parent[:1] = via[:1] = -1
@@ -293,10 +259,10 @@ def _code_levels(act, code_space, s, cap, what):
 def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> IndexTables:
     """The closure of the generators with its multiplication tables;
     cached after the first call.  It runs over codes if the group has a
-    coding and _CODES_FROM codes or more."""
+    coding and an order of _CODES_FROM or more."""
     with group._lock:
         if group._tables is None:
-            coded = group.coding is not None and group.code_space >= _CODES_FROM
+            coded = group.coding is not None and group.expected_order >= _CODES_FROM
             t = _closure(
                 group.identity,
                 group.multiply,
@@ -304,7 +270,7 @@ def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> Ind
                 cap,
                 group.descriptor,
                 group.coding if coded else None,
-                group.code_space,
+                group.expected_order,
             )
             n = len(t)
             if group.expected_order is not None and n != group.expected_order:
@@ -320,8 +286,17 @@ def index_tables(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> Ind
 
 
 def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
-    """All elements of the group in discovery order, the identity first."""
-    return index_tables(group, cap).elements
+    """All elements of the group in discovery order, the identity first.  A
+    closure over codes keeps none, so they are multiplied out along its
+    tree."""
+    t = index_tables(group, cap)
+    if t.elements is not None:
+        return t.elements
+    mul, gens = group.multiply, group.generators
+    out = [group.identity]
+    for p, j in zip(t.parent[1:].tolist(), t.via[1:].tolist()):
+        out.append(mul(out[p], gens[j]))
+    return tuple(out)
 
 
 def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -378,5 +353,4 @@ def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization
         descriptor=f"prod({g.descriptor},{h.descriptor})",
         expected_order=expected,
         coding=coding if expected else None,
-        code_space=expected or 0,
     )

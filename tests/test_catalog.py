@@ -24,7 +24,7 @@ from chardeg.catalog import (
 )
 from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
 from chardeg.ffield import digits, multiplier, undigits
-from chardeg.groups import enumerate_elements, exponent
+from chardeg.groups import enumerate_elements, exponent, index_tables
 
 from group_facts import group_data
 
@@ -274,3 +274,32 @@ def test_order_72_witnesses_close_their_complement_once(name, monkeypatch):
     assert closed == ["matrix group over F_3"]
     assert g.expected_order == 72
     assert len(enumerate_elements(g)) == 72
+
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("named:A4A4", ["matrix group over F_2", "named:A4A4", "named:A4"]),
+        (
+            "prod(frob:67^1:3,frob:67^1:3)",
+            ["prod(frob:67^1:3,frob:67^1:3)", "frob:67^1:3", "matrix group over F_67"],
+        ),
+    ],
+)
+def test_square_closes_its_factor_once(text, want, monkeypatch):
+    """prod(w, w) realizes w once and takes it as both factors, so w and
+    its matrix group are each closed once."""
+    from chardeg import groups
+
+    closed = []
+    closure = groups._closure
+
+    def counted(*args, **kwargs):
+        closed.append(args[4])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    g = realize(parse_spec(text))
+    assert len(index_tables(g)) == g.expected_order
+    assert closed == want

@@ -10,7 +10,7 @@ import signal
 
 import pytest
 
-from chardeg import __version__, cli
+from chardeg import __version__, cli, errors
 from chardeg.cli import run
 
 
@@ -465,14 +465,30 @@ def test_recursion_and_interrupt_exit_codes(capsys, monkeypatch, exc, code, mess
 
 
 def test_verify_failure_exits_1(capsys):
-    # degree 7 with an inflated oracle cap is still fine; a failing check is
-    # simulated by asking for a degree whose catalog minimum fails its claim.
+    # degree 7's witness is honest, so verify exits 0; the exit 1 of a
+    # failing self-check is test_self_check_failure_exits_1's.
     code, out, _ = invoke(
         capsys, "verify", "--degree", "7", "--format", "json", "--no-timestamp"
     )
     assert code == 0  # honest witness: no failure
     data = json.loads(out)
     assert data["status"] == "Exhaustive"
+
+
+@pytest.mark.parametrize(
+    "exc", [errors.SelfCheckFailed, errors.NotPerfectSquare, errors.SumOfSquaresMismatch]
+)
+def test_self_check_failure_exits_1(capsys, monkeypatch, exc):
+    """A failed self-check of the engine exits 1, with one error line."""
+
+    def fail(*args, **kwargs):
+        raise exc("walked order does not divide |G|")
+
+    monkeypatch.setattr(cli, "character_degrees", fail)
+    code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert err == "ERROR: internal verification failure: walked order does not divide |G|\n"
 
 
 # ------------------------------------------------------ settings precedence

@@ -88,21 +88,28 @@ def reference_classes(g):
     return tuple(reps), tuple(sizes), class_of, inverse_class, members
 
 
-def class_of(cd):
-    """The class of each element, from class_at over the tables' elements."""
-    return dict(zip(cd.tables.elements, cd.class_at))
+def class_of(g, cd):
+    """The class of each element, from class_at over g's elements."""
+    return dict(zip(enumerate_elements(g), cd.class_at))
+
+
+def rep_elements(g, cd):
+    """The representatives as elements, from their positions."""
+    els = enumerate_elements(g)
+    return tuple(els[x] for x in cd.reps.tolist())
 
 
 def reference_class_matrix(g, cd, i):
     """a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}, one product per x and k."""
     r = cd.count
     a = np.zeros((r, r), dtype=np.int64)
-    classes = class_of(cd)
-    for x in cd.tables.elements:
+    classes = class_of(g, cd)
+    reps = rep_elements(g, cd)
+    for x in enumerate_elements(g):
         if classes[x] != i:
             continue
         xi = inverse(g, x)
-        for k, z in enumerate(cd.reps):
+        for k, z in enumerate(reps):
             a[classes[g.multiply(xi, z)], k] += 1
     return a
 
@@ -215,12 +222,14 @@ def test_index_engine_matches_reference(build):
     g = build()
     cd = conjugacy_classes(g)
     reps, sizes, classes, inverse_class, members = reference_classes(g)
-    els = cd.tables.elements
-    assert cd.reps == reps
+    els = enumerate_elements(g)
+    assert cd.reps.dtype == np.intp
+    assert rep_elements(g, cd) == reps
     assert cd.sizes == sizes
-    assert class_of(cd) == classes
+    assert class_of(g, cd) == classes
     assert cd.inverse_class == inverse_class
-    assert tuple(tuple(els[x] for x in m) for m in cd.member_at) == members
+    got = tuple(tuple(els[x] for x in cd.members(k).tolist()) for k in range(cd.count))
+    assert got == members
     for i in range(cd.count):
         got = class_matrix(g, cd, i)
         assert got.dtype == np.int64
@@ -318,10 +327,11 @@ def test_abelian_classes_are_singletons():
 
 
 def test_sym3_classes():
-    cd = conjugacy_classes(make("named:S3"))
+    g = make("named:S3")
+    cd = conjugacy_classes(g)
     assert sorted(cd.sizes) == [1, 2, 3]
     assert cd.sizes[0] == 1
-    at = cd.tables.elements.index
+    at = enumerate_elements(g).index
     assert cd.sizes[cd.class_at[at((0, 2, 1))]] == 3  # the transpositions
     assert cd.sizes[cd.class_at[at((1, 2, 0))]] == 2  # the 3-cycles
 
@@ -350,14 +360,15 @@ def test_class_counts(text, count):
 
 def test_class_data_reps_first_discovered():
     cd = conjugacy_classes(make("named:A4"))
-    els = cd.tables.elements
-    positions = sorted(x for m in cd.member_at for x in m)
-    assert positions == list(range(len(els)))  # member_at partitions them
-    for k, m in enumerate(cd.member_at):
+    members = [cd.members(k).tolist() for k in range(cd.count)]
+    positions = sorted(x for m in members for x in m)
+    assert positions == list(range(len(cd.tables)))  # the classes partition them
+    for k, m in enumerate(members):
         assert m == sorted(m)
         assert all(cd.class_at[x] == k for x in m)
-        assert cd.reps[k] == els[m[0]]
-    firsts = [m[0] for m in cd.member_at]
+        assert cd.reps[k] == m[0]
+        assert cd.sizes[k] == len(m)
+    firsts = cd.reps.tolist()
     assert firsts == sorted(firsts)  # classes are numbered by first member
 
 
@@ -374,7 +385,7 @@ def test_identity_class_matrix():
 def test_transposition_pairs_hitting_identity():
     g = make("named:S3")
     cd = conjugacy_classes(g)
-    t = cd.class_at[cd.tables.elements.index((0, 2, 1))]
+    t = cd.class_at[enumerate_elements(g).index((0, 2, 1))]
     m = class_matrix(g, cd, t)
     assert m[t][0] == 3  # three pairs (t, t^-1) multiply to the identity
 
@@ -422,7 +433,8 @@ def test_dixon_modulus(text, modulus):
     assert l == modulus
     assert l > len(enumerate_elements(g))
     assert (l - 1) % exponent(g) == 0
-    assert exponent(g) == lcm(*(element_order(g, x) for x in conjugacy_classes(g).reps))
+    reps = rep_elements(g, conjugacy_classes(g))
+    assert exponent(g) == lcm(*(element_order(g, x) for x in reps))
 
 
 ORDER_CASES = REFERENCE_CASES + [
@@ -438,8 +450,8 @@ def test_walked_orders_match_element_order(build):
     """Orders walked over the index tables equal those got by multiplying."""
     g = build()
     cd = conjugacy_classes(g)
-    walked = [cd.tables.order(m[0]) for m in cd.member_at]
-    assert walked == [element_order(g, x) for x in cd.reps]
+    walked = [cd.tables.order(x) for x in cd.reps.tolist()]
+    assert walked == [element_order(g, x) for x in rep_elements(g, cd)]
 
 
 @pytest.mark.parametrize(
@@ -570,8 +582,8 @@ def test_derived_cosets_match_element_path(build):
     n = len(cd.tables)
     assert (np.bincount(coset_at) == derived).all()
     assert len(np.bincount(coset_at)) == n // derived
-    for m in cd.member_at:
-        assert len(set(coset_at[m].tolist())) == 1
+    for k in range(cd.count):
+        assert len(set(coset_at[cd.members(k)].tolist())) == 1
 
 
 @pytest.mark.parametrize(
@@ -611,7 +623,8 @@ def test_no_element_arithmetic_after_the_closure(text):
     cd = conjugacy_classes(g)
     derived, _ = degrees._derived_cosets(cd)
     reps, sizes, _, inverse_class, _ = reference_classes(ref)
-    assert (cd.reps, cd.sizes, cd.inverse_class) == (reps, sizes, inverse_class)
+    got = (rep_elements(g, cd), cd.sizes, cd.inverse_class)
+    assert got == (reps, sizes, inverse_class)
     assert derived == derived_subgroup_order(ref)
 
 
@@ -636,7 +649,8 @@ def wrong_cosets(monkeypatch, move):
 
 def test_class_meeting_two_cosets_is_caught(monkeypatch):
     def move(derived, coset_at, cd):
-        x = next(m for m in cd.member_at if len(m) > 1)[-1]  # not the rep
+        k = next(k for k, size in enumerate(cd.sizes) if size > 1)
+        x = cd.members(k)[-1]  # not the rep
         coset_at[x] = (coset_at[x] + 1) % coset_at.max()
         return derived, coset_at
 
@@ -682,8 +696,8 @@ def test_split_order_keeps_one_central_class_per_cyclic_subgroup():
     kept = order[:4]
     assert len(central) == 8 and set(kept) < set(central)
     assert order[4:] == [i for i in range(1, cd.count) if cd.sizes[i] > 1]
-    powers = {x for i in kept for x in cd.tables.powers(cd.member_at[i][0])}
-    assert {cd.member_at[i][0] for i in central} < powers
+    powers = {x for i in kept for x in cd.tables.powers(int(cd.reps[i]))}
+    assert {int(cd.reps[i]) for i in central} < powers
 
 
 # -------------------------------------------------------------- closed forms

@@ -98,7 +98,7 @@ def test_word_multiplies_out_to_its_element():
     g = sym3()
     t = index_tables(g)
     assert t.word(0) == []
-    for x, e in enumerate(t.elements):
+    for x, e in enumerate(enumerate_elements(g)):
         y = g.identity
         for j in t.word(x):
             y = g.multiply(y, g.generators[j])
@@ -178,35 +178,35 @@ def coded(monkeypatch):
 # the closure over codes replaced.
 @pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
 def test_closure_over_rows_matches_multiply(text, coded):
-    """The closure over codes gives the positions, tables and elements of
-    the closure by multiply."""
+    """The closure over codes gives the positions and tables of the closure
+    by multiply, and its elements multiplied out along the tree are the
+    ones the closure by multiply keeps."""
     g = realize(parse_spec(text))
     assert g.coding is not None  # every spec is coded
     codes, ref = index_tables(g), index_tables(without_coding(g))
-    assert codes.stored is None
+    assert codes.elements is None
+    assert codes.right.flags.c_contiguous
     for name in ("right", "parent", "via"):
         a, b = getattr(codes, name), getattr(ref, name)
         assert a.dtype == b.dtype == np.intp, name
         assert np.array_equal(a, b), name
-    for x in (0, 1, len(ref) // 2, len(ref) - 1):
-        assert codes.element(x) == ref.elements[x]
-    assert codes.elements == ref.elements
+    assert enumerate_elements(g) == ref.elements
 
 
 def assert_class_walks_agree(t):
     """The numpy walk over levels and the Python walk over positions give
     the same classes on the same tables."""
     levels, walk = degrees._level_classes(t), degrees._walk_classes(t)
-    assert levels[0].dtype == walk[0].dtype == np.intp
-    assert np.array_equal(levels[0], walk[0])  # class_at
-    # member_at, whose lengths are the sizes, and inverse_class
-    assert levels[1:] == walk[1:]
+    assert levels[:2] == walk[:2]  # sizes and inverse_class
+    for a, b in zip(levels[2:], walk[2:]):  # class_at and reps
+        assert a.dtype == b.dtype == np.intp
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("text", EQUIVALENCE_SPECS)
 def test_class_walks_agree_over_codes(text, coded):
     t = index_tables(realize(parse_spec(text)))
-    assert t.stored is None  # conjugacy_classes walks it by levels
+    assert t.elements is None  # conjugacy_classes walks it by levels
     assert_class_walks_agree(t)
 
 
@@ -214,7 +214,7 @@ def test_class_walks_agree_over_codes(text, coded):
 def test_class_walks_agree_on_cayley_tables(order):
     for table in enumerate_groups(order):
         t = index_tables(table_to_realization(table))
-        assert t.stored is not None  # conjugacy_classes walks it in Python
+        assert t.elements is not None  # conjugacy_classes walks it in Python
         assert_class_walks_agree(t)
 
 
@@ -256,50 +256,45 @@ CODED_SPECS = [
 
 def test_codes_lie_below_code_space(coded):
     """Each family's codes are exactly range(|G|): act maps every code below
-    the code space, each generator permutes the codes, and the closure
-    reaches all of them."""
+    the order, each generator permutes the codes, and the closure reaches
+    all of them."""
     for text in CODED_SPECS:
         g = realize(parse_spec(text))
-        assert g.code_space == g.expected_order, text
-        prods = g.coding(g.code_space)(np.arange(g.code_space))
-        assert prods.shape == (g.code_space, len(g.generators)), text
+        n = g.expected_order
+        prods = g.coding(n)(np.arange(n))
+        assert prods.shape == (n, len(g.generators)), text
         for col in prods.T:
-            assert (np.sort(col) == np.arange(g.code_space)).all(), text
-        assert len(index_tables(g)) == g.code_space, text
+            assert (np.sort(col) == np.arange(n)).all(), text
+        assert len(index_tables(g)) == n, text
     # 257 points: the image tuples rebuilt from the codes keep point 256
-    t = index_tables(realize(parse_spec("affine:257^1:16")))
-    assert len(t) == 257 * 4
-    assert max(max(e) for e in t.elements) == 256
+    els = enumerate_elements(realize(parse_spec("affine:257^1:16")))
+    assert len(els) == 257 * 4
+    assert max(max(e) for e in els) == 256
 
 
-def test_code_space_may_exceed_the_order():
-    """Codes need only lie below the code space: the tables of Z70 coded
-    by its elements in a code space of 140 have one entry per element."""
-    n = 70
+def test_coded_closure_short_of_its_order_is_caught():
+    """Adding 2 to the codes of Z70 reaches only the 35 even ones: the
+    closure over codes ends short of the order, its tables are cut to the
+    positions found, and index_tables' order check fires."""
     g = GroupRealization(
         identity=0,
-        multiply=lambda a, b: (a + b) % n,
-        generators=[1],
-        descriptor="Z70 in 140 codes",
-        expected_order=n,
-        coding=lambda cap: lambda codes: ((codes + 1) % n)[:, None],
-        code_space=2 * n,
+        multiply=None,  # never called: 70 codes are closed over codes
+        generators=[2],
+        descriptor="Z70 by 2",
+        expected_order=70,
+        coding=lambda cap: lambda codes: ((codes + 2) % 70)[:, None],
     )
-    t = index_tables(g)
-    assert t.stored is None
-    assert t.right.shape == (1, n) and t.right.flags.c_contiguous
-    assert np.array_equal(t.right[0], (np.arange(n) + 1) % n)
-    assert np.array_equal(t.parent, np.arange(-1, n - 1))
-    assert np.array_equal(t.via, [-1] + [0] * (n - 1))
+    with pytest.raises(SelfCheckFailed, match="Z70 by 2: realized 35 elements, expected 70"):
+        index_tables(g)
 
 
 def test_small_groups_close_by_multiply():
     """Below groups._CODES_FROM elements a level of numpy calls costs more
     than its few products, so small coded groups are closed by multiply."""
     small, large = realize(parse_spec("frob:2^3:7")), realize(parse_spec("frob:2^4:5"))
-    assert (small.code_space, large.code_space) == (56, 80)
-    assert index_tables(small).stored is not None
-    assert index_tables(large).stored is None
+    assert (small.expected_order, large.expected_order) == (56, 80)
+    assert index_tables(small).elements is not None
+    assert index_tables(large).elements is None
     assert groups._CODES_FROM == 64
 
 
