@@ -104,14 +104,15 @@ class DegreeCache:
                 log.warning("cache line %d corrupt, skipping: %s", i, exc)
         return entries
 
-    def lookup(self, spec_text: str, engine_version: str, order: int) -> CacheEntry | None:
-        """The first entry for the spec and engine whose order is the spec's."""
+    def lookup(self, spec_text: str, engine_version: str, order) -> CacheEntry | None:
+        """The first entry for the spec and engine whose order is the spec's,
+        order(), a callable that is called only on lines of the spec and engine."""
         for entry in self._load():
             if (entry.spec_text, entry.engine_version) != (spec_text, engine_version):
                 continue
-            if entry.order == order:
+            if entry.order == order():
                 return entry
-            log.warning("cache entry of order %d, not %d, skipping", entry.order, order)
+            log.warning("cache entry of order %d, not %d, skipping", entry.order, order())
         return None
 
     def store(self, entry: CacheEntry):

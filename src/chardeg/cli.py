@@ -285,7 +285,7 @@ def _cmd_degrees(args, settings) -> int:
     spec = parse_spec(args.spec)
     canonical = spec_text(spec)
     cache = DegreeCache(settings.cache_dir) if args.cache else None
-    order = expected_order(spec, settings.element_cap) if cache else None
+    order = functools.cache(functools.partial(expected_order, spec, settings.element_cap))
     entry = cache.lookup(canonical, __version__, order) if cache else None
     cached = entry is not None
     if entry is None:

@@ -17,7 +17,8 @@ The degree multiset of a finite group is computed from first principles:
      coset sum to zero}, of dimension r − |G:G′|,
   5. simultaneous eigenspaces of the commuting M_i on W over F_l: each
      common eigenvector, normalized to coordinate 1 at the identity class,
-     is the vector of central character values w_i = |C_i| chi(g_i) / chi(1),
+     is the vector of central character values w_i = |C_i| chi(g_i) / chi(1);
+     M_i splits each subspace in one Krylov pass (see _eigenspaces),
   6. sum_i w_i w_{i'} / |C_i| = |G| / chi(1)^2 then recovers each non-linear
      degree.
 
@@ -26,16 +27,19 @@ products are provided as independent cross-checks of the same quantities.
 Eigen-splitting is deterministic: it starts from W's reduced row echelon
 basis, consumes the central classes (size 1) first and then the others,
 each in ascending class index, takes eigenvalues in ascending residue
-order, and keeps subspace bases in reduced row echelon form.  A central z
-acts on the characters by their central character, so it is a cheap matrix
-that separates them early; a power of an earlier central z separates
-nothing more, and is skipped.
+order, and keeps subspace bases in reduced row echelon form, which are
+unique: the pseudo-random rows a Krylov pass starts from change nothing.  A
+central z acts on the characters by their central character, so it is a
+cheap matrix that separates them early; a power of an earlier central z
+separates nothing more, and is skipped.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from math import isqrt, lcm
 
 import numpy as np
@@ -435,19 +439,6 @@ def _rref(a: np.ndarray, l: int):
     return a[: len(piv)], piv
 
 
-def _kernel(a: np.ndarray, l: int) -> np.ndarray:
-    """Rows spanning {x : a @ x = 0 mod l}."""
-    n = a.shape[1]
-    r, piv = _rref(a, l)
-    is_free = np.ones(n, dtype=bool)
-    is_free[piv] = False
-    free = is_free.nonzero()[0]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, piv] = -r[:, free].T % l
-    return basis
-
-
 def _hessenberg(a: np.ndarray, l: int) -> np.ndarray:
     """Similarity-reduce to upper Hessenberg form mod l."""
     a = a % l
@@ -460,12 +451,10 @@ def _hessenberg(a: np.ndarray, l: int) -> np.ndarray:
         if p != c + 1:
             a[[c + 1, p]] = a[[p, c + 1]]
             a[:, [c + 1, p]] = a[:, [p, c + 1]]
-        inv = pow(int(a[c + 1, c]), l - 2, l)
-        for rr in range(c + 2, n):
-            f = int(a[rr, c]) * inv % l
-            if f:
-                a[rr] = (a[rr] - f * a[c + 1]) % l
-                a[:, c + 1] = (a[:, c + 1] + f * a[:, rr]) % l
+        # rows c+2.. lose f·row c+1, then column c+1 gains f·their columns
+        f = a[c + 2 :, c] * pow(int(a[c + 1, c]), l - 2, l) % l
+        a[c + 2 :] = (a[c + 2 :] - f[:, None] * a[c + 1]) % l
+        a[:, c + 1] = (a[:, c + 1] + a[:, c + 2 :] @ f) % l
     return a
 
 
@@ -490,13 +479,85 @@ def _charpoly(h: np.ndarray, l: int) -> np.ndarray:
     return polys[n]
 
 
-def _poly_roots(poly: np.ndarray, l: int) -> list[int]:
-    """All roots in F_l, ascending, by evaluating at every residue."""
+def _poly_roots(poly: list[int], l: int) -> np.ndarray:
+    """All roots in F_l, ascending: in-place Horner passes over every residue."""
     xs = np.arange(l, dtype=np.int64)
-    vals = np.zeros(l, dtype=np.int64)
-    for c in poly[::-1]:
-        vals = (vals * xs + int(c)) % l
-    return [int(x) for x in np.nonzero(vals == 0)[0]]
+    vals = np.full(l, poly[-1], dtype=np.int64)
+    for c in poly[-2::-1]:
+        vals *= xs
+        vals += c
+        vals %= l
+    return np.flatnonzero(vals == 0)
+
+
+def _poly_divmod(a: list[int], b: list[int], l: int):
+    """Quotient and remainder of a by b over F_l, as lists of coefficients,
+    ascending; b's top one is nonzero, and so is the remainder's."""
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], l - 2, l)
+    q = [0] * (len(a) - db)
+    for t in range(len(a) - 1, db - 1, -1):
+        q[t - db] = f = a[t] * inv % l
+        for i in range(db):
+            a[t - db + i] = (a[t - db + i] - f * b[i]) % l
+    while len(a) > db or a and not a[-1]:  # the remainder, without zeros on top
+        a.pop()
+    return q, a
+
+
+def _squarefree(cp: list[int], l: int):
+    """(g, h) for monic cp over F_l: h = gcd(cp, cp′) and g = cp / h.  As
+    deg cp < l, a root of multiplicity m in cp has m − 1 in h and 1 in g."""
+    a, b = cp, [i * c % l for i, c in enumerate(cp)][1:]  # cp′, of degree d − 1
+    while b:
+        a, b = b, _poly_divmod(a, b, l)[1]
+    h = [c * pow(a[-1], l - 2, l) % l for c in a]
+    return _poly_divmod(cp, h, l)[0], h
+
+
+def _multiplicity(h: list[int], lam: int, l: int) -> int:
+    """lam's multiplicity in cp: one more than the times x − lam divides h."""
+    m, (q, r) = 1, _poly_divmod(h, [-lam % l, 1], l)
+    while not r:
+        m, (q, r) = m + 1, _poly_divmod(q, [-lam % l, 1], l)
+    return m
+
+
+def _start_rows(s: int, d: int, l: int) -> np.ndarray:
+    """s rows of length d over F_l from 64 random bits an entry, seeded by d."""
+    bits = random.Random(d).getrandbits(64 * s * d).to_bytes(8 * s * d, "little")
+    return (np.frombuffer(bits, dtype=np.uint64) % l).astype(np.int64).reshape(s, d)
+
+
+def _eigenspaces(rmat: np.ndarray, l: int) -> list:
+    """The left eigenspaces {c : c·R = λc} of R = rmat over F_l, ascending
+    in λ, each as its reduced row echelon basis and pivot columns.
+
+    The λ_j are the roots of g, the squarefree part of det(xI − R), of
+    multiplicities m_j.  For diagonalizable R, g(R) = 0 and the rows of
+    U·L_j(R), L_j = g/(x − λ_j), span λ_j's eigenspace unless the max m_j + 1
+    start rows U miss part of it, when the round reruns with U = I.  One
+    Krylov pass U·R^t, t ≤ deg g, times the coefficients of the L_j and g
+    gives them all, and U·g(R) = U·L_j(R)·(R − λ_j) checks every row.  On W,
+    d < r: each product's d + 1 terms of at most (l − 1)² are inside the guard.
+    """
+    d = len(rmat)
+    g, h = _squarefree(_charpoly(_hessenberg(rmat, l), l).tolist(), l)
+    lam = _poly_roots(g, l).tolist()
+    m = [_multiplicity(h, x, l) for x in lam]
+    if sum(m) != d:  # cp has a factor with no root in F_l
+        raise SelfCheckFailed("class matrix not diagonalizable mod modulus")
+    coef = np.array([_poly_divmod(g, [-x % l, 1], l)[0] + [0] for x in lam] + [g])
+    for u in _start_rows(max(m) + 1, d, l), np.eye(d, dtype=np.int64):
+        krylov = accumulate(range(len(lam)), lambda x, _: x @ rmat % l, initial=u)
+        y = coef @ np.array(list(krylov)).reshape(len(coef), -1) % l
+        if y[-1].any():
+            raise SelfCheckFailed("class matrix not diagonalizable mod modulus")
+        spaces = [_rref(yj.reshape(len(u), d), l) for yj in y[:-1]]
+        if [len(q) for _, q in spaces] == m:
+            return spaces
+    if not all(q for _, q in spaces):
+        raise SelfCheckFailed("eigenvalue with empty eigenspace")
+    raise SelfCheckFailed("class matrix not diagonalizable mod modulus")
 
 
 # ------------------------------------------------------------ eigen splitting
@@ -527,20 +588,11 @@ def _split_common_eigenvectors(matrices, order, b, piv, l: int) -> list[np.ndarr
                 done.append((b, piv))
                 continue
             rmat = b @ mt[:, piv] % l  # b @ mt = rmat @ b since b[:, piv] = I
-            eye = np.eye(rmat.shape[0], dtype=np.int64)
-            if (rmat == rmat[0, 0] * eye).all():
+            if (rmat == rmat[0, 0] * np.eye(len(rmat), dtype=np.int64)).all():
                 done.append((b, piv))
                 continue
-            cp = _charpoly(_hessenberg(rmat.copy(), l), l)
-            dim = 0
-            for lam in _poly_roots(cp, l):
-                coords = _kernel((rmat - lam * eye).T % l, l)
-                if coords.shape[0] == 0:
-                    raise SelfCheckFailed("eigenvalue with empty eigenspace")
-                dim += coords.shape[0]
-                done.append(_rref(coords @ b % l, l))
-            if dim != b.shape[0]:
-                raise SelfCheckFailed("class matrix not diagonalizable mod modulus")
+            # c reduced with pivots q makes c·b reduced with pivots piv[q]
+            done += [(c @ b % l, [piv[x] for x in q]) for c, q in _eigenspaces(rmat, l)]
         subspaces = done
     if any(b.shape[0] != 1 for b, _ in subspaces):
         raise SelfCheckFailed("common eigenspaces did not split to dimension one")
@@ -584,17 +636,14 @@ def character_degrees(
         basis = np.zeros((len(piv), r), dtype=np.int64)  # e_k − e_last of k's coset
         basis[range(len(piv)), piv] = 1
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
-        size_invs = [pow(s, l - 2, l) for s in cd.sizes]
+        size_invs = np.array([pow(s, l - 2, l) for s in cd.sizes], dtype=np.int64)
         for v in _split_common_eigenvectors(
             lambda i: class_matrix(g, cd, i), _split_order(cd), basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")
-            inv = pow(int(v[0]), l - 2, l)
-            w = [int(x) * inv % l for x in v]  # central character, w[0] = 1
-            t = 0
-            for j in range(r):
-                t = (t + w[j] * w[cd.inverse_class[j]] * size_invs[j]) % l
+            w = v * pow(int(v[0]), l - 2, l) % l  # central character, w[0] = 1
+            t = int((w * np.take(w, cd.inverse_class) % l * size_invs % l).sum() % l)
             if t == 0:
                 raise SelfCheckFailed("vanishing norm for a central character")
             dd = order * pow(t, l - 2, l) % l

@@ -51,17 +51,17 @@ def test_utc_now_shape():
 
 def test_store_then_lookup(tmp_path):
     cache = DegreeCache(tmp_path)
-    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
+    assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) is None
     e = entry()
     cache.store(e)
-    assert cache.lookup("cyclic:6", "0.1.0", 6) == e
+    assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) == e
 
 
 def test_lookup_keyed_by_engine_version(tmp_path):
     cache = DegreeCache(tmp_path)
     cache.store(entry(version="0.0.9"))
-    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
-    assert cache.lookup("cyclic:6", "0.0.9", 6) is not None
+    assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) is None
+    assert cache.lookup("cyclic:6", "0.0.9", lambda: 6) is not None
 
 
 def test_lookup_skips_entry_of_another_order(tmp_path, caplog):
@@ -70,17 +70,17 @@ def test_lookup_skips_entry_of_another_order(tmp_path, caplog):
     right = CacheEntry("named:S3", 6, (1, 1, 2), "0.1.0", utc_now())
     cache.store(wrong)  # obeys the degree laws, but S3 has order 6
     with caplog.at_level("WARNING"):
-        assert cache.lookup("named:S3", "0.1.0", 6) is None
+        assert cache.lookup("named:S3", "0.1.0", lambda: 6) is None
     assert any("order 12, not 6" in r.getMessage() for r in caplog.records)
     cache.store(right)
-    assert cache.lookup("named:S3", "0.1.0", 6) == right
-    assert cache.lookup("named:S3", "0.1.0", 12) == wrong
+    assert cache.lookup("named:S3", "0.1.0", lambda: 6) == right
+    assert cache.lookup("named:S3", "0.1.0", lambda: 12) == wrong
 
 
 def test_lookup_keyed_by_spec_text(tmp_path):
     cache = DegreeCache(tmp_path)
     cache.store(entry(spec="cyclic:6"))
-    assert cache.lookup("cyclic:7", "0.1.0", 6) is None
+    assert cache.lookup("cyclic:7", "0.1.0", lambda: 6) is None
 
 
 def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
@@ -90,7 +90,7 @@ def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
         fh.write("not json at all\n")
         fh.write(json.dumps({"spec_text": "x"}) + "\n")  # missing fields
     with caplog.at_level("WARNING"):
-        found = cache.lookup("cyclic:6", "0.1.0", 6)
+        found = cache.lookup("cyclic:6", "0.1.0", lambda: 6)
     assert found is not None
     assert any("skip" in r.message or "cache" in r.message for r in caplog.records)
 
@@ -101,7 +101,7 @@ def test_corrupt_invariant_line_skipped(tmp_path):
     bad["order"] = 7  # breaks the sum-of-squares invariant
     with open(cache.path.parent / "degrees.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(bad) + "\n")
-    assert cache.lookup("cyclic:6", "0.1.0", 6) is None
+    assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) is None
     assert cache.stats()["entries"] == 0
 
 
@@ -117,7 +117,7 @@ def test_store_drops_lines_that_fail_their_checks(tmp_path, caplog):
     with open(cache.path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(bad) + "\n")
     with caplog.at_level("WARNING"):
-        assert cache.lookup("cyclic:1", "0.1.0", 1) is None
+        assert cache.lookup("cyclic:1", "0.1.0", lambda: 1) is None
     assert [r.getMessage()[:23] for r in caplog.records] == ["cache line 2 corrupt, s"]
     good = CacheEntry("cyclic:1", 1, (1,), "0.1.0", utc_now())
     cache.store(good)
@@ -125,8 +125,8 @@ def test_store_drops_lines_that_fail_their_checks(tmp_path, caplog):
     assert [CacheEntry.from_json(line) for line in lines] == [first, good]
     caplog.clear()
     with caplog.at_level("WARNING"):
-        assert cache.lookup("cyclic:1", "0.1.0", 1) == good
-        assert cache.lookup("cyclic:6", "0.1.0", 6) == first
+        assert cache.lookup("cyclic:1", "0.1.0", lambda: 1) == good
+        assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) == first
     assert not caplog.records
 
 
@@ -136,8 +136,8 @@ def test_store_keeps_a_last_line_without_newline(tmp_path):
     cache.path.write_text(first.to_json(), encoding="utf-8")  # no trailing newline
     second = entry(spec="cyclic:7")
     cache.store(second)
-    assert cache.lookup("cyclic:6", "0.1.0", 6) == first
-    assert cache.lookup("cyclic:7", "0.1.0", 6) == second
+    assert cache.lookup("cyclic:6", "0.1.0", lambda: 6) == first
+    assert cache.lookup("cyclic:7", "0.1.0", lambda: 6) == second
 
 
 def test_stats_and_clear(tmp_path):

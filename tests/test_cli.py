@@ -10,7 +10,7 @@ import signal
 
 import pytest
 
-from chardeg import __version__, cli, errors
+from chardeg import __version__, cli, errors, groups
 from chardeg.cli import run
 
 
@@ -614,6 +614,28 @@ def test_cache_agrees_with_uncached_run(capsys, tmp_path):
     _, first, _ = invoke(capsys, *cached)
     _, second, _ = invoke(capsys, *cached)
     assert plain == first == second
+
+
+def test_cache_closes_affine_matrices_once(capsys, monkeypatch, tmp_path):
+    """A miss closes the matrix group of an affine spec once, for realize;
+    a hit closes it once, for the order its line is checked against."""
+    closed = []
+    closure = groups._closure
+
+    def counted(*args):
+        closed.append(args[4])  # the descriptor
+        return closure(*args)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    argv = (
+        "degrees", "--spec", "affine:3^2:0,2,1,0;1,0,0,2", "--cache",
+        "--cache-dir", str(tmp_path), "--format", "json", "--no-timestamp",
+    )
+    _, miss, _ = invoke(capsys, *argv)
+    assert closed.count("matrix group over F_3") == 1
+    closed.clear()
+    _, hit, _ = invoke(capsys, *argv)
+    assert closed == ["matrix group over F_3"] and hit == miss
 
 
 def test_cache_hit_reported_on_stderr_only(capsys, tmp_path):

@@ -138,15 +138,27 @@ def reference_rref(a, l):
     return a[: len(piv)], piv
 
 
-def reference_split(g, cd, l):
-    """Common eigenvectors of every class matrix on the whole class space:
-    the identity basis, class matrices consumed in ascending class index."""
-    r = cd.count
-    subspaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    for i in range(1, r):
+def reference_kernel(a, l):
+    """Rows spanning {x : a @ x = 0 mod l}, one per free column of a's
+    reduced row echelon form."""
+    n = a.shape[1]
+    r, piv = reference_rref(a, l)
+    free = [c for c in range(n) if c not in piv]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, piv] = -r[:, free].T % l
+    return basis
+
+
+def kernel_split(matrices, order, b, piv, l):
+    """degrees._split_common_eigenvectors by one kernel per eigenvalue:
+    each eigenspace of the restricted matrix R is the kernel of (R − λI)ᵀ,
+    for every root λ of R's characteristic polynomial."""
+    subspaces = [(b, piv)] if len(b) else []
+    for i in order:
         if all(b.shape[0] == 1 for b, _ in subspaces):
             break
-        mt = class_matrix(g, cd, i).T % l
+        mt = matrices(i).T % l
         done = []
         for b, piv in subspaces:
             if b.shape[0] == 1:
@@ -157,13 +169,22 @@ def reference_split(g, cd, l):
             if (rmat == rmat[0, 0] * eye).all():
                 done.append((b, piv))
                 continue
-            cp = degrees._charpoly(degrees._hessenberg(rmat.copy(), l), l)
-            for lam in degrees._poly_roots(cp, l):
-                coords = degrees._kernel((rmat - lam * eye).T % l, l)
+            cp = degrees._charpoly(degrees._hessenberg(rmat, l), l)
+            for lam in degrees._poly_roots(cp, l).tolist():
+                coords = reference_kernel((rmat - lam * eye).T % l, l)
                 done.append(reference_rref(coords @ b % l, l))
         subspaces = done
     assert all(b.shape[0] == 1 for b, _ in subspaces)
     return [b[0] for b, _ in subspaces]
+
+
+def reference_split(g, cd, l):
+    """Common eigenvectors of every class matrix on the whole class space:
+    the identity basis, class matrices consumed in ascending class index."""
+    r = cd.count
+    return kernel_split(
+        lambda i: class_matrix(g, cd, i), range(1, r), np.eye(r, dtype=np.int64), list(range(r)), l
+    )
 
 
 def reference_degrees(g):
@@ -292,7 +313,7 @@ def test_rref_matches_reference():
 
 def test_kernel_spans_null_space():
     for a, l in rref_cases():
-        basis = degrees._kernel(a, l)
+        basis = reference_kernel(a, l)
         rank = len(reference_rref(a, l)[1])
         assert basis.shape == (a.shape[1] - rank, a.shape[1])
         assert not (a @ basis.T % l).any()
@@ -314,6 +335,118 @@ def test_split_guards_int64_overflow():
         lambda i: class_matrix(g, cd, i) % 5, range(1, 4), *full, 5
     )
     assert len(vectors) == 4
+
+
+def reference_hessenberg(a, l):
+    """Upper Hessenberg form mod l, one row operation and its inverse column
+    operation at a time."""
+    a = a % l
+    n = a.shape[0]
+    for c in range(n - 2):
+        nz = np.nonzero(a[c + 1 :, c])[0]
+        if nz.size == 0:
+            continue
+        p = c + 1 + int(nz[0])
+        if p != c + 1:
+            a[[c + 1, p]] = a[[p, c + 1]]
+            a[:, [c + 1, p]] = a[:, [p, c + 1]]
+        inv = pow(int(a[c + 1, c]), l - 2, l)
+        for rr in range(c + 2, n):
+            f = int(a[rr, c]) * inv % l
+            if f:
+                a[rr] = (a[rr] - f * a[c + 1]) % l
+                a[:, c + 1] = (a[:, c + 1] + f * a[:, rr]) % l
+    return a
+
+
+def test_hessenberg_matches_row_loop():
+    for a, l in rref_cases():
+        if a.shape[0] == a.shape[1]:
+            got = degrees._hessenberg(a, l)
+            assert (got == reference_hessenberg(a, l)).all()
+            assert not np.tril(got, -2).any()
+
+
+def test_squarefree_part_and_multiplicities():
+    """cp = (x − 1)³ (x − 4) (x − 5)² (x² + 4) mod 7, where x² + 4 has no
+    root since 3 is not a square mod 7."""
+    l = 7
+    cp = np.array([1])
+    for lam in (1, 1, 1, 4, 5, 5):
+        cp = np.convolve(cp, [-lam % l, 1]) % l
+    cp = np.convolve(cp, [4, 0, 1]) % l
+    g, h = degrees._squarefree(cp.tolist(), l)
+    assert (np.convolve(g, h) % l == cp).all()
+    lam = degrees._poly_roots(g, l).tolist()
+    assert lam == [1, 4, 5]
+    assert [degrees._multiplicity(h, x, l) for x in lam] == [3, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "rmat", [[[2, 1], [0, 2]], [[0, 1], [3, 0]]], ids=["jordan block", "x^2-3 mod 7"]
+)
+def test_split_refuses_what_it_cannot_diagonalize(rmat):
+    """A Jordan block has one eigenvalue and a one-dimensional eigenspace;
+    x² − 3 has no root mod 7.  Restricted to the whole space, M.T is rmat."""
+    m = np.array(rmat, dtype=np.int64)
+    with pytest.raises(SelfCheckFailed, match="not diagonalizable"):
+        degrees._split_common_eigenvectors(
+            lambda i: m.T, [1], np.eye(2, dtype=np.int64), [0, 1], 7
+        )
+
+
+def test_start_rows_that_miss_an_eigenspace_rerun_with_identity(monkeypatch):
+    """Start rows with no component along e_2, the eigenspace of 2 in
+    diag(3, 1, 2), leave its basis empty: the round reruns with U = I and
+    returns the rows it returns otherwise.  Start rows of zeros miss every
+    eigenspace of psl2:7's rounds, which then all rerun."""
+    diag = np.diag([3, 1, 2]).astype(np.int64)
+    args = (lambda i: diag, [1], np.eye(3, dtype=np.int64), [0, 1, 2], 7)
+    want = [v.tolist() for v in degrees._split_common_eigenvectors(*args)]
+    assert want == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    rref, rows = degrees._rref, []
+
+    def counted(a, l):
+        rows.append(len(a))
+        return rref(a, l)
+
+    monkeypatch.setattr(degrees, "_rref", counted)
+    monkeypatch.setattr(degrees, "_start_rows", lambda s, d, l: np.array([[1, 1, 0]] * s))
+    assert [v.tolist() for v in degrees._split_common_eigenvectors(*args)] == want
+    assert rows == [2, 2, 2, 3, 3, 3]  # s = max m + 1 = 2 start rows, then I
+    monkeypatch.setattr(degrees, "_start_rows", lambda s, d, l: np.zeros((s, d), dtype=np.int64))
+    assert character_degrees(make("psl2:7")).degrees == (1, 3, 3, 6, 7, 8)
+
+
+SPLIT_CASES = REFERENCE_CASES + [
+    (text, lambda text=text: make(text))
+    for text in [
+        "psl2:37",
+        "frob:2^8:17",
+        "frob:191^1:19",
+        "prod(xsp:3:2,cyclic:2)",
+        "frob:101^1:2",
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in SPLIT_CASES], ids=[t for t, _ in SPLIT_CASES]
+)
+def test_split_rows_match_kernel_path(monkeypatch, build):
+    """On the basis of W that character_degrees builds, the one-pass split
+    returns the rows of one kernel per eigenvalue, in the same order."""
+    calls = []
+    split = degrees._split_common_eigenvectors
+
+    def recorded(*args):
+        calls.append((args, split(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(degrees, "_split_common_eigenvectors", recorded)
+    character_degrees(build())
+    for args, rows in calls:
+        assert [v.tolist() for v in rows] == [v.tolist() for v in kernel_split(*args)]
 
 
 # ------------------------------------------------------------------- classes
