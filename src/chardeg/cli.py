@@ -14,7 +14,8 @@ Subcommands
 
 Output goes to stdout in --format pretty|json|csv; diagnostics go to stderr.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
-3 a cap or budget was exceeded or memory ran out.  Settings resolve flags
+3 a cap or budget was exceeded or memory ran out, 130 interrupted, 141
+stdout closed before all was written.  Settings resolve flags
 first, then CHARDEG_* environment variables, then --config key = value lines.
 """
 
@@ -528,4 +529,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # Python flushes stdout once more at exit: send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)

@@ -7,9 +7,10 @@ The degree multiset of a finite group is computed from first principles:
      representative (class 0 = identity),
   2. class-algebra structure constants a_{ijk} = #{(x,y) in C_i x C_j :
      xy = z} for fixed z in C_k, one matrix M_i = (a_{ijk})_{jk} per class,
+     built only at the split's pivot rows, each read off a column,
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
      unity exist mod l and every degree square is recovered exactly from its
-     residue,
+     residue; exp(G) comes from one walk of powers (ClassData.cover),
   4. the derived subgroup G′ over positions, and each class's coset of it:
      the |G:G′| linear characters are those of G/G′, so their degrees are 1,
      and every other chi has central character values summing to zero over
@@ -126,6 +127,25 @@ class ClassData:
             x = np.maximum(parent[x], 0)
         gens = np.array(back[::-1], dtype=np.intp).reshape(len(back), self.count).T
         return gens, np.count_nonzero(gens >= 0, axis=0).tolist()
+
+    @cached_property
+    def cover(self) -> tuple[dict[int, list[int]], list[tuple[int, int]]]:
+        """(walked, at): walked maps class i to the classes of y, y², ...,
+        y^o = 1 for y = reps[i], and class k holds y^j for (i, j) = at[k].
+        The representatives are walked in ascending order, skipping one whose
+        class holds a power of a walked one (its order divides that one's),
+        so every class holds a walked power.  Each walked order divides |G|."""
+        n = sum(self.sizes)
+        walked, at = {}, [None] * self.count
+        for i, x in enumerate(self.reps.tolist()):
+            if at[i] is None:
+                ys = walked[i] = self.class_at[self.tables.powers(x)].tolist()
+                if n % len(ys):
+                    raise SelfCheckFailed(f"position {x} has order {len(ys)}, not dividing {n}")
+                for j, k in enumerate(ys, 1):
+                    if at[k] is None:
+                        at[k] = (i, j)
+        return walked, at
 
 
 @dataclass(frozen=True)
@@ -283,46 +303,53 @@ def _check_class_data(cd, order):
             raise SelfCheckFailed("inverse-class map is not a size-preserving involution")
 
 
-def class_matrix(g: GroupRealization, cd: ClassData, i: int) -> np.ndarray:
-    """M_i as an int64 array: a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
+def class_matrix(g: GroupRealization, cd: ClassData, i: int, rows=None) -> np.ndarray:
+    """Rows `rows` of M_i (all of them if None) as an int64 array:
+    a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
 
     y = x⁻¹ z_k, and x⁻¹ runs over C_{i'} as x runs over C_i, so column k
     counts the classes of w·z_k for w in C_{i'}.  w·z_k is reached from w by
     right multiplications along z_k's generator word in the closure's tree,
-    each a gather from the index tables.
-    """
-    right = cd.tables.right
+    each a gather from the index tables.  Row j is column j′ read through
+    a_{ijk}·|C_k| = a_{ik′j′}·|C_j| (class sums commute, and yx = z iff
+    x·z⁻¹ = y⁻¹), so only the columns j′ are walked, and divided exactly in
+    int64 while |G|² < 2⁶³, as a_{ik′j′} ≤ |C_i|."""
     r = cd.count
+    inv = np.array(cd.inverse_class)
+    rows = np.arange(r) if rows is None else np.asarray(rows, dtype=np.intp)
+    need = inv[rows]
+    cols = np.flatnonzero(np.bincount(need, minlength=r))  # ascending, so words never get shorter
     gens, walking = cd.rep_words
+    first = np.searchsorted(cols, r - np.array(walking)).tolist()
+    right = cd.tables.right
     ws = cd.members(cd.inverse_class[i])
     block = max(1, _BLOCK_ENTRIES // len(ws))
-    counts = 0
-    for b0 in range(0, r, block):
-        b1 = min(r, b0 + block)
+    counts = np.empty((len(cols), r), dtype=np.int64)  # counts[t, k] = a_{i k cols[t]}
+    for b0 in range(0, len(cols), block):
+        b1 = min(len(cols), b0 + block)
         v = np.repeat(ws[:, None], b1 - b0, axis=1)
-        for c, n in enumerate(walking):
-            a = max(b0, r - n)  # the block's columns from a on have a step in c
+        for c, a in enumerate(first):
+            a = max(b0, a)  # the block's columns from a on have a step in c
             if a < b1:
-                v[:, a - b0 :] = right[gens[a:b1, c], v[:, a - b0 :]]
-        flat = cd.class_at[v] * r + np.arange(b0, b1)
-        counts = counts + np.bincount(flat.ravel(), minlength=r * r)
-    return counts.reshape(r, r)
+                v[:, a - b0 :] = right[gens[cols[a:b1], c], v[:, a - b0 :]]
+        flat = np.arange(b1 - b0) * r + cd.class_at[v]
+        counts[b0:b1] = np.bincount(flat.ravel(), minlength=(b1 - b0) * r).reshape(-1, r)
+    sizes = np.array(cd.sizes, dtype=np.int64)
+    out, rem = np.divmod(counts[np.searchsorted(cols, need)][:, inv] * sizes[rows, None], sizes)
+    if rem.any():
+        raise SelfCheckFailed("class matrix entry not divisible by its class size")
+    return out
 
 
 def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
     """Least prime l ≡ 1 (mod exp(G)) with l > |G|.
 
-    exp(G) is the lcm of the orders of the class representatives, since
-    element order is a class invariant; each is walked over the index
-    tables and must divide |G|.
+    exp(G) is the lcm of the orders the cover walks (ClassData.cover): every
+    class holds a power of a walked representative, and element order is a
+    class invariant.
     """
     order = sum(cd.sizes)
-    e = 1
-    for x in cd.reps.tolist():
-        k = cd.tables.order(x)
-        if order % k:
-            raise SelfCheckFailed(f"position {x} has order {k}, not dividing {order}")
-        e = lcm(e, k)
+    e = lcm(*map(len, cd.cover[0].values()))
     v = e + 1
     while v <= order or not is_prime(v):
         v += e
@@ -568,31 +595,32 @@ def _split_common_eigenvectors(matrices, order, b, piv, l: int) -> list[np.ndarr
     inside the invariant subspace with basis b.
 
     b is in reduced row echelon form with pivot columns piv, and its r
-    columns are the classes.  matrices: callable i -> ndarray giving M_i on
-    demand; consumed for i in order until every invariant subspace is
-    one-dimensional.  Each subspace is such a basis, and M_i is restricted
-    to it before anything else; a subspace on which M_i acts as a scalar is
-    its own single eigenspace and is kept.
+    columns are the classes.  matrices: callable (i, rows) -> ndarray giving
+    M_i's rows `rows` on demand, those the live subspaces pivot on; consumed
+    for i in order until every invariant subspace is one-dimensional.  Each
+    subspace is such a basis, and M_i is restricted to it before anything
+    else; a subspace on which M_i acts as a scalar is its own single
+    eigenspace and is kept.
     """
     r = b.shape[1]
     if r * (l - 1) ** 2 >= 1 << 63:
         raise CapExceeded(f"{r} classes with modulus {l} overflow int64 dot products")
     subspaces = [(b, piv)] if len(b) else []
     for i in order:
-        if all(b.shape[0] == 1 for b, _ in subspaces):
+        live = [piv for b, piv in subspaces if b.shape[0] > 1]
+        if not live:
             break
-        mt = matrices(i).T % l
+        rows = sorted({x for piv in live for x in piv})
+        m = matrices(i, rows) % l
         done = []
         for b, piv in subspaces:
-            if b.shape[0] == 1:
-                done.append((b, piv))
-                continue
-            rmat = b @ mt[:, piv] % l  # b @ mt = rmat @ b since b[:, piv] = I
-            if (rmat == rmat[0, 0] * np.eye(len(rmat), dtype=np.int64)).all():
-                done.append((b, piv))
-                continue
-            # c reduced with pivots q makes c·b reduced with pivots piv[q]
-            done += [(c @ b % l, [piv[x] for x in q]) for c, q in _eigenspaces(rmat, l)]
+            if b.shape[0] > 1:
+                rmat = b @ m[np.searchsorted(rows, piv)].T % l  # b·M_iᵀ = rmat·b, b[:, piv] = I
+                if (rmat != rmat[0, 0] * np.eye(len(rmat), dtype=np.int64)).any():
+                    # c reduced with pivots q makes c·b reduced with pivots piv[q]
+                    done += [(c @ b % l, [piv[x] for x in q]) for c, q in _eigenspaces(rmat, l)]
+                    continue
+            done.append((b, piv))
         subspaces = done
     if any(b.shape[0] != 1 for b, _ in subspaces):
         raise SelfCheckFailed("common eigenspaces did not split to dimension one")
@@ -604,12 +632,16 @@ def _split_order(cd: ClassData) -> list[int]:
     others, each ascending.  A central class whose element is a power z^k
     of an earlier central z is left out: on a subspace where M_z acts as
     the scalar omega(z), M_{z^k} acts as omega(z)^k, so it splits nothing
-    that z has not."""
+    that z has not.  z's powers are read off the cover: z = y^j for a
+    walked y of order o, so z^k = y^(jk) for k = 1, ..., o."""
+    walked, at = cd.cover
     central, powers = [], set()
-    for i, x in enumerate(cd.reps.tolist()):
-        if i and cd.sizes[i] == 1 and x not in powers:
-            central.append(i)
-            powers.update(cd.tables.powers(x))
+    for k in range(1, cd.count):
+        if cd.sizes[k] == 1 and k not in powers:
+            central.append(k)
+            i, j = at[k]
+            ys = walked[i]
+            powers.update(ys[(j * t - 1) % len(ys)] for t in range(1, len(ys) + 1))
     return central + [i for i in range(1, cd.count) if cd.sizes[i] > 1]
 
 
@@ -638,7 +670,7 @@ def character_degrees(
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
         size_invs = np.array([pow(s, l - 2, l) for s in cd.sizes], dtype=np.int64)
         for v in _split_common_eigenvectors(
-            lambda i: class_matrix(g, cd, i), _split_order(cd), basis, piv, l
+            lambda i, rows=None: class_matrix(g, cd, i, rows), _split_order(cd), basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")

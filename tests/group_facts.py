@@ -1,11 +1,15 @@
 """Element-path references: element orders and the derived subgroup taken
 by multiplying elements, which the engine's walks over positions
-(IndexTables.order, degrees._derived_cosets) are tested against, and the
-headline facts of a realization."""
+(IndexTables.order, degrees._derived_cosets) are tested against; the
+order of every class representative, which the engine's cover walk
+(degrees.ClassData.cover) is tested against; and the headline facts of a
+realization."""
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
+from chardeg.arith import is_prime
 from chardeg.groups import (
     DEFAULT_ELEMENT_CAP,
     GroupRealization,
@@ -24,6 +28,23 @@ def element_order(group: GroupRealization, x) -> int:
         y = group.multiply(y, x)
         k += 1
     return k
+
+
+def representative_orders(cd) -> list[int]:
+    """The order of each class representative of a degrees.ClassData, one
+    walk of its powers over the index tables each; the engine walks only
+    the representatives of a cover (degrees.ClassData.cover)."""
+    return [cd.tables.order(x) for x in cd.reps.tolist()]
+
+
+def representative_modulus(cd) -> int:
+    """Least prime l ≡ 1 (mod e) with l > |G|, e the lcm of every
+    representative's order."""
+    e, order = lcm(*representative_orders(cd)), sum(cd.sizes)
+    v = e + 1
+    while v <= order or not is_prime(v):
+        v += e
+    return v
 
 
 def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:

@@ -1,12 +1,17 @@
 """Command-line behavior: formats, exit codes, settings precedence, cache.
 
 Everything runs in-process through run(argv) so exit codes and both output
-streams are observable without spawning subprocesses.
+streams are observable without spawning subprocesses, except a closed
+stdout, which only a process of its own can meet.
 """
 
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -462,6 +467,34 @@ def test_recursion_and_interrupt_exit_codes(capsys, monkeypatch, exc, code, mess
     assert got == code
     assert out == ""
     assert err.strip() == f"ERROR: {message}"  # no traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan-a", "--max-p", "30000", "--format", "csv"], ["gvalue", "--degree", "5"]],
+    ids=["write", "flush at exit"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    """A stdout whose reader has gone, as behind `| head`: the long scan
+    fails while it writes, the short report when it is flushed, and both
+    exit 141 with nothing on stderr, not even Python's message from the
+    flush at shutdown."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to the pipe fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "chardeg", *argv, "--no-timestamp"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_verify_failure_exits_1(capsys):

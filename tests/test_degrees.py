@@ -38,7 +38,12 @@ from chardeg.groups import (
 )
 from chardeg.smallgroups import enumerate_groups, table_to_realization
 
-from group_facts import derived_subgroup_order, element_order
+from group_facts import (
+    derived_subgroup_order,
+    element_order,
+    representative_modulus,
+    representative_orders,
+)
 
 
 def make(text):
@@ -276,6 +281,42 @@ def test_class_matrix_column_blocks(monkeypatch, text):
         assert (class_matrix(g, cd, i) == reference_class_matrix(g, cd, i)).all()
 
 
+@pytest.mark.parametrize(
+    "build", [b for _, b in REFERENCE_CASES], ids=[t for t, _ in REFERENCE_CASES]
+)
+def test_class_matrix_rows_match_reference(build):
+    """Rows read off the columns j′ through a_{ijk}·|C_k| = a_{ik′j′}·|C_j|
+    are the reference's rows, for seeded row subsets, ascending or in any
+    order with repeats, and for rows=None."""
+    g = build()
+    cd = conjugacy_classes(g)
+    r = cd.count
+    rng = np.random.default_rng(r)
+    for i in range(r):
+        want = reference_class_matrix(g, cd, i)
+        assert (class_matrix(g, cd, i, None) == want).all()
+        subsets = [np.flatnonzero(rng.random(r) < 0.5), rng.integers(0, r, 1 + r // 2)]
+        for rows in subsets + [rng.permutation(r)[:1].tolist()]:
+            got = class_matrix(g, cd, i, rows)
+            assert got.dtype == np.int64
+            assert got.shape == (len(rows), r) and (got == want[rows]).all()
+
+
+@pytest.mark.parametrize("text", ["named:S3", "psl2:7"])
+def test_class_sizes_must_divide_the_rows(text):
+    """With the sizes of classes 1 and 2 swapped, every class matrix but
+    the identity's reads a row through the symmetry that is not whole."""
+    g = make(text)
+    cd = conjugacy_classes(g)
+    sizes = list(cd.sizes)
+    sizes[1], sizes[2] = sizes[2], sizes[1]
+    bad = dataclasses.replace(cd, sizes=tuple(sizes))
+    assert (class_matrix(g, bad, 0) == np.eye(cd.count, dtype=np.int64)).all()
+    for i in range(1, cd.count):
+        with pytest.raises(SelfCheckFailed, match="not divisible by its class size"):
+            class_matrix(g, bad, i)
+
+
 def rref_cases():
     """Seeded matrices mod 7, 271 and 733: square, tall, wide, 1×n and n×1,
     each also with zeroed columns and as the zero matrix, plus low-rank,
@@ -326,13 +367,13 @@ def test_split_guards_int64_overflow():
     cd = conjugacy_classes(g)
     full = np.eye(4, dtype=np.int64), list(range(4))
 
-    def guarded(i):
+    def guarded(i, rows=None):
         pytest.fail("the split went past the overflow guard")
 
     with pytest.raises(CapExceeded):
         degrees._split_common_eigenvectors(guarded, range(1, 4), *full, 2**31 - 1)
     vectors = degrees._split_common_eigenvectors(
-        lambda i: class_matrix(g, cd, i) % 5, range(1, 4), *full, 5
+        lambda i, rows=None: class_matrix(g, cd, i, rows) % 5, range(1, 4), *full, 5
     )
     assert len(vectors) == 4
 
@@ -391,7 +432,7 @@ def test_split_refuses_what_it_cannot_diagonalize(rmat):
     m = np.array(rmat, dtype=np.int64)
     with pytest.raises(SelfCheckFailed, match="not diagonalizable"):
         degrees._split_common_eigenvectors(
-            lambda i: m.T, [1], np.eye(2, dtype=np.int64), [0, 1], 7
+            lambda i, rows=None: m.T, [1], np.eye(2, dtype=np.int64), [0, 1], 7
         )
 
 
@@ -401,7 +442,7 @@ def test_start_rows_that_miss_an_eigenspace_rerun_with_identity(monkeypatch):
     returns the rows it returns otherwise.  Start rows of zeros miss every
     eigenspace of psl2:7's rounds, which then all rerun."""
     diag = np.diag([3, 1, 2]).astype(np.int64)
-    args = (lambda i: diag, [1], np.eye(3, dtype=np.int64), [0, 1, 2], 7)
+    args = (lambda i, rows=None: diag, [1], np.eye(3, dtype=np.int64), [0, 1, 2], 7)
     want = [v.tolist() for v in degrees._split_common_eigenvectors(*args)]
     assert want == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     rref, rows = degrees._rref, []
@@ -583,8 +624,7 @@ def test_walked_orders_match_element_order(build):
     """Orders walked over the index tables equal those got by multiplying."""
     g = build()
     cd = conjugacy_classes(g)
-    walked = [cd.tables.order(x) for x in cd.reps.tolist()]
-    assert walked == [element_order(g, x) for x in rep_elements(g, cd)]
+    assert representative_orders(cd) == [element_order(g, x) for x in rep_elements(g, cd)]
 
 
 @pytest.mark.parametrize(
@@ -734,6 +774,56 @@ def test_exponent_of_a_long_cycle():
     assert exponent(make("cyclic:499")) == 499
 
 
+def reference_split_order(cd):
+    """degrees._split_order with one walk of powers per kept central class."""
+    central, powers = [], set()
+    for i, x in enumerate(cd.reps.tolist()):
+        if i and cd.sizes[i] == 1 and x not in powers:
+            central.append(i)
+            powers.update(cd.tables.powers(x))
+    return central + [i for i in range(1, cd.count) if cd.sizes[i] > 1]
+
+
+COVER_CASES = [
+    (text, lambda text=text: make(text))
+    for text in CATALOG_CORPUS
+    + [t for t, _ in SPLIT_CASES[len(REFERENCE_CASES) :]]
+    + ["prod(xsp:3:2,cyclic:3)", "xsp:3:2"]
+] + [
+    (f"order{n}[{k}]", lambda t=t: table_to_realization(t))
+    for n in range(1, 17)
+    for k, t in enumerate(enumerate_groups(n))
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in COVER_CASES], ids=[t for t, _ in COVER_CASES])
+def test_cover_matches_every_representative_walk(build):
+    """The cover walks some representatives, yet gives the orders, exp(G),
+    modulus and split order of walking every one: each class holds the
+    power it is recorded with, and each walked order is the reference's."""
+    g = build()
+    cd = conjugacy_classes(g)
+    orders = representative_orders(cd)
+    walked, at = cd.cover
+    assert walked[0] == [0] and at[0] == (0, 1)
+    for i, ys in walked.items():
+        assert len(ys) == orders[i]
+    for k, (i, j) in enumerate(at):
+        assert walked[i][j - 1] == k
+        assert orders[i] % orders[k] == 0
+    assert lcm(*map(len, walked.values())) == lcm(*orders) == exponent(g)
+    assert dixon_modulus(g, cd) == representative_modulus(cd)
+    assert degrees._split_order(cd) == reference_split_order(cd)
+
+
+def test_cover_skips_representatives_whose_class_holds_a_walked_power():
+    """frob:997^1:2 has 500 classes: the identity, a translation and an
+    involution cover them, since every translation class holds a power of
+    the first translation, and every involution is conjugate to the first."""
+    cd = conjugacy_classes(make("frob:997^1:2"))
+    assert sorted(map(len, cd.cover[0].values())) == [1, 2, 997]
+
+
 @pytest.mark.parametrize("text", ["named:S3", "prod(named:A4,cyclic:3)", "xsp:3:1"])
 def test_no_element_arithmetic_after_the_closure(text):
     """A realization with no inverse: once index_tables has run, classes,
@@ -809,9 +899,9 @@ def test_central_classes_split_first(monkeypatch):
     built = []
     real = degrees.class_matrix
 
-    def counting(g, cd, i):
+    def counting(g, cd, i, rows=None):
         built.append(cd.sizes[i])
-        return real(g, cd, i)
+        return real(g, cd, i, rows)
 
     monkeypatch.setattr(degrees, "class_matrix", counting)
     for text in ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2"]:
