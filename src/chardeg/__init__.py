@@ -19,157 +19,29 @@ Layering, lowest first:
     cli          command-line front end
 """
 
-from .arith import (
-    PrimePower,
-    euler_phi,
-    factor,
-    is_cyclic_number,
-    is_prime,
-    kanold_holds,
-    least_prime_1mod,
-    least_prime_power_1mod,
-    multiplicative_order,
-    primes_up_to,
-    psl2_order,
-)
-from .catalog import (
-    Affine,
-    Cyclic,
-    Frob,
-    GroupSpec,
-    Named,
-    NamedWitness,
-    Prod,
-    Psl2,
-    Xsp,
-    expected_order,
-    named_witnesses,
-    parse_spec,
-    realize,
-    spec_text,
-    witnesses_for_degree,
-)
+from .catalog import parse_spec, realize, spec_text
 from .degrees import (
-    ClassData,
-    DegreeMultiset,
     character_degrees,
-    conjugacy_classes,
     extraspecial_degrees_closed_form,
     frobenius_degrees_closed_form,
-    product_degrees,
 )
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    Error,
-    InvalidParam,
-    NotCoprime,
-    NotPerfectSquare,
-    OrderNotDividing,
-    SearchExhausted,
-    SelfCheckFailed,
-    SpecSyntaxError,
-    SumOfSquaresMismatch,
-)
-from .groups import (
-    GroupRealization,
-    direct_product,
-    enumerate_elements,
-)
-from .smallgroups import CayleyTable, enumerate_groups, is_isomorphic, table_to_realization
-from .solver import (
-    Candidate,
-    CandidateReport,
-    KanoldRow,
-    MinimalityStatus,
-    ScanResult,
-    ScanRow,
-    g_prime,
-    g_prime_squared,
-    g_report,
-    kanold_scan,
-    lower_bound,
-    scan_theorem_a,
-    scan_theorem_b,
-    verify_minimal,
-    verify_witness,
-)
+from .smallgroups import enumerate_groups, table_to_realization
+from .solver import g_report, kanold_scan, scan_theorem_a, scan_theorem_b
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # arith
-    "PrimePower",
-    "euler_phi",
-    "factor",
-    "is_cyclic_number",
-    "is_prime",
-    "kanold_holds",
-    "least_prime_1mod",
-    "least_prime_power_1mod",
-    "multiplicative_order",
-    "primes_up_to",
-    "psl2_order",
-    # catalog
-    "Affine",
-    "Cyclic",
-    "Frob",
-    "GroupSpec",
-    "Named",
-    "NamedWitness",
-    "Prod",
-    "Psl2",
-    "Xsp",
-    "expected_order",
-    "named_witnesses",
-    "parse_spec",
-    "realize",
-    "spec_text",
-    "witnesses_for_degree",
-    # degrees
-    "ClassData",
-    "DegreeMultiset",
     "character_degrees",
-    "conjugacy_classes",
+    "enumerate_groups",
     "extraspecial_degrees_closed_form",
     "frobenius_degrees_closed_form",
-    "product_degrees",
-    # errors
-    "BudgetExceeded",
-    "CapExceeded",
-    "Error",
-    "InvalidParam",
-    "NotCoprime",
-    "NotPerfectSquare",
-    "OrderNotDividing",
-    "SearchExhausted",
-    "SelfCheckFailed",
-    "SpecSyntaxError",
-    "SumOfSquaresMismatch",
-    # groups
-    "GroupRealization",
-    "direct_product",
-    "enumerate_elements",
-    # smallgroups
-    "CayleyTable",
-    "enumerate_groups",
-    "is_isomorphic",
-    "table_to_realization",
-    # solver
-    "Candidate",
-    "CandidateReport",
-    "KanoldRow",
-    "MinimalityStatus",
-    "ScanResult",
-    "ScanRow",
-    "g_prime",
-    "g_prime_squared",
     "g_report",
     "kanold_scan",
-    "lower_bound",
+    "parse_spec",
+    "realize",
     "scan_theorem_a",
     "scan_theorem_b",
-    "verify_minimal",
-    "verify_witness",
+    "spec_text",
+    "table_to_realization",
 ]

@@ -12,8 +12,10 @@ Spec grammar (no whitespace):
     MATLIST := matrices separated by ";", each m*m entries separated by ","
     NAME    := S3 | A4 | C5C4 | C11C5 | C7C6 | E8C7 | G72D | G72Q | A4A4
 
-"prod(" nests at most MAX_PROD_NESTING deep; deeper input is a syntax error
-rather than a recursion overflow in the parser or the realizations.
+Each family states this once, as the text template of its dataclass (see
+_Family), which parse_spec and spec_text both read.  "prod(" nests at most
+MAX_PROD_NESTING deep; deeper input is a syntax error rather than a
+recursion overflow in the parser or the realizations.
 
 Realizations:
 
@@ -44,8 +46,8 @@ refused before it is built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -72,56 +74,147 @@ __all__ = [
     "NamedWitness",
     "parse_spec",
     "spec_text",
+    "element_text",
     "expected_order",
     "realize",
-    "named_underlying",
     "named_witnesses",
     "witnesses_for_degree",
 ]
 
 
+class _Family:
+    """A catalog family: its dataclass fields, in order, fill the holes of
+    its text template.  parse_spec reads a field named left or right as a
+    nested spec, name as a name, mats as a matrix list and any other as a
+    number; spec_text prints them back.  check refuses parameters outside
+    the family's domain."""
+
+    template: ClassVar[str]
+
+    def check(self):
+        pass
+
+
 @dataclass(frozen=True)
-class Cyclic:
+class Cyclic(_Family):
     n: int
+    template: ClassVar[str] = "cyclic:{}"
+
+    def check(self):
+        if self.n < 1:
+            raise InvalidParam("cyclic order must be >= 1")
 
 
 @dataclass(frozen=True)
-class Frob:
+class Frob(_Family):
     q: int
     m: int
     k: int  # order of the multiplier; k | q^m - 1
+    template: ClassVar[str] = "frob:{}^{}:{}"
+
+    def check(self):
+        q, m, k = self.q, self.m, self.k
+        if not is_prime(q):
+            raise InvalidParam(f"frob base {q} is not prime")
+        if m < 1:
+            raise InvalidParam("frob exponent must be >= 1")
+        if k < 2:
+            raise InvalidParam("frob multiplier order must be >= 2")
+        if (q**m - 1) % k != 0:
+            raise InvalidParam(f"{k} does not divide {q}^{m} - 1 = {q**m - 1}")
 
 
 @dataclass(frozen=True)
-class Psl2:
+class Psl2(_Family):
     p: int
+    template: ClassVar[str] = "psl2:{}"
+
+    def check(self):
+        if not is_prime(self.p):
+            raise InvalidParam(f"psl2 parameter {self.p} is not prime")
 
 
 @dataclass(frozen=True)
-class Xsp:
+class Xsp(_Family):
     p: int
     n: int
+    template: ClassVar[str] = "xsp:{}:{}"
+
+    def check(self):
+        if not is_prime(self.p):
+            raise InvalidParam(f"xsp parameter {self.p} is not prime")
+        if self.n < 1:
+            raise InvalidParam("xsp rank must be >= 1")
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_Family):
     q: int
     m: int
     mats: tuple[tuple[tuple[int, ...], ...], ...]
+    template: ClassVar[str] = "affine:{}^{}:{}"
+
+    def check(self):
+        q = self.q
+        if not is_prime(q):
+            raise InvalidParam(f"affine base {q} is not prime")
+        if self.m < 1:
+            raise InvalidParam("affine dimension must be >= 1")
+        for mat in self.mats:
+            for row in mat:
+                for e in row:
+                    if not 0 <= e < q:
+                        raise InvalidParam(f"matrix entry {e} out of range mod {q}")
+            if ffield.mat_det(q, mat) == 0:
+                raise InvalidParam(f"matrix {mat} is singular mod {q}")
 
 
 @dataclass(frozen=True)
-class Prod:
+class Prod(_Family):
     left: "GroupSpec"
     right: "GroupSpec"
+    template: ClassVar[str] = "prod({},{})"
 
 
 @dataclass(frozen=True)
-class Named:
+class Named(_Family):
     name: str
+    template: ClassVar[str] = "named:{}"
+
+    def check(self):
+        if self.name not in _NAMED:
+            raise InvalidParam(f"unknown named group {self.name!r}")
 
 
 GroupSpec = Union[Cyclic, Frob, Psl2, Xsp, Affine, Prod, Named]
+
+
+def element_text(spec: GroupSpec, x) -> str:
+    """An element of realize(spec) as text: permutations of points as
+    cycles, xsp tuples and product pairs in parentheses."""
+    match spec:
+        case Cyclic():
+            return str(x)
+        case Xsp():
+            return "(" + ",".join(map(str, x)) + ")"
+        case Prod(left, right):
+            return f"({element_text(left, x[0])}, {element_text(right, x[1])})"
+        case Named(name):
+            return element_text(_NAMED[name][0], x)
+    return _perm_cycles(x)  # frob, psl2 and affine
+
+
+def _perm_cycles(p) -> str:
+    """Disjoint cycles, each from its least point, fixed points left out."""
+    seen, parts = set(), []
+    for i in range(len(p)):
+        if i not in seen and p[i] != i:
+            cyc = [i]
+            while p[cyc[-1]] != i:
+                cyc.append(p[cyc[-1]])
+            seen.update(cyc)
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) or "()"
 
 
 # ------------------------------------------------------------------- parsing
@@ -168,49 +261,39 @@ class _Parser:
         return self.text[start : self.pos]
 
     def spec(self) -> GroupSpec:
-        if self.literal("cyclic:"):
-            return _check_cyclic(self.nat())
-        if self.literal("frob:"):
-            q = self.nat()
-            self.expect("^")
-            m = self.nat()
-            self.expect(":")
-            k = self.nat()
-            return _check_frob(q, m, k)
-        if self.literal("psl2:"):
-            return _check_psl2(self.nat())
-        if self.literal("xsp:"):
-            p = self.nat()
-            self.expect(":")
-            n = self.nat()
-            return _check_xsp(p, n)
-        if self.literal("prod("):
-            self.depth += 1
-            if self.depth > MAX_PROD_NESTING:
-                self.fail(f"prod( nested deeper than {MAX_PROD_NESTING}")
-            left = self.spec()
-            self.expect(",")
-            right = self.spec()
-            self.expect(")")
-            self.depth -= 1
-            return Prod(left, right)
-        if self.literal("named:"):
-            name = self.name()
-            if name not in _NAMED:
-                raise InvalidParam(f"unknown named group {name!r}")
-            return Named(name)
-        if self.literal("affine:"):
-            q = self.nat()
-            self.expect("^")
-            m = self.nat()
-            self.expect(":")
-            mats = [self.matrix(q, m)]
-            while self.literal(";"):
-                mats.append(self.matrix(q, m))
-            return _check_affine(q, m, tuple(mats))
+        """The family whose template's head matches, its holes read in
+        turn; the template's text between them must follow each."""
+        for family in get_args(GroupSpec):
+            head, *after = family.template.split("{}")
+            if self.literal(head):
+                values = []
+                for f, lit in zip(fields(family), after):
+                    values.append(self.field(f.name, values))
+                    self.expect(lit)
+                spec = family(*values)
+                spec.check()
+                return spec
         self.fail("expected a group spec")
 
-    def matrix(self, q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    def field(self, name: str, values: list):
+        if name in ("left", "right"):
+            if self.depth == MAX_PROD_NESTING:
+                self.fail(f"prod( nested deeper than {MAX_PROD_NESTING}")
+            self.depth += 1
+            spec = self.spec()
+            self.depth -= 1
+            return spec
+        if name == "name":
+            return self.name()
+        if name == "mats":
+            _, m = values
+            mats = [self.matrix(m)]
+            while self.literal(";"):
+                mats.append(self.matrix(m))
+            return tuple(mats)
+        return self.nat()
+
+    def matrix(self, m: int) -> tuple[tuple[int, ...], ...]:
         """Exactly m*m comma-separated entries, row-major."""
         entries = [self.nat()]
         for _ in range(m * m - 1):
@@ -227,74 +310,18 @@ def parse_spec(text: str) -> GroupSpec:
     return spec
 
 
-def _check_cyclic(n: int) -> Cyclic:
-    if n < 1:
-        raise InvalidParam("cyclic order must be >= 1")
-    return Cyclic(n)
-
-
-def _check_frob(q: int, m: int, k: int) -> Frob:
-    if not is_prime(q):
-        raise InvalidParam(f"frob base {q} is not prime")
-    if m < 1:
-        raise InvalidParam("frob exponent must be >= 1")
-    if k < 2:
-        raise InvalidParam("frob multiplier order must be >= 2")
-    if (q**m - 1) % k != 0:
-        raise InvalidParam(f"{k} does not divide {q}^{m} - 1 = {q**m - 1}")
-    return Frob(q, m, k)
-
-
-def _check_psl2(p: int) -> Psl2:
-    if not is_prime(p):
-        raise InvalidParam(f"psl2 parameter {p} is not prime")
-    return Psl2(p)
-
-
-def _check_xsp(p: int, n: int) -> Xsp:
-    if not is_prime(p):
-        raise InvalidParam(f"xsp parameter {p} is not prime")
-    if n < 1:
-        raise InvalidParam("xsp rank must be >= 1")
-    return Xsp(p, n)
-
-
-def _check_affine(q, m, mats) -> Affine:
-    if not is_prime(q):
-        raise InvalidParam(f"affine base {q} is not prime")
-    if m < 1:
-        raise InvalidParam("affine dimension must be >= 1")
-    for mat in mats:
-        for row in mat:
-            for e in row:
-                if not 0 <= e < q:
-                    raise InvalidParam(f"matrix entry {e} out of range mod {q}")
-        if ffield.mat_det(q, mat) == 0:
-            raise InvalidParam(f"matrix {mat} is singular mod {q}")
-    return Affine(q, m, mats)
-
-
 def spec_text(spec: GroupSpec) -> str:
-    """Canonical text; parse_spec(spec_text(s)) == s."""
-    match spec:
-        case Cyclic(n):
-            return f"cyclic:{n}"
-        case Frob(q, m, k):
-            return f"frob:{q}^{m}:{k}"
-        case Psl2(p):
-            return f"psl2:{p}"
-        case Xsp(p, n):
-            return f"xsp:{p}:{n}"
-        case Affine(q, m, mats):
-            body = ";".join(
-                ",".join(str(e) for row in mat for e in row) for mat in mats
-            )
-            return f"affine:{q}^{m}:{body}"
-        case Prod(left, right):
-            return f"prod({spec_text(left)},{spec_text(right)})"
-        case Named(name):
-            return f"named:{name}"
-    raise TypeError(f"not a GroupSpec: {spec!r}")
+    """Canonical text: the family's template filled in, so
+    parse_spec(spec_text(s)) == s."""
+    values = []
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.name in ("left", "right"):
+            v = spec_text(v)
+        elif f.name == "mats":
+            v = ";".join(",".join(str(e) for row in mat for e in row) for mat in v)
+        values.append(v)
+    return spec.template.format(*values)
 
 
 # -------------------------------------------------------------- realizations
@@ -566,8 +593,8 @@ def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization
         case Prod(left, right):  # a square's one factor is realized and closed once
             g = realize(left, cap)
             return direct_product(g, g if right == left else realize(right, cap))
-        case Named(name):
-            return _realize_named(name, cap)
+        case Named():
+            return _realize_named(spec, cap)
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
@@ -617,7 +644,8 @@ def _check_complement(name: str) -> GroupRealization:
     return g
 
 
-def _realize_named(name: str, cap: int) -> GroupRealization:
+def _realize_named(named: Named, cap: int) -> GroupRealization:
+    name = named.name
     spec, order, _claim = _NAMED[name]
     if name in ("G72D", "G72Q"):
         # the complement's one closure also predicts the order, as
@@ -628,10 +656,10 @@ def _realize_named(name: str, cap: int) -> GroupRealization:
         g = _realize_affine(spec.q, spec.m, matrices, predicted, spec_text(spec))
     else:
         g = realize(spec, cap)
-    g.descriptor = f"named:{name}"
+    g.descriptor = spec_text(named)
     if g.expected_order is not None and g.expected_order != order:
         raise SelfCheckFailed(
-            f"named:{name}: catalog order {order} != predicted {g.expected_order}"
+            f"{g.descriptor}: catalog order {order} != predicted {g.expected_order}"
         )
     g.expected_order = order
     return g
@@ -643,13 +671,6 @@ class NamedWitness:
     spec: GroupSpec
     expected_order: int
     degree_claim: int
-
-
-def named_underlying(name: str) -> GroupSpec:
-    """The construction behind a named entry (e.g. the affine matrices)."""
-    if name not in _NAMED:
-        raise InvalidParam(f"unknown named group {name!r}")
-    return _NAMED[name][0]
 
 
 def named_witnesses() -> list[NamedWitness]:

@@ -33,20 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .cache import CacheEntry, DegreeCache, utc_now
-from .catalog import (
-    Affine,
-    Cyclic,
-    Frob,
-    Named,
-    Prod,
-    Psl2,
-    Xsp,
-    expected_order,
-    named_underlying,
-    parse_spec,
-    realize,
-    spec_text,
-)
+from .catalog import element_text, expected_order, parse_spec, realize, spec_text
 from .degrees import character_degrees
 from .errors import (
     BudgetExceeded,
@@ -157,39 +144,6 @@ def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
             print(line)
         if stamp:
             print(f"generated {utc_now()}")
-
-
-def _perm_cycles(p) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "()"
-
-
-def _format_element(spec, x) -> str:
-    match spec:
-        case Cyclic():
-            return str(x)
-        case Frob() | Psl2() | Affine():
-            return _perm_cycles(x)
-        case Xsp():
-            return "(" + ",".join(map(str, x)) + ")"
-        case Prod(left, right):
-            return f"({_format_element(left, x[0])}, {_format_element(right, x[1])})"
-        case Named(name):
-            return _format_element(named_underlying(name), x)
-    raise InvalidParam(f"cannot format elements of {spec!r}")
 
 
 # -------------------------------------------------------------- subcommands
@@ -326,7 +280,7 @@ def _cmd_witness(args, settings) -> int:
     spec = specs[0]
     g = realize(spec, settings.element_cap)
     order = len(index_tables(g, settings.element_cap))
-    gens = [_format_element(spec, x) for x in g.generators]
+    gens = [element_text(spec, x) for x in g.generators]
     data = {
         "n": report.n,
         "spec": spec_text(spec),

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import isqrt, lcm
 
@@ -303,7 +303,7 @@ def _check_class_data(cd, order):
             raise SelfCheckFailed("inverse-class map is not a size-preserving involution")
 
 
-def class_matrix(g: GroupRealization, cd: ClassData, i: int, rows=None) -> np.ndarray:
+def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
     """Rows `rows` of M_i (all of them if None) as an int64 array:
     a[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
 
@@ -341,7 +341,7 @@ def class_matrix(g: GroupRealization, cd: ClassData, i: int, rows=None) -> np.nd
     return out
 
 
-def dixon_modulus(g: GroupRealization, cd: ClassData) -> int:
+def dixon_modulus(cd: ClassData) -> int:
     """Least prime l ≡ 1 (mod exp(G)) with l > |G|.
 
     exp(G) is the lcm of the orders the cover walks (ClassData.cover): every
@@ -664,13 +664,13 @@ def character_degrees(
     piv = [k for k, c in enumerate(coset) if last[c] != k]
     degrees = [1] * (order // derived)
     if piv:
-        l = dixon_modulus(g, cd)
+        l = dixon_modulus(cd)
         basis = np.zeros((len(piv), r), dtype=np.int64)  # e_k − e_last of k's coset
         basis[range(len(piv)), piv] = 1
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
         size_invs = np.array([pow(s, l - 2, l) for s in cd.sizes], dtype=np.int64)
         for v in _split_common_eigenvectors(
-            lambda i, rows=None: class_matrix(g, cd, i, rows), _split_order(cd), basis, piv, l
+            partial(class_matrix, cd), _split_order(cd), basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")

@@ -29,7 +29,6 @@ multiplies them out along its tree.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,7 +44,6 @@ __all__ = [
     "IndexTables",
     "enumerate_elements",
     "index_tables",
-    "exponent",
     "direct_product",
 ]
 
@@ -297,22 +295,6 @@ def enumerate_elements(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) 
     for p, j in zip(t.parent[1:].tolist(), t.via[1:].tolist()):
         out.append(mul(out[p], gens[j]))
     return tuple(out)
-
-
-def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """lcm of the element orders, over cyclic subgroups: each power of x
-    has an order dividing x's, so one walk of x's powers covers them all,
-    and only positions that are no earlier element's power are walked."""
-    t = index_tables(group, cap)
-    covered = bytearray(len(t))
-    e = 1
-    for x in range(len(t)):
-        if not covered[x]:
-            powers = t.powers(x)
-            e = math.lcm(e, len(powers))
-            for y in powers:
-                covered[y] = 1
-    return e
 
 
 def direct_product(g: GroupRealization, h: GroupRealization) -> GroupRealization:

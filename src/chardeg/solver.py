@@ -224,6 +224,8 @@ def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) 
 
     witness_specs lists the minimal-order entries whose degree-n claim the
     degree engine confirms; entries that fail it are reported as anomalies.
+    Past the element cap, as without verify, nothing is checked: every
+    minimal-order entry is listed and the report is unverified.
     Refuted claims stay on record in the catalog so they are re-checked and
     reported every time: G72D affords degree 4, and its degree-8 claim shows
     up here as an anomaly of the degree-8 report.
@@ -237,20 +239,20 @@ def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) 
     min_order = min(c.order for c in candidates)
     winners = [c for c in candidates if c.order == min_order]
     anomalies = []
-    verified_specs = []
+    witness_specs = tuple(c.spec for c in winners)
     verified = False
-    if verify:
+    if verify and min_order <= cap:
+        witness_specs = ()
         for c in winners:
             multiset = character_degrees(realize(c.spec, cap), cap)
             if n in multiset.degrees:
-                verified_specs.append(c.spec)
+                witness_specs += (c.spec,)
             else:
                 anomalies.append(
                     f"n={n}: {spec_text(c.spec)} claims degree {n} but its "
                     f"degrees are {list(multiset.degrees)}"
                 )
-        verified = bool(verified_specs)
-    witness_specs = tuple(verified_specs) if verify else tuple(c.spec for c in winners)
+        verified = bool(witness_specs)
     return CandidateReport(
         n=n,
         candidates=candidates,

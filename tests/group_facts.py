@@ -1,7 +1,8 @@
 """Element-path references: element orders and the derived subgroup taken
 by multiplying elements, which the engine's walks over positions
 (IndexTables.order, degrees._derived_cosets) are tested against; the
-order of every class representative, which the engine's cover walk
+exponent over every cyclic subgroup and the order of every class
+representative, which the engine's cover walk
 (degrees.ClassData.cover) is tested against; and the headline facts of a
 realization."""
 
@@ -15,7 +16,7 @@ from chardeg.groups import (
     GroupRealization,
     _closure,
     enumerate_elements,
-    exponent,
+    index_tables,
 )
 
 
@@ -28,6 +29,23 @@ def element_order(group: GroupRealization, x) -> int:
         y = group.multiply(y, x)
         k += 1
     return k
+
+
+def exponent(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
+    """lcm of the element orders, over cyclic subgroups: each power of x
+    has an order dividing x's, so one walk of x's powers covers them all,
+    and only positions that are no earlier element's power are walked.  The
+    engine takes exp(G) from its cover walk (degrees.ClassData.cover)."""
+    t = index_tables(group, cap)
+    covered = bytearray(len(t))
+    e = 1
+    for x in range(len(t)):
+        if not covered[x]:
+            powers = t.powers(x)
+            e = lcm(e, len(powers))
+            for y in powers:
+                covered[y] = 1
+    return e
 
 
 def representative_orders(cd) -> list[int]:

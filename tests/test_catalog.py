@@ -4,9 +4,13 @@ Structure facts (orders, exponents, derived subgroup orders) were computed
 independently with a general-purpose computer algebra system and frozen here.
 """
 
+import hashlib
+
 import pytest
 
+from chardeg import catalog
 from chardeg.catalog import (
+    MAX_PROD_NESTING,
     Affine,
     Cyclic,
     Frob,
@@ -14,8 +18,8 @@ from chardeg.catalog import (
     Prod,
     Psl2,
     Xsp,
+    element_text,
     expected_order,
-    named_underlying,
     named_witnesses,
     parse_spec,
     realize,
@@ -24,9 +28,9 @@ from chardeg.catalog import (
 )
 from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
 from chardeg.ffield import digits, multiplier, undigits
-from chardeg.groups import enumerate_elements, exponent, index_tables
+from chardeg.groups import enumerate_elements, index_tables
 
-from group_facts import group_data
+from group_facts import exponent, group_data
 
 ROUND_TRIP = [
     "cyclic:1",
@@ -68,44 +72,81 @@ def test_matrix_list_length_disambiguates_prod():
     assert spec == Prod(Affine(2, 1, (((1,),),)), Cyclic(3))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "frob:6^1:5",  # composite base
-        "frob:2^3:5",  # 5 does not divide 7
-        "frob:11^1:3",  # 3 does not divide 10
-        "frob:2^3:1",  # multiplier order must be >= 2
-        "psl2:10",
-        "xsp:4:1",
-        "xsp:3:0",
-        "cyclic:0",
-        "named:XX",
-        "affine:3^1:0",  # singular
-        "affine:3^1:5",  # entry out of range
-        "affine:4^1:1",  # composite base
-    ],
-)
+INVALID_PARAMS = [
+    "frob:6^1:5",  # composite base
+    "frob:2^3:5",  # 5 does not divide 7
+    "frob:11^1:3",  # 3 does not divide 10
+    "frob:2^3:1",  # multiplier order must be >= 2
+    "psl2:10",
+    "xsp:4:1",
+    "xsp:3:0",
+    "cyclic:0",
+    "named:XX",
+    "affine:3^1:0",  # singular
+    "affine:3^1:5",  # entry out of range
+    "affine:4^1:1",  # composite base
+]
+
+SYNTAX_ERRORS = [
+    ("bogus", 0),
+    ("frob:2^", 7),
+    ("psl2:5x", 6),
+    ("prod(cyclic:2,cyclic:3", 22),
+    ("frob:2^3", 8),
+    ("affine:3^2:1,0,0", 16),
+    ("", 0),
+]
+
+
+@pytest.mark.parametrize("text", INVALID_PARAMS)
 def test_invalid_params(text):
     with pytest.raises(InvalidParam):
         parse_spec(text)
 
 
-@pytest.mark.parametrize(
-    "text,offset",
-    [
-        ("bogus", 0),
-        ("frob:2^", 7),
-        ("psl2:5x", 6),
-        ("prod(cyclic:2,cyclic:3", 22),
-        ("frob:2^3", 8),
-        ("affine:3^2:1,0,0", 16),
-        ("", 0),
-    ],
-)
+@pytest.mark.parametrize("text,offset", SYNTAX_ERRORS)
 def test_syntax_errors(text, offset):
     with pytest.raises(SpecSyntaxError) as info:
         parse_spec(text)
     assert info.value.offset == offset
+
+
+def nested(depth):
+    return "prod(" * depth + "cyclic:1" + ",cyclic:1)" * depth
+
+
+def test_parse_probes_golden():
+    """Every prefix of the specs above and of prod( nested to the limit and
+    one past it, alone and followed by "x", "," or ")", parses to the same
+    canonical text or fails with the same error class, offset and message
+    as when each family had its own parser branch and spec_text arm: the
+    sha256 below was taken then."""
+    out = []
+    texts = ROUND_TRIP + INVALID_PARAMS + [t for t, _ in SYNTAX_ERRORS]
+    texts += [nested(MAX_PROD_NESTING), nested(MAX_PROD_NESTING + 1)]
+    for text in texts:
+        for i in range(len(text) + 1):
+            for tail in ("", "x", ",", ")"):
+                try:
+                    out.append((None, None, spec_text(parse_spec(text[:i] + tail))))
+                except (InvalidParam, SpecSyntaxError) as exc:
+                    out.append((type(exc).__name__, getattr(exc, "offset", None), str(exc)))
+    assert len(out) == 9400
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "b239acfb7d63a543693b95189e092f79fd57b10ec950c8bf6d1e201d830f040b"
+
+
+def test_element_text():
+    """Generators as witness prints them, for families that witness does not
+    reach at the default caps; the strings were taken when the CLI printed
+    elements itself."""
+    for text, want in [
+        ("xsp:3:1", ["(1,0,0)", "(0,1,0)"]),
+        ("cyclic:5", ["1"]),
+        ("prod(cyclic:2,named:S3)", ["(1, ())", "(0, (0 1 2))", "(0, (1 2))"]),
+    ]:
+        spec = parse_spec(text)
+        assert [element_text(spec, x) for x in realize(spec).generators] == want
 
 
 def test_expected_orders():
@@ -248,7 +289,7 @@ def _reference_affine_generators(q, m, mats):
 def test_affine_generators_match_per_point_images(text):
     spec = parse_spec(text)
     if isinstance(spec, Named):
-        spec = named_underlying(spec.name)
+        spec = catalog._NAMED[spec.name][0]
     if isinstance(spec, Frob):
         spec = Affine(spec.q, spec.m, (multiplier(spec.q, spec.m, spec.k),))
     g = realize(parse_spec(text))

@@ -286,6 +286,50 @@ def test_witness_json_fields(capsys):
     assert len(data["generators"]) == 3
 
 
+# sha256 of `witness --degree n --format fmt --no-timestamp` stdout, taken
+# while the CLI printed elements by a match on the spec family of its own.
+WITNESS_GOLDEN = {
+    (2, "json"): "add6b9ed282ae541baadc84437a4c7a446e680f736e26bcdf98e55f8339a7046",
+    (2, "pretty"): "90c80935bd1955e717787c1382b2019051367871b6b759c05af8ae9d246d5d0b",
+    (2, "csv"): "03d914e98935a0432688e769f4a8819aca8b4b84519c18d31e816762cfa64c6c",
+    (5, "json"): "c3f7bca43b59408cbb022334094bd96b10dcfa093a4e41bd570faf1462627aa1",
+    (5, "pretty"): "f8d719df4246ff375f5af0326c01763ca408334fb933143a1072a0759dbb2602",
+    (5, "csv"): "a461d4a4dab23de4301d9984d29aaec3a1b3c8ce419be26c8c6b5d820c613571",
+    (8, "json"): "bbbe5dac2fa1a66921ca50475e37bb38e838f2da3a7ba3f12930efb408f0f446",
+    (8, "pretty"): "5253d771e40c00ea073ed8390532012fc5504cccbd5e8224131be0f8fc2b6693",
+    (8, "csv"): "cce4bd4d4463edcb7078da262f2cf154273b286b4674d716d082c54bd029c4fa",
+    (9, "json"): "1b71dc54520213dcb15500adb2c5e7b078db5a0ea9080345cd1c6ceea25d0e28",
+    (9, "pretty"): "2ee2eca521c7dd4d4f9f18c4ac4afb696fe81dbfb199a39bf5ec92dddb5c121b",
+    (9, "csv"): "4cc40bed4a813cb18f2fa8840b5bb6599c3c864f00d1768d43cbeeaf3316dc3c",
+    (19, "json"): "d33c68c79550580062fdd25d69d9b893bf4d51898519aec7ad565f96ee5dd620",
+    (19, "pretty"): "e1b7c20a6ea3b3607397ec78a3a2dfeea562c99273b7c26a67c1d4b4290cb2bc",
+    (19, "csv"): "5053938d77113288aecbd57d7bc8aa2ccb5ea6865ef0e34c20b2b9bad33c5927",
+}
+
+
+@pytest.mark.parametrize("degree,fmt", sorted(WITNESS_GOLDEN))
+def test_witness_stdout_golden(capsys, degree, fmt):
+    code, out, _ = invoke(
+        capsys, "witness", "--degree", str(degree), "--format", fmt, "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_GOLDEN[degree, fmt]
+
+
+@pytest.mark.parametrize("degree", ["7", "8"])
+def test_gvalue_past_the_element_cap_is_unverified(capsys, degree):
+    """A witness above the element cap is not checked: the report says
+    `verified: no` and exits 0, for a catalog degree as for a prime one."""
+    code, out, err = invoke(
+        capsys, "gvalue", "--degree", degree, "--element-cap", "20",
+        "--format", "json", "--no-timestamp",
+    )
+    data = json.loads(out)
+    assert (code, err, data["verified"], data["anomalies"]) == (0, "", False, [])
+    want = {"7": ["frob:2^3:7"], "8": ["named:G72D", "named:G72Q"]}[degree]
+    assert data["witness_specs"] == want
+
+
 def test_verify_json_mirrors_status_fields(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--degree", "5", "--format", "json", "--no-timestamp"

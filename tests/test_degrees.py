@@ -33,7 +33,6 @@ from chardeg.errors import (
 from chardeg.groups import (
     GroupRealization,
     enumerate_elements,
-    exponent,
     index_tables,
 )
 from chardeg.smallgroups import enumerate_groups, table_to_realization
@@ -41,6 +40,7 @@ from chardeg.smallgroups import enumerate_groups, table_to_realization
 from group_facts import (
     derived_subgroup_order,
     element_order,
+    exponent,
     representative_modulus,
     representative_orders,
 )
@@ -188,7 +188,7 @@ def reference_split(g, cd, l):
     the identity basis, class matrices consumed in ascending class index."""
     r = cd.count
     return kernel_split(
-        lambda i: class_matrix(g, cd, i), range(1, r), np.eye(r, dtype=np.int64), list(range(r)), l
+        lambda i: class_matrix(cd, i), range(1, r), np.eye(r, dtype=np.int64), list(range(r)), l
     )
 
 
@@ -196,7 +196,7 @@ def reference_degrees(g):
     """Every degree from the full-space split, |G| / chi(1)^2 = sum_i w_i
     w_{i'} / |C_i| for each central character w."""
     cd = conjugacy_classes(g)
-    l = dixon_modulus(g, cd)
+    l = dixon_modulus(cd)
     order = sum(cd.sizes)
     out = []
     for v in reference_split(g, cd, l):
@@ -257,7 +257,7 @@ def test_index_engine_matches_reference(build):
     got = tuple(tuple(els[x] for x in cd.members(k).tolist()) for k in range(cd.count))
     assert got == members
     for i in range(cd.count):
-        got = class_matrix(g, cd, i)
+        got = class_matrix(cd, i)
         assert got.dtype == np.int64
         assert (got == reference_class_matrix(g, cd, i)).all()
 
@@ -278,7 +278,7 @@ def test_class_matrix_column_blocks(monkeypatch, text):
     cd = conjugacy_classes(g)
     monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", 5)
     for i in range(cd.count):
-        assert (class_matrix(g, cd, i) == reference_class_matrix(g, cd, i)).all()
+        assert (class_matrix(cd, i) == reference_class_matrix(g, cd, i)).all()
 
 
 @pytest.mark.parametrize(
@@ -294,10 +294,10 @@ def test_class_matrix_rows_match_reference(build):
     rng = np.random.default_rng(r)
     for i in range(r):
         want = reference_class_matrix(g, cd, i)
-        assert (class_matrix(g, cd, i, None) == want).all()
+        assert (class_matrix(cd, i, None) == want).all()
         subsets = [np.flatnonzero(rng.random(r) < 0.5), rng.integers(0, r, 1 + r // 2)]
         for rows in subsets + [rng.permutation(r)[:1].tolist()]:
-            got = class_matrix(g, cd, i, rows)
+            got = class_matrix(cd, i, rows)
             assert got.dtype == np.int64
             assert got.shape == (len(rows), r) and (got == want[rows]).all()
 
@@ -311,10 +311,10 @@ def test_class_sizes_must_divide_the_rows(text):
     sizes = list(cd.sizes)
     sizes[1], sizes[2] = sizes[2], sizes[1]
     bad = dataclasses.replace(cd, sizes=tuple(sizes))
-    assert (class_matrix(g, bad, 0) == np.eye(cd.count, dtype=np.int64)).all()
+    assert (class_matrix(bad, 0) == np.eye(cd.count, dtype=np.int64)).all()
     for i in range(1, cd.count):
         with pytest.raises(SelfCheckFailed, match="not divisible by its class size"):
-            class_matrix(g, bad, i)
+            class_matrix(bad, i)
 
 
 def rref_cases():
@@ -373,7 +373,7 @@ def test_split_guards_int64_overflow():
     with pytest.raises(CapExceeded):
         degrees._split_common_eigenvectors(guarded, range(1, 4), *full, 2**31 - 1)
     vectors = degrees._split_common_eigenvectors(
-        lambda i, rows=None: class_matrix(g, cd, i, rows) % 5, range(1, 4), *full, 5
+        lambda i, rows=None: class_matrix(cd, i, rows) % 5, range(1, 4), *full, 5
     )
     assert len(vectors) == 4
 
@@ -552,7 +552,7 @@ def test_class_data_reps_first_discovered():
 def test_identity_class_matrix():
     g = make("named:S3")
     cd = conjugacy_classes(g)
-    m = class_matrix(g, cd, 0)
+    m = class_matrix(cd, 0)
     assert (m == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).all()
 
 
@@ -560,7 +560,7 @@ def test_transposition_pairs_hitting_identity():
     g = make("named:S3")
     cd = conjugacy_classes(g)
     t = cd.class_at[enumerate_elements(g).index((0, 2, 1))]
-    m = class_matrix(g, cd, t)
+    m = class_matrix(cd, t)
     assert m[t][0] == 3  # three pairs (t, t^-1) multiply to the identity
 
 
@@ -569,7 +569,7 @@ def test_row_sum_identity(text):
     g = make(text)
     cd = conjugacy_classes(g)
     for i in range(cd.count):
-        a = class_matrix(g, cd, i)
+        a = class_matrix(cd, i)
         for j in range(cd.count):
             assert sum(int(a[j][k]) * cd.sizes[k] for k in range(cd.count)) == (
                 cd.sizes[i] * cd.sizes[j]
@@ -603,7 +603,7 @@ def test_row_sum_identity(text):
 )
 def test_dixon_modulus(text, modulus):
     g = make(text)
-    l = dixon_modulus(g, conjugacy_classes(g))
+    l = dixon_modulus(conjugacy_classes(g))
     assert l == modulus
     assert l > len(enumerate_elements(g))
     assert (l - 1) % exponent(g) == 0
@@ -643,7 +643,7 @@ def test_walked_order_must_divide_the_group_order(doctored, message):
     doctored = np.array([doctored], dtype=np.intp)
     bad = dataclasses.replace(cd, tables=dataclasses.replace(cd.tables, right=doctored))
     with pytest.raises(SelfCheckFailed, match=message):
-        dixon_modulus(g, bad)
+        dixon_modulus(bad)
 
 
 # ------------------------------------------------------------ Dixon degrees
@@ -812,7 +812,7 @@ def test_cover_matches_every_representative_walk(build):
         assert walked[i][j - 1] == k
         assert orders[i] % orders[k] == 0
     assert lcm(*map(len, walked.values())) == lcm(*orders) == exponent(g)
-    assert dixon_modulus(g, cd) == representative_modulus(cd)
+    assert dixon_modulus(cd) == representative_modulus(cd)
     assert degrees._split_order(cd) == reference_split_order(cd)
 
 
@@ -899,9 +899,9 @@ def test_central_classes_split_first(monkeypatch):
     built = []
     real = degrees.class_matrix
 
-    def counting(g, cd, i, rows=None):
+    def counting(cd, i, rows=None):
         built.append(cd.sizes[i])
-        return real(g, cd, i, rows)
+        return real(cd, i, rows)
 
     monkeypatch.setattr(degrees, "class_matrix", counting)
     for text in ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2"]:

@@ -1,4 +1,5 @@
-"""Every demo runs to completion in its own process, with nothing on stderr."""
+"""Every demo runs to completion in its own process, with nothing on stderr,
+and the README's Library snippet runs as written."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from chardeg import spec_text
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
@@ -40,3 +43,17 @@ def test_all_four_demos_are_covered():
         "small_group_census.py",
         "theorem_scans.py",
     ]
+
+
+def test_readme_library_snippet_runs():
+    """The README's Library code block imports from the package root and
+    gets the values its comments state."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["multiset"].group_order == 3420
+    assert (scope["report"].min_order, spec_text(scope["report"].witness_specs[0])) == (
+        56,
+        "frob:2^3:7",
+    )

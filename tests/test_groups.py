@@ -11,13 +11,12 @@ from chardeg.groups import (
     GroupRealization,
     direct_product,
     enumerate_elements,
-    exponent,
     index_tables,
 )
 
 from chardeg.smallgroups import enumerate_groups, table_to_realization
 
-from group_facts import derived_subgroup_order, element_order, group_data
+from group_facts import derived_subgroup_order, element_order, exponent, group_data
 
 
 def ints_mod(n, expected=None):

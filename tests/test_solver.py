@@ -166,6 +166,16 @@ def test_catalog_report_computes_each_winner_once(monkeypatch):
     assert calls == ["named:G72D", "named:G72Q"]
 
 
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_catalog_report_past_the_cap_builds_nothing(monkeypatch, verify):
+    """A minimal order above the element cap is not verified, as with
+    verification off: every order-72 entry is listed, nothing is built."""
+    monkeypatch.setattr(solver, "realize", lambda *args: pytest.fail("realized past the cap"))
+    r = catalog_report(8, verify=verify, cap=71)
+    assert (r.verified, r.anomalies) == (False, ())
+    assert r.witness_specs == (Named("G72D"), Named("G72Q"))
+
 # ------------------------------------------------------------------- scans
 
 
