@@ -33,7 +33,15 @@ from pathlib import Path
 
 from . import __version__
 from .cache import CacheEntry, DegreeCache, utc_now
-from .catalog import element_text, expected_order, parse_spec, realize, spec_text
+from .catalog import (
+    _REFUTED_CLAIMS,
+    Named,
+    element_text,
+    expected_order,
+    parse_spec,
+    realize,
+    spec_text,
+)
 from .degrees import character_degrees
 from .errors import (
     BudgetExceeded,
@@ -277,7 +285,9 @@ def _cmd_witness(args, settings) -> int:
     specs = report.witness_specs or tuple(
         c.spec for c in report.candidates if c.order == report.min_order
     )
-    spec = specs[0]
+    # an unverified report lists refuted claims too (G72D for degree 8)
+    refuted = [Named(name) for name in _REFUTED_CLAIMS.get(report.n, ())]
+    spec = next((s for s in specs if s not in refuted), specs[0])
     g = realize(spec, settings.element_cap)
     order = len(index_tables(g, settings.element_cap))
     gens = [element_text(spec, x) for x in g.generators]

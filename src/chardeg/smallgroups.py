@@ -8,13 +8,19 @@ per divisor m of n, from the largest prime dividing n up (Cauchy), fixes
 row 1 to that pattern and keeps the tables whose largest element order is
 m; each class comes from exactly one sub-search.  When m = 2 the diagonal
 is fixed to 0 as well: every table is then of exponent 2, so elementary
-abelian, and the sub-search stops at its first.  The other rows are
-filled row-major by backtracking with:
+abelian, and the sub-search stops at its first.  Row 1 is x -> g*x, so
+row b*m+i, that of g^i*x_b, is row 1 applied i times to row b*m: the
+search stores only the k = n/m representative rows b*m and fills them
+row-major by backtracking with:
 
-  * Latin-square row/column masks,
-  * associativity propagation: each placed product a*b = c triggers the
-    forced consequences (a*b)*x = a*(b*x) and x*(a*b) = (x*a)*b in both
-    directions, plus last-cell completion of rows and columns,
+  * Latin checks: row 1 keeps each value in its block, so a row is Latin
+    when its representative is, and a column when its k representative
+    cells lie in distinct blocks,
+  * associativity propagation: each placed cell is checked against every
+    triple (pq)r = p(qr), p a representative, in which one of its m images
+    is one of the four cells (p,q), (q,r), (pq,r), (p,qr); when (p,q) and
+    (q,r) are known, a known one of the other two sets the other; plus
+    last-cell completion of rows,
   * order pruning: a node is dropped once some x has x, x^2, ..., x^m
     known and none of them 0, since then x has order above m,
   * lex-leader pruning (Crawford, Ginsberg, Luks & Roy, KR 1996): choosing
@@ -132,110 +138,126 @@ def table_to_realization(t: CayleyTable) -> GroupRealization:
 
 
 class _Search:
+    """Sub-search m keeps the representative rows b*m, b < k = n/m
+    (self.rows), the column of each value in them (self.where), the blocks
+    in each column (self.blocks) and the known cells of each row
+    (self.filled).  Row b*m + i is shift[i] of row b*m, with shift[i][v] =
+    v - v%m + (v%m + i)%m.  Every row and shift[i] ends in -1, so an empty
+    cell (-1) reads -1 through them."""
+
     def __init__(self, n: int, budget: int):
         self.n = n
         self.budget = budget
         self.nodes = 0
-        self.table = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
-        self.rowmask = [(1 << n) - 1] + [1 << r for r in range(1, n)]
-        self.colmask = list(self.rowmask)
-        self.trail: list[tuple[int, int]] = []
         self.found: list[CayleyTable] = []
         self.first_only = False
-        # set per sub-search: the largest element order, and its relabellings
-        self.m = n
-        self.inverses = np.zeros((0, n), dtype=np.intp)
-        self.images = np.zeros((0, n + 1), dtype=np.intp)
 
     # -- assignment with propagation; returns False on contradiction
 
-    def assign(self, r: int, c: int, v: int, queue) -> bool:
-        cur = self.table[r][c]
+    def assign(self, b: int, c: int, v: int, queue) -> bool:
+        """Set representative cell (b*m, c) to v."""
+        cur = self.rows[b][c]
         if cur != -1:
             return cur == v
-        bit = 1 << v
-        if self.rowmask[r] & bit or self.colmask[c] & bit:
+        bit = 1 << v // self.m
+        if self.where[b][v] != -1 or self.blocks[c] & bit:
             return False
-        self.table[r][c] = v
-        self.rowmask[r] |= bit
-        self.colmask[c] |= bit
-        self.trail.append((r, c))
-        queue.append((r, c))
+        self.rows[b][c] = v
+        self.where[b][v] = c
+        self.blocks[c] |= bit
+        self.filled[b] += 1
+        self.trail.append((b, c))
+        queue.append((b, c))
         return True
 
     def undo_to(self, mark: int):
         while len(self.trail) > mark:
-            r, c = self.trail.pop()
-            v = self.table[r][c]
-            self.table[r][c] = -1
-            bit = ~(1 << v)
-            self.rowmask[r] &= bit
-            self.colmask[c] &= bit
+            b, c = self.trail.pop()
+            v = self.rows[b][c]
+            self.rows[b][c] = self.where[b][v] = -1
+            self.blocks[c] &= ~(1 << v // self.m)
+            self.filled[b] -= 1
 
     def propagate(self, queue) -> bool:
-        t = self.table
-        n = self.n
-        while queue:
-            a, b = queue.pop()
-            c = t[a][b]
-            for x in range(1, n):
-                # (a*b)*x = a*(b*x)
-                y = t[b][x]
-                if y != -1:
-                    z = t[a][y]
-                    w = t[c][x]
-                    if z != -1:
-                        if not self.assign(c, x, z, queue):
-                            return False
-                    elif w != -1:
-                        if not self.assign(a, y, w, queue):
-                            return False
-                # x*(a*b) = (x*a)*b
-                y = t[x][a]
-                if y != -1:
-                    z = t[y][b]
-                    w = t[x][c]
-                    if z != -1:
-                        if not self.assign(x, c, z, queue):
-                            return False
-                    elif w != -1:
-                        if not self.assign(y, b, w, queue):
-                            return False
-            if not self.complete_line(a, b, queue):
-                return False
-        return True
+        """Check (pq)r = p(qr) on every triple in which an image of a queued
+        cell is one of its four cells (p,q), (q,r), (pq,r), (p,qr).  Row
+        g^i*p is shift[i] of row p, so p and g^i*p satisfy the same triples
+        and p runs over the representatives only.  With (p,q) and (q,r)
+        known, a known one of the other two sets the other.  A row with one
+        hole left is filled."""
+        n, m, k = self.n, self.m, self.n // self.m
+        rows, where, shift, assign = self.rows, self.where, self.shift, self.assign
 
-    def complete_line(self, r: int, c: int, queue) -> bool:
-        """Quasigroup cancellation: one hole left in a row or column."""
-        n = self.n
-        full = (1 << n) - 1
-        if self.rowmask[r].bit_count() == n - 1:
-            col = self.table[r].index(-1)
-            v = (full ^ self.rowmask[r]).bit_length() - 1
-            if not self.assign(r, col, v, queue):
-                return False
-        if self.colmask[c].bit_count() == n - 1:
-            row = next(i for i in range(n) if self.table[i][c] == -1)
-            v = (full ^ self.colmask[c]).bit_length() - 1
-            if not self.assign(row, c, v, queue):
-                return False
+        def settle(b, s, r, u, w, z):
+            # cell (s, r) = w against cell (b*m, u) = z, which differ
+            if w == -1:
+                return assign(s // m, r, shift[-(s % m)][z], queue)
+            return z == -1 and assign(b, u, w, queue)
+
+        while queue:
+            b, c = queue.pop()
+            row = rows[b]
+            v = row[c]
+            # as (p, q) = (b*m, c), so pq = v: r over all n
+            sc, rc = shift[c % m], rows[c // m]
+            sv, rv = shift[v % m], rows[v // m]
+            for r in range(1, n):
+                u = sc[rc[r]]
+                if u != -1:
+                    w, z = sv[rv[r]], row[u]
+                    if w != z and not settle(b, v, r, u, w, z):
+                        return False
+            for i in range(m):
+                a, y = b * m + i, shift[i][v]  # the image (a, c) = y
+                for p in range(1, k):
+                    rp = rows[p]
+                    # as (q, r): the triple (p*m, a, c)
+                    s = rp[a]
+                    if s != -1:
+                        w, z = shift[s % m][rows[s // m][c]], rp[y]
+                        if w != z and not settle(p, s, c, y, w, z):
+                            return False
+                    # as (pq, r): the triple (p*m, x, c) with (p*m)x = a
+                    x = where[p][a]
+                    if x != -1:
+                        u = shift[x % m][rows[x // m][c]]
+                        z = rp[u]
+                        if u != -1 and z != y and not settle(p, a, c, u, y, z):
+                            return False
+            # as (p, qr) = (b*m, c): q over all n, r read off q's positions
+            for q in range(1, n):
+                r = where[q // m][shift[-(q % m)][c]]
+                s = row[q]
+                if r != -1 and s != -1:
+                    w = shift[s % m][rows[s // m][r]]
+                    if w != v and not settle(b, s, r, c, w, v):
+                        return False
+            if self.filled[b] == n - 1:
+                if not assign(b, row.index(-1), where[b].index(-1), queue):
+                    return False
         return True
 
     # -- depth-first fill, row-major
 
     def next_cell(self):
-        for r in range(1, self.n):
-            if self.rowmask[r].bit_count() < self.n:
-                return r, self.table[r].index(-1)
+        for b in range(1, self.n // self.m):
+            if self.filled[b] < self.n:
+                return b * self.m, self.rows[b].index(-1)
         return None
+
+    def full_table(self) -> np.ndarray:
+        """The n x n table, -1 where unknown: row b*m + i is shift[i] of
+        representative row b."""
+        reps = np.array(self.rows, dtype=np.intp)[:, : self.n]
+        return self.shifts[:, reps].swapaxes(0, 1).reshape(self.n, self.n)
 
     def orders_within(self) -> bool:
         """False once some x has x, x^2, ..., x^m all known and not 0."""
-        t = self.table
+        m, rows, shift = self.m, self.rows, self.shift
         for x in range(2, self.n):
             y = x
-            for _ in range(self.m - 1):
-                y = t[y][x]
+            for _ in range(m - 1):
+                y = shift[y % m][rows[y // m][x]]
                 if y <= 0:
                     break
             else:
@@ -259,7 +281,7 @@ class _Search:
             return alive
         n, m = self.n, self.m
         r0, c0 = cell if cell is not None else (n - 1, n)
-        t = np.array(self.table, dtype=np.intp)
+        t = self.full_table()
         prefix = t[m : r0 + 1].ravel()[: (r0 - m) * n + c0]
         if not prefix.size:
             return alive
@@ -279,12 +301,12 @@ class _Search:
         if alive is None:
             return
         if cell is None:
-            table = CayleyTable(self.n, tuple(map(tuple, self.table)))
+            table = CayleyTable(self.n, tuple(map(tuple, self.full_table().tolist())))
             if not table.is_associative():
                 raise SelfCheckFailed("search emitted a non-associative table")
             self.found.append(table)
             return
-        r, c = cell
+        b, c = cell[0] // self.m, cell[1]
         for v in range(self.n):
             self.nodes += 1
             if self.nodes > self.budget:
@@ -293,7 +315,7 @@ class _Search:
                 )
             mark = len(self.trail)
             queue: list[tuple[int, int]] = []
-            if self.assign(r, c, v, queue) and self.propagate(queue):
+            if self.assign(b, c, v, queue) and self.propagate(queue):
                 self.run(alive)
             self.undo_to(mark)
             if self.first_only and self.found:
@@ -304,20 +326,32 @@ class _Search:
         order m, and m the largest element order, with no table that a
         relabelling from _relabellings(n, m) makes lex-smaller.  For m = 2
         that is the one elementary abelian table, if n is a power of 2."""
-        cells = [(1, c, c // m * m + (c % m + 1) % m) for c in range(1, self.n)]
-        if m == 2:
-            cells += [(x, x, 0) for x in range(1, self.n)]
-        queue: list[tuple[int, int]] = []
+        n, k = self.n, self.n // m
+        self.m = m
+        self.shift = [
+            [v - v % m + (v % m + i) % m for v in range(n)] + [-1] for i in range(m)
+        ]
+        self.shifts = np.array(self.shift, dtype=np.intp)
+        # row 0 is the identity's, and column 0 holds each row's label
+        self.rows = [list(range(n)) + [-1]] + [[b * m] + [-1] * n for b in range(1, k)]
+        self.where = [list(range(n)) + [-1]] + [[-1] * (n + 1) for _ in range(1, k)]
+        for b in range(1, k):
+            self.where[b][b * m] = 0
+        self.blocks = [(1 << k) - 1] + [1 << c // m for c in range(1, n)]
+        self.filled = [n] + [1] * (k - 1)
+        self.trail: list[tuple[int, int]] = []
         self.found = []
         self.first_only = m == 2
-        self.m = m
-        perms = _relabellings(self.n, m)
+        perms = _relabellings(n, m)
         rows = np.arange(len(perms))[:, None]
         self.inverses = np.empty_like(perms)
-        self.inverses[rows, perms] = np.arange(self.n)
+        self.inverses[rows, perms] = np.arange(n)
         # column n stays -1, so an empty cell (-1) gathers -1
-        self.images = np.full((len(perms), self.n + 1), -1, dtype=np.intp)
+        self.images = np.full((len(perms), n + 1), -1, dtype=np.intp)
         self.images[:, :-1] = perms
+        # for m = 2 the diagonal is 0, so row x//2 holds shift[-(x%2)][0] at x
+        queue: list[tuple[int, int]] = []
+        cells = [(x // 2, x, self.shift[-(x % 2)][0]) for x in range(1, n)] if m == 2 else []
         if all(self.assign(*cell, queue) for cell in cells) and self.propagate(queue):
             self.run(np.arange(len(perms)))
         self.undo_to(0)

@@ -330,6 +330,17 @@ def test_gvalue_past_the_element_cap_is_unverified(capsys, degree):
     assert data["witness_specs"] == want
 
 
+def test_unverified_witness_skips_a_refuted_claim(capsys):
+    """Without verification the degree-8 report lists G72D, whose degrees
+    top out at 4; the witness is the first entry that is not refuted."""
+    code, out, err = invoke(
+        capsys, "witness", "--degree", "8", "--no-verify", "--format", "json",
+        "--no-timestamp",
+    )
+    data = json.loads(out)
+    assert (code, err, data["spec"], data["verified"]) == (0, "", "named:G72Q", False)
+
+
 def test_verify_json_mirrors_status_fields(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--degree", "5", "--format", "json", "--no-timestamp"

@@ -25,6 +25,8 @@ from chardeg.smallgroups import (
     table_to_realization,
 )
 
+from reference_search import ReferenceSearch
+
 COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5,
     9: 2, 10: 2, 11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14,
@@ -63,7 +65,7 @@ LOOP = CayleyTable(  # a Latin square with identity that is not associative
 )
 
 
-class _FirstOccurrenceSearch(_Search):
+class _FirstOccurrenceSearch(ReferenceSearch):
     """The search with row 1 filled by backtracking under the first-occurrence
     rule: scanning row 1 left to right, a value may exceed everything seen so
     far by at most one.  Every class has such a labelling (relabel by order
@@ -188,6 +190,18 @@ def test_tables_golden(n):
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == TABLES_GOLDEN[n]
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sub_searches_match_full_table_search(n):
+    """Each sub-search returns the full-table reference search's tables, in
+    its order, in no more nodes."""
+    for m in sub_searches(n):
+        mine, ref = _Search(n, budget=10**9), ReferenceSearch(n, budget=10**9)
+        assert [t.table for t in mine.sub_search(m)] == [
+            t.table for t in ref.sub_search(m)
+        ], m
+        assert mine.nodes <= ref.nodes, m
+
+
 def test_symmetric_sub_searches_listed():
     assert SYMMETRIC == [(6, 3), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4), (12, 6)]
     for n in range(2, 13):
@@ -272,10 +286,19 @@ def test_sub_searches_share_one_budget():
 
 
 def test_pruning_keeps_node_counts_down():
-    """The pruned searches take 576 and 990 nodes; with no pruning orders
-    12 and 16 take 7,248 and 28,814."""
+    """The pruned searches take 348 and 638 nodes (576 and 990 by the
+    full-table reference search); with no pruning orders 12 and 16 take
+    7,248 and 28,814 by the reference."""
     assert len(enumerate_groups(12, budget=600)) == 5
     assert len(enumerate_groups(16, budget=1000)) == 14
+
+
+def test_propagation_keeps_node_counts_down():
+    """The representative-row search takes 348 nodes at order 12 and 9,408
+    at order 24; with either the (pq,r) or the (p,qr) cell left out of the
+    propagation it takes 9,720 or 9,792 at order 24."""
+    assert len(enumerate_groups(12, budget=348)) == 5
+    assert len(enumerate_groups(24, budget=9408, cap=24)) == 15
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
