@@ -7,9 +7,15 @@ the first 13 primes) is exact below psi_13 = 3,317,044,064,679,887,385,961,981
 (Sorenson & Webster, Math. Comp. 86, 2017) and raises `CapExceeded` above it
 rather than guess.  The searches take the candidates n+1, 2n+1, ... in
 increasing value, so the returned minima are true minima.  A batch of moduli
-(a prime scan) reads its first candidates from one numpy sieve coding each
-value as not a prime power, prime, or proper prime power; a modulus with no
-hit there, and every single query, walks on one test per candidate.
+(a prime scan) reads the candidates of all its moduli a block of 32 each at a
+time: a value up to b from one numpy sieve coding each value as not a prime
+power, prime, or proper prime power, and a value past b, up to t*t, by one
+vectorized trial division by the sieve's primes up to t.  The moduli with no
+hit in their first block (the leftovers) go on in further blocks; a modulus
+with no hit up to t*t walks on one test per candidate, as every single query
+and every batch of fewer than 14 moduli does.  `least_values_1mod` returns a
+batch's answers as one int64 column with a column of prime flags, and builds
+no `PrimePower`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "multiplicative_order",
     "PrimePower",
     "prime_power_decomposition",
+    "least_values_1mod",
     "least_prime_powers_1mod",
     "least_prime_power_1mod",
     "least_prime_1mod",
@@ -45,15 +52,23 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SEARCH_CAP = 2**63
 
-# Batched searches read K = _WINDOW candidates per modulus from one sieve of
-# 0..b, b = min(K * max modulus + 1, _SIEVE_PER_MODULUS * moduli, _SIEVE_MAX)
-# cut back to the last candidate any modulus reads below it, one int8 code
-# per odd value; below _SIEVE_MIN the scalar walk is cheaper.
+# Batched searches read the candidates of each modulus K = _WINDOW at a time
+# (a block), at most _BLOCK candidates of all moduli at once.  A value up to b
+# is read from one sieve of 0..b, b = min(K * max modulus + 1,
+# _SIEVE_PER_MODULUS * moduli, _SIEVE_MAX) cut back to the last candidate a
+# first block reads below it, one int8 code per odd value.  A value past b,
+# up to t*t for t = min(_TRIAL_MAX, b), is decided by trial division by the
+# sieve's odd primes up to t, in uint32 (t*t < 2**32); a modulus with no hit
+# up to t*t walks on past it.  A batch is sieved once its budget
+# _SIEVE_PER_MODULUS * moduli reaches _SIEVE_MIN (14 moduli); below that the
+# scalar walk is cheaper.
 _PRIME, _PROPER_POWER = 1, 2
 _WINDOW = 32
 _SIEVE_PER_MODULUS = 5000
 _SIEVE_MIN = 2**16
 _SIEVE_MAX = 2**23
+_TRIAL_MAX = 2**14
+_BLOCK = 2**13
 
 
 def is_prime(n: int) -> bool:
@@ -63,6 +78,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor up to 41, so none up to sqrt(n)
+        return True
     if n >= _MR_EXACT_BELOW:
         raise CapExceeded(
             f"primality of {n} is not decided: the Miller-Rabin witnesses "
@@ -219,10 +236,10 @@ def prime_power_decomposition(v: int) -> PrimePower | None:
 
 def _prime_power_codes(b: int) -> np.ndarray:
     """int8 code of every odd v in 0..b, at v // 2: 0 not a prime power, 1
-    prime, 2 proper prime power.  The even prime powers are 2 and its
-    powers, which need no sieve."""
-    codes = np.ones((b + 1) // 2, dtype=np.int8)
-    codes[:1] = 0
+    prime, 2 proper prime power, then a 0 that values past b read.  The
+    even prime powers are 2 and its powers, which need no sieve."""
+    codes = np.ones((b + 1) // 2 + 1, dtype=np.int8)
+    codes[:1] = codes[-1:] = 0
     root = math.isqrt(b)
     for i in range(3, root + 1, 2):
         if codes[i // 2]:
@@ -251,55 +268,141 @@ def _walk_1mod(n: int, k: int, primes_only: bool) -> PrimePower:
     raise SearchExhausted(f"no {kind} = 1 mod {n} below 2**63")
 
 
+def _trial_codes(x: np.ndarray, trial: np.ndarray, powers: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """Codes of odd values x past the sieve, each above every trial prime:
+    prime when no trial prime up to sqrt(max x) divides it, and a proper
+    power when it is in one of the sorted arrays `powers`.  Each step
+    divides the values still alive by the next primes, at most _BLOCK
+    remainders at once."""
+    x32 = x.astype(np.uint32)
+    alive = np.arange(x.size)
+    i, top = 0, int(np.searchsorted(trial, math.isqrt(int(x.max())), "right"))
+    while i < top and alive.size:
+        g = max(1, _BLOCK // alive.size)
+        alive = alive[(x32[alive, None] % trial[i : min(i + g, top)]).all(1)]
+        i += g
+    out = np.zeros(x.size, dtype=np.int8)
+    out[alive] = _PRIME
+    for table in powers or ():
+        out[table[np.minimum(np.searchsorted(table, x), table.size - 1)] == x] = _PROPER_POWER
+    return out
+
+
+def _search_blocks(ns, primes_only, b, values, prime) -> list[tuple[int, int]]:
+    """Fill values and prime for each modulus of ns with a hit up to t*t,
+    reading _WINDOW candidates a block; return (index, k) for each other
+    one, to walk on from its first candidate k*n+1 past t*t."""
+    codes = _prime_power_codes(b)
+    t = min(_TRIAL_MAX, b)
+    t2 = t * t
+    trial = (2 * np.flatnonzero(codes[1 : (t + 1) // 2] == _PRIME) + 3).astype(np.uint32)
+    powers = None
+    if not primes_only:  # the odd q**m up to t*t: the squares, then a few hundred more
+        qs = trial.astype(np.int64)
+        squares = qs * qs
+        pw, parts = squares * qs, []
+        while (pw <= t2).any():
+            qs, pw = qs[pw <= t2], pw[pw <= t2]
+            parts += pw.tolist()
+            pw = pw * qs
+        powers = (squares, np.array(sorted(parts) or [0]))
+    k = np.ones(len(ns), dtype=np.int64)
+    todo = np.arange(len(ns))
+    walks = []
+    step = np.arange(_WINDOW)
+    rows_per_block = max(1, _BLOCK // _WINDOW)
+    while todo.size:
+        far = k[todo] * ns[todo] + 1 > t2
+        walks += [(i, (t2 - 1) // n + 1) for i, n in zip(todo[far].tolist(), ns[todo[far]].tolist())]
+        todo = todo[~far]
+        missed = [todo[:0]]
+        for start in range(0, todo.size, rows_per_block):
+            rows = todo[start : start + rows_per_block]
+            v = (k[rows, None] + step) * ns[rows, None] + 1
+            odd = v & 1 == 1
+            # an even v reads codes[0] = 0, and a value past b the closing 0
+            c = codes[np.minimum(v * odd, b + 1) >> 1]
+            if not primes_only:  # an even v is a prime power only as a power of 2
+                c[~odd & (v & (v - 1) == 0) & (v <= t2)] = _PROPER_POWER
+            past = odd & (v > b) & (v <= t2)
+            if past.any():
+                c[past] = _trial_codes(v[past], trial, powers)
+            hit = (c == _PRIME) if primes_only else (c != 0)
+            j = hit.argmax(1)
+            got = hit[np.arange(rows.size), j]
+            values[rows[got]] = v[got, j[got]]
+            prime[rows[got]] = c[got, j[got]] == _PRIME
+            missed.append(rows[~got])
+        todo = np.concatenate(missed)
+        k[todo] += _WINDOW
+    return walks
+
+
+def least_values_1mod(moduli, primes_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """For each modulus n, the least prime power = 1 (mod n), or the least
+    prime when `primes_only`, as one int64 column, with a column that
+    flags the primes among them (read from the sieve codes, the trial
+    division or the walk that found each value).
+
+    A batch of 14 moduli or more (its budget _SIEVE_PER_MODULUS * moduli
+    reaches _SIEVE_MIN) reads the candidates of every modulus _WINDOW at a
+    time: from one sieve of 0..b, and past b, up to t*t, by trial division
+    by the sieve's primes up to t = min(_TRIAL_MAX, b).  The first block
+    answers most moduli; the leftovers go on together, a block at a time.
+    A modulus with no hit up to t*t, and every modulus of a smaller batch,
+    walks on one test per candidate.
+    """
+    moduli = list(moduli)
+    if moduli and min(moduli) < 2:
+        raise ValueError("least_values_1mod needs every modulus >= 2")
+    values = np.zeros(len(moduli), dtype=np.int64)
+    prime = np.zeros(len(moduli), dtype=bool)
+    walks = [(i, 1) for i in range(len(moduli))]
+    if _SIEVE_PER_MODULUS * len(moduli) >= _SIEVE_MIN:
+        top = max(moduli)
+        b = min(_WINDOW * top + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
+        # cap keeps every value inside int64: a modulus past b and t*t reads
+        # no candidate and walks with its own value
+        cap = max(b, _TRIAL_MAX**2)
+        ns = np.array(moduli if top <= cap else [min(n, cap) for n in moduli], dtype=np.int64)
+        # the sieve ends at the last candidate a first block reads below b
+        b = int((np.minimum(_WINDOW, (b - 1) // ns) * ns).max()) + 1
+        walks = _search_blocks(ns, primes_only, b, values, prime)
+    for i, k in walks:
+        pp = _walk_1mod(moduli[i], k, primes_only)
+        values[i], prime[i] = pp.value, pp.m == 1
+    return values, prime
+
+
 def least_prime_powers_1mod(moduli, primes_only: bool = False) -> list[PrimePower]:
     """For each modulus n, the smallest prime power q**m = 1 (mod n), or the
     smallest prime q (as q**1) when `primes_only`.
 
-    One sieve of 0..b answers every modulus whose answer lies in its first
-    _WINDOW candidates; the others continue with the scalar walk from the
-    first candidate the window did not cover.
-    """
-    moduli = list(moduli)
-    if any(n < 2 for n in moduli):
-        raise ValueError("least_prime_powers_1mod needs every modulus >= 2")
-    b = min(_WINDOW * max(moduli, default=0) + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
-    if b < _SIEVE_MIN:
-        return [_walk_1mod(n, 1, primes_only) for n in moduli]
-    # min keeps every candidate of n >= b inside int64: such an n reads none
-    ns = np.array([min(n, b) for n in moduli], dtype=np.int64)
-    reach = np.minimum(_WINDOW, (b - 1) // ns)  # candidates read below b
-    b = int((reach * ns).max()) + 1  # the last one read
-    codes = _prime_power_codes(b)
-    # one gather of the k-th candidates of all moduli per k, largest k first
-    # so that the least hit is written last; an even candidate or one past b
-    # reads codes[0], which is no hit, and an even one up to b is a prime
-    # power if it is a power of 2
-    hits = np.zeros(len(moduli), dtype=np.int64)
-    for k in range(_WINDOW, 0, -1):
-        v = k * ns + 1
-        inside = v <= b
-        c = codes[np.where(inside & (v & 1 == 1), v >> 1, 0)]
-        hits[(c == _PRIME) if primes_only else (c != 0) | inside & (v & (v - 1) == 0)] = k
-    # every hit's value in one gather (1 where the window has none): a prime
-    # is built as it is, and only proper powers and powers of 2 are decomposed
-    v = hits * ns + 1
-    prime = codes[np.where(v & 1 == 1, v >> 1, 0)] == _PRIME
+    The values come from `least_values_1mod`: a batch of 14 moduli or more
+    reads one sieve, then trial-divides its leftovers (the moduli with no
+    hit in their first 32 candidates) in one vectorized pass a block at a
+    time, and walks only the moduli with no hit below t*t; a smaller batch
+    walks.  The PrimePowers are built here, from its prime flags: only the
+    proper powers are decomposed."""
+    values, prime = least_values_1mod(moduli, primes_only)
     return [
-        _walk_1mod(n, top + 1, primes_only) if w == 1
-        else PrimePower(w, 1) if is_p
-        else prime_power_decomposition(w)
-        for n, w, is_p, top in zip(moduli, v.tolist(), prime.tolist(), reach.tolist())
+        PrimePower(v, 1) if is_p else prime_power_decomposition(v)
+        for v, is_p in zip(values.tolist(), prime.tolist())
     ]
 
 
 def least_prime_power_1mod(n: int) -> PrimePower:
-    """Smallest prime power q**m with q**m = 1 (mod n), scanned by value."""
-    return least_prime_powers_1mod([n])[0]
+    """Smallest prime power q**m with q**m = 1 (mod n), by the scalar walk."""
+    if n < 2:
+        raise ValueError("least_prime_power_1mod needs n >= 2")
+    return _walk_1mod(n, 1, False)
 
 
 def least_prime_1mod(n: int) -> int:
-    """Smallest prime q with q = 1 (mod n)."""
-    return least_prime_powers_1mod([n], primes_only=True)[0].q
+    """Smallest prime q with q = 1 (mod n), by the scalar walk."""
+    if n < 2:
+        raise ValueError("least_prime_1mod needs n >= 2")
+    return _walk_1mod(n, 1, True).q
 
 
 def kanold_holds(p: int) -> bool:

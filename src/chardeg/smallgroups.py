@@ -19,8 +19,7 @@ row-major by backtracking with:
   * associativity propagation: each placed cell is checked against every
     triple (pq)r = p(qr), p a representative, in which one of its m images
     is one of the four cells (p,q), (q,r), (pq,r), (p,qr); when (p,q) and
-    (q,r) are known, a known one of the other two sets the other; plus
-    last-cell completion of rows,
+    (q,r) are known, a known one of the other two sets the other,
   * order pruning: a node is dropped once some x has x, x^2, ..., x^m
     known and none of them 0, since then x has order above m,
   * lex-leader pruning (Crawford, Ginsberg, Luks & Roy, KR 1996): choosing
@@ -183,8 +182,7 @@ class _Search:
         cell is one of its four cells (p,q), (q,r), (pq,r), (p,qr).  Row
         g^i*p is shift[i] of row p, so p and g^i*p satisfy the same triples
         and p runs over the representatives only.  With (p,q) and (q,r)
-        known, a known one of the other two sets the other.  A row with one
-        hole left is filled."""
+        known, a known one of the other two sets the other."""
         n, m, k = self.n, self.m, self.n // self.m
         rows, where, shift, assign = self.rows, self.where, self.shift, self.assign
 
@@ -232,9 +230,6 @@ class _Search:
                     w = shift[s % m][rows[s // m][r]]
                     if w != v and not settle(b, s, r, c, w, v):
                         return False
-            if self.filled[b] == n - 1:
-                if not assign(b, row.index(-1), where[b].index(-1), queue):
-                    return False
         return True
 
     # -- depth-first fill, row-major

@@ -26,14 +26,17 @@ when the remaining orders were exhaustively enumerated and cleared, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
+
+import numpy as np
 
 from .arith import (
     PrimePower,
     is_cyclic_number,
     is_prime,
     least_prime_power_1mod,
-    least_prime_powers_1mod,
+    least_values_1mod,
     primes_up_to,
 )
 from .catalog import (
@@ -136,36 +139,67 @@ def verify_witness(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> b
     return n in character_degrees(realize(spec, cap), cap).degrees
 
 
-def _orders(p: int, pp: PrimePower, base_order: int | None = None) -> dict[str, int]:
-    """The candidates' orders by label: for degree p given the least prime
-    power pp = 1 mod p, or for degree p^2 given the least pp = 1 mod p^2
-    and the least degree-p order, which the product squares."""
-    if base_order is not None:
-        return {"pgroup5": p**5, "frobenius": p * p * pp.value, "product": base_order**2}
+def _exact(top: int, *columns) -> list[np.ndarray]:
+    """The integer columns as exact arrays: int64 when top, a bound on every
+    order computed from them, is below 2**63, else Python ints."""
+    dtype = np.int64 if top < 2**63 else object
+    return [np.array(c, dtype=dtype) for c in columns]
+
+
+def _orders(p, v, base=None) -> dict:
+    """The candidates' orders by label, as ints or as columns: for degree p
+    given the least prime power v = 1 mod p, or for degree p^2 given the
+    least v = 1 mod p^2 and the least degree-p order `base`, which the
+    product squares.  PSL2(p) is a candidate only from p = 5; below that
+    its order is pushed past the Frobenius one, so it never wins."""
+    p2 = p * p
+    if base is not None:
+        return {"pgroup5": p2 * p2 * p, "frobenius": p2 * v, "product": base * base}
+    frob = p * v
     # |PSL2(p)| for odd p, without psl2_order's primality test
-    orders = {"psl2": p * (p * p - 1) // 2} if p >= 5 else {}
-    orders["frobenius"] = p * pp.value
-    return orders
+    return {"psl2": p * (p2 - 1) // 2 + (p < 5) * frob, "frobenius": frob}
 
 
-def _compare(n: int, orders: dict[str, int], factor_case: str = "b"):
-    """Degree n decided by the candidates' orders alone: the case label, the
-    least order, the winners' labels and the anomalies.  factor_case is the
-    case of the degree-p winner that the product candidate squares."""
-    min_order = min(orders.values())
-    winners = [label for label, order in orders.items() if order == min_order]
+@cache
+def _cases(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The case label and the tie flag of each set of winning labels, by
+    its bitmask over `labels`: a lone winner's case, else a tie."""
+    lone = [w & (w - 1) == 0 for w in range(1 << len(labels))]
+    case = [_CASE_BY_LABEL[labels[w.bit_length() - 1]] if lone[w] else "tie" for w in range(len(lone))]
+    tables = np.array(case, dtype=object), ~np.array(lone)
+    for table in tables:  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _compare(n, orders: dict, factor_case=None):
+    """The one order comparison: degrees n, a row each, decided by the
+    candidates' orders alone, given by label as exact integer columns
+    (int64, or Python ints in object arrays; never lists, which numpy may
+    read as floats).
+    Returns the case labels, the least orders, the winners (a row of flags
+    per label, in the order of `orders`) and the anomalies, in row order.
+    factor_case holds the case of the degree-p winner that the product
+    candidate squares."""
+    labels = tuple(orders)
+    table = np.array(list(orders.values()))
+    least = table.min(0)
+    won = table == least
+    case, tie = _cases(labels)
+    bits = np.packbits(won, axis=0, bitorder="little")[0]
+    case, tie = case[bits], tie[bits]
+    odd = won[labels.index("product")] & (factor_case != "b") if "product" in labels else None
     anomalies = []
-    if len(winners) > 1:
-        case = "tie"
-        anomalies.append(f"n={n}: candidates {', '.join(winners)} tie at order {min_order}")
-    else:
-        case = _CASE_BY_LABEL[winners[0]]
-    if "product" in winners and factor_case != "b":
-        anomalies.append(
-            f"n={n}: winning product is built from case-{factor_case} "
-            "factors, not Frobenius ones"
-        )
-    return case, min_order, winners, anomalies
+    for i in (tie if odd is None else tie | odd).nonzero()[0].tolist():
+        if tie[i]:
+            winners = ", ".join(label for label, w in zip(labels, won[:, i]) if w)
+            anomalies.append(f"n={n[i]}: candidates {winners} tie at order {least[i]}")
+        if odd is not None and odd[i]:
+            anomalies.append(
+                f"n={n[i]}: winning product is built from case-{factor_case[i]} "
+                "factors, not Frobenius ones"
+            )
+    return case, least, won, anomalies
 
 
 def g_prime(p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
@@ -179,23 +213,33 @@ def g_prime_squared(
 ) -> CandidateReport:
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
-    pp, pp_sq = least_prime_powers_1mod([p, p * p])
-    return _candidate_report(p, pp, pp_sq, verify, cap)
+    return _candidate_report(p, least_prime_power_1mod(p), least_prime_power_1mod(p * p), verify, cap)
+
+
+def _row(orders: dict[str, int]) -> dict[str, np.ndarray]:
+    """The orders as exact one-row columns of Python ints."""
+    return dict(zip(orders, np.array([[order] for order in orders.values()], dtype=object)))
 
 
 def _candidate_report(
     p: int, pp: PrimePower, pp_sq: PrimePower | None, verify: bool, cap: int
 ) -> CandidateReport:
     """The degree-p report of the prime p, or with pp_sq the degree-p^2 one,
-    given the least prime powers pp = 1 mod p and pp_sq = 1 mod p^2."""
-    n, orders, factor_case = p, _orders(p, pp), "b"  # degree p has no product
-    specs = {"psl2": Psl2(p), "frobenius": Frob(pp.q, pp.m, p)}
+    given the least prime powers pp = 1 mod p and pp_sq = 1 mod p^2: the
+    scans' comparison on one-row columns, plus the specs and the
+    verification of the winners."""
+    n, orders = p, _orders(p, pp.value)
+    specs = {"psl2": Psl2(p)} if p >= 5 else {}
+    specs["frobenius"] = Frob(pp.q, pp.m, p)
+    case, least, won, anomalies = _compare([n], _row(orders))
+    winners = [label for label, w in zip(orders, won[:, 0].tolist()) if w]
     if pp_sq is not None:
-        factor_case, base_order, winners, _ = _compare(p, orders)
-        n, orders = p * p, _orders(p, pp_sq, base_order)
-        w = specs[winners[0]]
-        specs = {"pgroup5": Xsp(p, 2), "frobenius": Frob(pp_sq.q, pp_sq.m, n), "product": Prod(w, w)}
-    case, min_order, winners, anomalies = _compare(n, orders, factor_case)
+        factor = specs[winners[0]]
+        n, orders = p * p, _orders(p, pp_sq.value, int(least[0]))
+        specs = {"pgroup5": Xsp(p, 2), "frobenius": Frob(pp_sq.q, pp_sq.m, n), "product": Prod(factor, factor)}
+        case, least, won, anomalies = _compare([n], _row(orders), case)
+        winners = [label for label, w in zip(orders, won[:, 0].tolist()) if w]
+    min_order = int(least[0])
     verified = False
     if verify and min_order <= cap:
         verified = True
@@ -210,9 +254,9 @@ def _candidate_report(
                 anomalies.append(f"n={n}: witness {label} failed the degree-{n} check")
     return CandidateReport(
         n=n,
-        candidates=tuple(Candidate(label, order, specs[label]) for label, order in orders.items()),
+        candidates=tuple(Candidate(label, order, specs[label]) for label, order in orders.items() if label in specs),
         min_order=min_order,
-        case_label=case,
+        case_label=case[0],
         witness_specs=tuple(specs[label] for label in winners),
         verified=verified,
         anomalies=tuple(anomalies),
@@ -287,24 +331,25 @@ def scan_theorem_b(max_p: int) -> ScanResult:
 
 def _scan(max_p: int, squared: bool) -> ScanResult:
     """One batched search answers every prime of the scan: mod p, and for
-    degree p^2 also mod p^2."""
+    degree p^2 also mod p^2; one column-wise comparison per degree then
+    gives every row."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
-    pps = least_prime_powers_1mod(primes + [p * p for p in primes] if squared else primes)
-    pps_sq = pps[len(primes):] if squared else [None] * len(primes)
-    rows = []
-    case_a = []
-    anomalies: list[str] = []
-    for p, pp, pp_sq in zip(primes, pps, pps_sq):
-        case, order, _, notes = _compare(p, _orders(p, pp))
-        if squared:
-            case, order, _, notes = _compare(p * p, _orders(p, pp_sq, order), case)
-        rows.append(ScanRow(p=p, case_label=case, min_order=order))
-        if case == "a":
-            case_a.append(p)
-        anomalies += notes
-    return ScanResult(rows=tuple(rows), case_a=tuple(case_a), anomalies=tuple(anomalies))
+    values, _ = least_values_1mod(primes + [p * p for p in primes] if squared else primes)
+    v, v_sq = values[: len(primes)], values[len(primes) :]
+    p, v = _exact(max_p * (max_p * max_p + int(v.max())), primes, v)
+    case, least, _, anomalies = _compare(p, _orders(p, v))
+    if squared:
+        top = max(max_p**5, max_p * max_p * int(v_sq.max()), int(least.max()) ** 2)
+        p, v_sq, least = _exact(top, p, v_sq, least)
+        case, least, _, anomalies = _compare(p * p, _orders(p, v_sq, least), case)
+    cases = case.tolist()
+    return ScanResult(
+        rows=tuple(map(ScanRow, primes, cases, least.tolist())),
+        case_a=tuple(q for q, c in zip(primes, cases) if c == "a"),
+        anomalies=tuple(anomalies),
+    )
 
 
 def lower_bound(n: int) -> int:
@@ -373,12 +418,14 @@ def verify_minimal(
 
 
 def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
-    """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1)."""
+    """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1):
+    the companion holds when frob:q^1:p is smaller than PSL2(p), in the
+    scans' comparison."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
-    qs = [pp.q for pp in least_prime_powers_1mod(primes, primes_only=True)]
-    return tuple(
-        KanoldRow(p=p, q=q, holds=q < p * p, companion_holds=q < (p * p - 1) // (2 if p > 2 else 1))
-        for p, q in zip(primes, qs)
-    )
+    values, _ = least_values_1mod(primes, primes_only=True)
+    p, q = _exact(max_p * (max_p * max_p + int(values.max())), primes, values)
+    psl2 = p * ((p * p - 1) // np.where(p > 2, 2, 1))
+    case, *_ = _compare(p, {"psl2": psl2, "frobenius": p * q})
+    return tuple(map(KanoldRow, primes, values.tolist(), (q < p * p).tolist(), (case == "b").tolist()))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from chardeg import arith
@@ -219,16 +220,63 @@ def scan_moduli(proper_powers):
     return primes, answers
 
 
-def test_batch_reads_one_sieve_and_single_queries_none(monkeypatch):
-    primes = arith.primes_up_to(30_000)
-    built = []
-    codes = arith._prime_power_codes
-    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: built.append(b) or codes(b))
+@pytest.fixture
+def search_log(monkeypatch):
+    """Records each sieve bound built, each value trial-divided and each
+    walk (n, k) that the searches make."""
+    log = {"built": [], "tried": [], "walked": []}
+    codes, trial, walk = arith._prime_power_codes, arith._trial_codes, arith._walk_1mod
+    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: log["built"].append(b) or codes(b))
+    monkeypatch.setattr(
+        arith, "_trial_codes", lambda x, *a: log["tried"].extend(x.tolist()) or trial(x, *a)
+    )
+    monkeypatch.setattr(
+        arith, "_walk_1mod", lambda n, k, po: log["walked"].append((n, k)) or walk(n, k, po)
+    )
+    return log
+
+
+def test_single_queries_and_small_batches_only_walk(search_log):
+    """Below a budget of _SIEVE_MIN = 2**16 sieve values at 5,000 per
+    modulus, i.e. below 14 moduli, nothing is sieved: every modulus walks
+    from its first candidate.  14 moduli are sieved, however small."""
+    small = arith.primes_up_to(43)
+    assert len(small) == 14
+    search_log["built"].clear()  # primes_up_to's own sieve
     arith.least_prime_power_1mod(29989)
     arith.least_prime_1mod(29989)
-    assert built == []  # below the size gate a single query walks
-    arith.least_prime_powers_1mod(primes)
-    assert len(built) == 1 and arith._SIEVE_MIN <= built[0] <= arith._SIEVE_MAX
+    arith.least_prime_powers_1mod([29989, 29989**2])
+    arith.least_prime_powers_1mod(small[:13])
+    walked = [(29989, 1), (29989, 1), (29989, 1), (29989**2, 1)] + [(p, 1) for p in small[:13]]
+    assert search_log == {"built": [], "tried": [], "walked": walked}
+    arith.least_prime_powers_1mod(small)
+    assert search_log == {"built": [arith._WINDOW * 43 + 1], "tried": [], "walked": walked}
+
+
+@pytest.mark.parametrize("primes_only", [False, True])
+def test_scan_batch_walks_no_modulus(search_log, primes_only):
+    """The moduli of scan-a and kanold at 30,000: one sieve of 0..32·29,989
+    + 1 holds every first block of 32 candidates, and no modulus walks.
+    The leftover pass takes exactly the 115 moduli (116 for primes) with
+    no hit in their first block: it reads each further block of 32 until
+    the one holding the answer, and trial-divides the odd candidates that
+    lie past the sieve."""
+    primes = arith.primes_up_to(30_000)
+    search_log["built"].clear()  # primes_up_to's own sieve
+    w = arith._WINDOW
+    got = arith.least_values_1mod(primes, primes_only)[0].tolist()
+    b = w * primes[-1] + 1
+    assert search_log["built"] == [b]
+    assert search_log["walked"] == []
+    hit_at = {n: (v - 1) // n for n, v in zip(primes, got)}
+    leftover = [n for n in primes if hit_at[n] > w]
+    assert len(leftover) == (116 if primes_only else 115)
+    assert sorted(search_log["tried"]) == sorted(
+        k * n + 1
+        for n in leftover
+        for k in range(w + 1, -(-hit_at[n] // w) * w + 1)
+        if (k * n + 1) % 2 and k * n + 1 > b
+    )
 
 
 @pytest.mark.parametrize(
@@ -273,26 +321,67 @@ def test_batch_mixed_code_windows(monkeypatch, gate):
 
 
 @pytest.mark.parametrize("max_p", [300, 2000])
-def test_sieve_serves_every_hit_its_windows_reach(monkeypatch, max_p):
-    """The moduli of scan-b: the sieve ends at the last candidate a window
-    reads below b0 = min(K·max n + 1, 5000·moduli, 2^23), so exactly the
-    moduli whose answer lies past their candidates below b0 walk.  (Ending
-    it at the window of the largest modulus whose whole window fits below
-    b0 would send 51,529 = 227² on to the walk at max_p = 300: its answer
-    618,349 lies between that end and b0.)"""
+def test_scan_b_reads_sieve_then_trial_division(search_log, max_p):
+    """The moduli of scan-b: the sieve ends at the last candidate that a
+    first block reads below b0 = min(K·max n + 1, 5000·moduli, 2^23), and
+    every odd candidate past it, up to t² for t = min(2^14, b), is trial
+    divided, a block of K at a time up to the block holding the answer.
+    Every answer lies below t² here, so no modulus walks."""
     primes = arith.primes_up_to(max_p)
     moduli = primes + [p * p for p in primes]
-    built, walked = [], []
-    codes, walk = arith._prime_power_codes, arith._walk_1mod
-    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: built.append(b) or codes(b))
-    monkeypatch.setattr(arith, "_walk_1mod", lambda n, k, po: walked.append(n) or walk(n, k, po))
-    got = arith.least_prime_powers_1mod(moduli)
+    search_log["built"].clear()  # primes_up_to's own sieve
+    got = arith.least_values_1mod(moduli)[0].tolist()
     w = arith._WINDOW
     b0 = min(w * max(moduli) + 1, arith._SIEVE_PER_MODULUS * len(moduli), arith._SIEVE_MAX)
-    reach = [min(w, (b0 - 1) // n) for n in moduli]
-    assert built == [max(k * n + 1 for k, n in zip(reach, moduli))]
-    assert built[0] <= b0
-    assert walked == [n for n, k, pp in zip(moduli, reach, got) if (pp.value - 1) // n > k]
+    b = max(min(w, (b0 - 1) // n) * n for n in moduli) + 1
+    t2 = min(arith._TRIAL_MAX, b) ** 2
+    assert search_log["built"] == [b]
+    assert search_log["walked"] == []
+    assert max(got) <= t2
+    assert sorted(search_log["tried"]) == sorted(
+        k * n + 1
+        for n, v in zip(moduli, got)
+        for k in range(1, -(-((v - 1) // n) // w) * w + 1)
+        if (k * n + 1) % 2 and b < k * n + 1 <= t2
+    )
+
+
+def test_mixed_batch_matches_single_queries(search_log):
+    """A scan's moduli plus one past the walk bound t² = 2^28, which walks
+    from its first candidate; every answer is the single query's."""
+    big = 300_000_007
+    assert arith.is_prime(big) and arith._TRIAL_MAX**2 < big
+    moduli = arith.primes_up_to(30_000) + [big]
+    for flag in (False, True):
+        search_log["walked"].clear()
+        got = arith.least_prime_powers_1mod(moduli, primes_only=flag)
+        assert search_log["walked"] == [(big, 1)]
+        if flag:
+            got, want = [pp.q for pp in got], [arith.least_prime_1mod(n) for n in moduli]
+        else:
+            want = [arith.least_prime_power_1mod(n) for n in moduli]
+        assert got == want
+
+
+def test_trial_codes_classify_every_odd_value_past_the_sieve():
+    """Past a sieve of 0..b, every odd value up to t² (t = b here) gets the
+    code the sieve would give it: prime, proper prime power (a square of a
+    prime, or q^m for m >= 3) or neither."""
+    b = 201
+    codes = arith._prime_power_codes(b)
+    trial = (2 * np.flatnonzero(codes[1 : (b + 1) // 2] == arith._PRIME) + 3).astype(np.uint32)
+    qs = trial.astype(np.int64)
+    higher = np.array(sorted(q**m for q in qs.tolist() for m in range(3, 20) if q**m <= b * b))
+    x = np.arange(b + 2, b * b + 1, 2)
+    got = arith._trial_codes(x, trial, (qs * qs, higher)).tolist()
+    want = [
+        0 if pp is None else arith._PRIME if pp.m == 1 else arith._PROPER_POWER
+        for pp in map(arith.prime_power_decomposition, x.tolist())
+    ]
+    assert got == want
+    assert arith._trial_codes(x, trial, None).tolist() == [
+        int(c == arith._PRIME) for c in want
+    ]
 
 
 def test_batch_rejects_small_moduli():

@@ -225,6 +225,17 @@ def test_scan_rows_match_single_reports():
         assert scan.case_a == (19,)
 
 
+def test_scan_b_rows_exact_past_int64():
+    """From p = 6,211 on, p^5 passes 2^63: the scan's orders must stay exact
+    there and agree with the single reports."""
+    rows = [row for row in scan_theorem_b(6300).rows if row.p >= 6211]
+    assert [row.p for row in rows][:1] == [6211] and len(rows) == 12
+    assert 6199**5 < 2**63 < 6211**5
+    for row in rows:
+        report = g_prime_squared(row.p, verify=False)
+        assert (row.case_label, row.min_order) == (report.case_label, report.min_order)
+
+
 def test_scan_rejects_tiny_bound():
     with pytest.raises(InvalidParam):
         scan_theorem_a(1)
