@@ -3,25 +3,27 @@
 Primality, factorization, multiplicative orders, and the least prime /
 prime-power searches in arithmetic progressions that drive the minimal-order
 computations.  All functions are deterministic.  `is_prime` (Miller-Rabin on
-the first 13 primes) is exact below psi_13 = 3,317,044,064,679,887,385,961,981
-(Sorenson & Webster, Math. Comp. 86, 2017) and raises `CapExceeded` above it
-rather than guess.  The searches take the candidates n+1, 2n+1, ... in
-increasing value, so the returned minima are true minima.  A batch of moduli
-(a prime scan) reads the candidates of all its moduli a block of 32 each at a
-time: a value up to b from one numpy sieve coding each value as not a prime
-power, prime, or proper prime power, and a value past b, up to t*t, by one
-vectorized trial division by the sieve's primes up to t.  The moduli with no
-hit in their first block (the leftovers) go on in further blocks; a modulus
-with no hit up to t*t walks on one test per candidate, as every single query
-and every batch of fewer than 14 moduli does.  `least_values_1mod` returns a
-batch's answers as one int64 column with a column of prime flags, and builds
-no `PrimePower`.
+the first t primes, t <= 13, as many as n needs) is exact below psi_13 =
+3,317,044,064,679,887,385,961,981 (Sorenson & Webster, Math. Comp. 86, 2017)
+and raises `CapExceeded` above it rather than guess.
+
+`least_values_1mod` is the one entry point for the searches; a single
+query is a batch of one modulus.  The searches take the candidates n+1,
+2n+1, ... in increasing value, so the returned minima are true minima, and
+return a batch's answers as one int64 column with a column of prime flags.
+A batch of 14 moduli or more (a prime scan) reads the candidates of all its
+moduli a block of 32 each at a time: a value up to b from one numpy sieve
+coding each value as not a prime power, prime, or proper prime power, and a
+value past b, up to t*t, by one vectorized trial division by the sieve's
+primes up to t.  The moduli with no hit in their first block (the
+leftovers) go on in further blocks; a modulus with no hit up to t*t walks
+on one test per candidate, as every modulus of a smaller batch does.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +31,26 @@ from .errors import CapExceeded, NotCoprime, SearchExhausted
 
 __all__ = [
     "is_prime",
-    "Factorization",
     "factor",
     "euler_phi",
     "multiplicative_order",
-    "PrimePower",
     "prime_power_decomposition",
     "least_values_1mod",
-    "least_prime_powers_1mod",
-    "least_prime_power_1mod",
-    "least_prime_1mod",
-    "kanold_holds",
     "psl2_order",
     "is_cyclic_number",
     "primes_up_to",
 ]
 
-# The first 13 primes are a deterministic witness set for every n < psi_13;
-# psi_13 itself is a strong pseudoprime to all of them.
+# The first t primes are a deterministic witness set for every n < psi_t,
+# the least strong pseudoprime to all of them (OEIS A014233), so n below
+# psi_t needs only t witnesses; psi_13 is where the 13 of them stop.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PRODUCT = math.prod(_MR_WITNESSES)
+_MR_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SEARCH_CAP = 2**63
@@ -75,9 +78,8 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact below psi_13."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _MR_PRODUCT) > 1:  # a prime factor up to 41
+        return n in _MR_WITNESSES
     if n < 43 * 43:  # no prime factor up to 41, so none up to sqrt(n)
         return True
     if n >= _MR_EXACT_BELOW:
@@ -88,7 +90,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -99,20 +101,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ((prime, exponent), ...) with primes ascending."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 def _pollard_rho(n: int) -> int:
@@ -132,8 +120,9 @@ def _pollard_rho(n: int) -> int:
     raise SearchExhausted(f"pollard rho failed on {n}")
 
 
-def factor(n: int) -> Factorization:
-    """Trial division with a rho fallback for large cofactors."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization as ((prime, exponent), ...) with primes ascending:
+    trial division with a rho fallback for large cofactors."""
     if n < 1:
         raise ValueError("factor() needs n >= 1")
     out: dict[int, int] = {}
@@ -165,12 +154,12 @@ def factor(n: int) -> Factorization:
             continue
         f = _pollard_rho(m)
         stack.extend((f, m // f))
-    return Factorization(tuple(sorted(out.items())))
+    return tuple(sorted(out.items()))
 
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -184,26 +173,14 @@ def multiplicative_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not a unit mod {n}")
     order = euler_phi(n)
-    for p, _ in factor(order).factors:
+    for p, _ in factor(order):
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p
     return order
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    q: int
-    m: int
-
-    @property
-    def value(self) -> int:
-        return self.q**self.m
-
-
 def _nth_root(v: int, m: int) -> int:
-    """Floor of the m-th root of v."""
-    if m == 1:
-        return v
+    """Floor of the m-th root of v, m >= 2."""
     r = int(round(v ** (1.0 / m)))
     while r**m > v:
         r -= 1
@@ -212,25 +189,25 @@ def _nth_root(v: int, m: int) -> int:
     return r
 
 
-def prime_power_decomposition(v: int) -> PrimePower | None:
+def prime_power_decomposition(v: int) -> tuple[int, int] | None:
     """(q, m) with v = q**m and q prime, or None."""
     if v < 2:
         return None
-    for q in _MR_WITNESSES:  # a small prime factor leaves only its own powers
-        if v % q == 0:
-            m = 0
-            while v % q == 0:
-                v //= q
-                m += 1
-            return PrimePower(q, m) if v == 1 else None
+    q = math.gcd(v, _MR_PRODUCT)
+    if q > 1:  # a prime power has one prime factor up to 41, or none
+        m = 0
+        while v % q == 0:
+            v //= q
+            m += 1
+        return (q, m) if v == 1 and q in _MR_WITNESSES else None
     if is_prime(v):
-        return PrimePower(v, 1)
-    for m in range(2, v.bit_length() + 1):
+        return v, 1
+    m = 2
+    while 43**m <= v:  # v has no prime factor up to 41, so q > 41
         r = _nth_root(v, m)
-        if r <= _MR_WITNESSES[-1]:  # r has no small factor, so r > 41
-            break
         if r**m == v and is_prime(r):
-            return PrimePower(r, m)
+            return r, m
+        m += 1
     return None
 
 
@@ -252,17 +229,18 @@ def _prime_power_codes(b: int) -> np.ndarray:
     return codes
 
 
-def _walk_1mod(n: int, k: int, primes_only: bool) -> PrimePower:
-    """Least prime (power) among k*n+1, (k+1)*n+1, ..., one test per candidate."""
+def _walk_1mod(n: int, k: int, primes_only: bool) -> tuple[int, bool]:
+    """Least prime (power) among k*n+1, (k+1)*n+1, ..., with its prime flag,
+    one test per candidate."""
     v = k * n + 1
     while v < _SEARCH_CAP:
         if primes_only:
             if is_prime(v):
-                return PrimePower(v, 1)
+                return v, True
         else:
             pp = prime_power_decomposition(v)
             if pp is not None:
-                return pp
+                return v, pp[1] == 1
         v += n
     kind = "prime" if primes_only else "prime power"
     raise SearchExhausted(f"no {kind} = 1 mod {n} below 2**63")
@@ -349,8 +327,8 @@ def least_values_1mod(moduli, primes_only: bool = False) -> tuple[np.ndarray, np
     time: from one sieve of 0..b, and past b, up to t*t, by trial division
     by the sieve's primes up to t = min(_TRIAL_MAX, b).  The first block
     answers most moduli; the leftovers go on together, a block at a time.
-    A modulus with no hit up to t*t, and every modulus of a smaller batch,
-    walks on one test per candidate.
+    A modulus with no hit up to t*t, and every modulus of a smaller batch
+    (a single query among them), walks on one test per candidate.
     """
     moduli = list(moduli)
     if moduli and min(moduli) < 2:
@@ -369,45 +347,8 @@ def least_values_1mod(moduli, primes_only: bool = False) -> tuple[np.ndarray, np
         b = int((np.minimum(_WINDOW, (b - 1) // ns) * ns).max()) + 1
         walks = _search_blocks(ns, primes_only, b, values, prime)
     for i, k in walks:
-        pp = _walk_1mod(moduli[i], k, primes_only)
-        values[i], prime[i] = pp.value, pp.m == 1
+        values[i], prime[i] = _walk_1mod(moduli[i], k, primes_only)
     return values, prime
-
-
-def least_prime_powers_1mod(moduli, primes_only: bool = False) -> list[PrimePower]:
-    """For each modulus n, the smallest prime power q**m = 1 (mod n), or the
-    smallest prime q (as q**1) when `primes_only`.
-
-    The values come from `least_values_1mod`: a batch of 14 moduli or more
-    reads one sieve, then trial-divides its leftovers (the moduli with no
-    hit in their first 32 candidates) in one vectorized pass a block at a
-    time, and walks only the moduli with no hit below t*t; a smaller batch
-    walks.  The PrimePowers are built here, from its prime flags: only the
-    proper powers are decomposed."""
-    values, prime = least_values_1mod(moduli, primes_only)
-    return [
-        PrimePower(v, 1) if is_p else prime_power_decomposition(v)
-        for v, is_p in zip(values.tolist(), prime.tolist())
-    ]
-
-
-def least_prime_power_1mod(n: int) -> PrimePower:
-    """Smallest prime power q**m with q**m = 1 (mod n), by the scalar walk."""
-    if n < 2:
-        raise ValueError("least_prime_power_1mod needs n >= 2")
-    return _walk_1mod(n, 1, False)
-
-
-def least_prime_1mod(n: int) -> int:
-    """Smallest prime q with q = 1 (mod n), by the scalar walk."""
-    if n < 2:
-        raise ValueError("least_prime_1mod needs n >= 2")
-    return _walk_1mod(n, 1, True).q
-
-
-def kanold_holds(p: int) -> bool:
-    """Whether the least prime q = 1 (mod p) satisfies q < p**2."""
-    return least_prime_1mod(p) < p * p
 
 
 def psl2_order(p: int) -> int:

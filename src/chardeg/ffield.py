@@ -126,7 +126,7 @@ def _is_irreducible(q: int, f: Poly) -> bool:
     c = _companion(q, f)
     if not np.array_equal(_mat_pow(q, c, q**m), c):
         return False
-    for r, _ in factor(m).factors:
+    for r, _ in factor(m):
         diff = (_mat_pow(q, c, q ** (m // r)) - c) % q
         if mat_det(q, diff.tolist()) == 0:
             return False
@@ -159,7 +159,7 @@ def multiplier(q: int, m: int, k: int) -> Matrix:
     c = _companion(q, find_irreducible(q, m))
     powers = np.array([_mat_pow(q, c, j) for j in range(m)])  # C**0 .. C**(m-1)
     ident = np.eye(m, dtype=np.int64)
-    prime_parts = [r for r, _ in factor(n).factors] if n > 1 else []
+    prime_parts = [r for r, _ in factor(n)]
     for idx in range(1, n + 1):
         u = np.tensordot(digits(idx, q, m), powers, axes=1) % q
         if all(not np.array_equal(_mat_pow(q, u, n // r), ident) for r in prime_parts):

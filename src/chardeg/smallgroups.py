@@ -461,7 +461,7 @@ def enumerate_groups(
             f"order {n} beyond enumeration cap {cap}; no partial answer given"
         )
     search = _Search(n, budget)
-    least = factor(n).factors[-1][0] if n > 1 else 1
+    least = factor(n)[-1][0] if n > 1 else 1
     raw = [t for m in range(least, n + 1) if n % m == 0 for t in search.sub_search(m)]
     kept: list[tuple[CayleyTable, tuple]] = []
     for t in raw:

@@ -12,7 +12,9 @@ For degree p^2 they are:
   (b) frob:q^m:p^2 with q^m the least prime power congruent to 1 mod p^2,
   (c) the direct product of two minimal degree-p witnesses.
 
-Scans compare candidate orders by formula only; witnesses are realized and
+Scans compare candidate orders by formula only: one batched search, then
+one column-wise comparison per degree.  A single report is the scan of its
+one prime, plus the specs of the candidates.  Witnesses are realized and
 their degree multisets recomputed from first principles on request.  Ties
 between candidates and structural surprises (a winning product built from
 non-Frobenius factors) are reported as anomalies, never suppressed.
@@ -26,17 +28,15 @@ when the remaining orders were exhaustively enumerated and cleared, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import isqrt
 
 import numpy as np
 
 from .arith import (
-    PrimePower,
     is_cyclic_number,
     is_prime,
-    least_prime_power_1mod,
     least_values_1mod,
+    prime_power_decomposition,
     primes_up_to,
 )
 from .catalog import (
@@ -143,11 +143,11 @@ def _exact(top: int, *columns) -> list[np.ndarray]:
     """The integer columns as exact arrays: int64 when top, a bound on every
     order computed from them, is below 2**63, else Python ints."""
     dtype = np.int64 if top < 2**63 else object
-    return [np.array(c, dtype=dtype) for c in columns]
+    return [np.asarray(c, dtype=dtype) for c in columns]
 
 
 def _orders(p, v, base=None) -> dict:
-    """The candidates' orders by label, as ints or as columns: for degree p
+    """The candidates' orders by label, as columns: for degree p
     given the least prime power v = 1 mod p, or for degree p^2 given the
     least v = 1 mod p^2 and the least degree-p order `base`, which the
     product squares.  PSL2(p) is a candidate only from p = 5; below that
@@ -160,18 +160,6 @@ def _orders(p, v, base=None) -> dict:
     return {"psl2": p * (p2 - 1) // 2 + (p < 5) * frob, "frobenius": frob}
 
 
-@cache
-def _cases(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The case label and the tie flag of each set of winning labels, by
-    its bitmask over `labels`: a lone winner's case, else a tie."""
-    lone = [w & (w - 1) == 0 for w in range(1 << len(labels))]
-    case = [_CASE_BY_LABEL[labels[w.bit_length() - 1]] if lone[w] else "tie" for w in range(len(lone))]
-    tables = np.array(case, dtype=object), ~np.array(lone)
-    for table in tables:  # shared by every call
-        table.setflags(write=False)
-    return tables
-
-
 def _compare(n, orders: dict, factor_case=None):
     """The one order comparison: degrees n, a row each, decided by the
     candidates' orders alone, given by label as exact integer columns
@@ -179,15 +167,16 @@ def _compare(n, orders: dict, factor_case=None):
     read as floats).
     Returns the case labels, the least orders, the winners (a row of flags
     per label, in the order of `orders`) and the anomalies, in row order.
+    A row's case is its one winner's, or a tie when two or more win.
     factor_case holds the case of the degree-p winner that the product
     candidate squares."""
     labels = tuple(orders)
     table = np.array(list(orders.values()))
     least = table.min(0)
     won = table == least
-    case, tie = _cases(labels)
-    bits = np.packbits(won, axis=0, bitorder="little")[0]
-    case, tie = case[bits], tie[bits]
+    case = np.array([_CASE_BY_LABEL[label] for label in labels], dtype=object)[won.argmax(0)]
+    tie = won.sum(0) > 1
+    case[tie] = "tie"
     odd = won[labels.index("product")] & (factor_case != "b") if "product" in labels else None
     anomalies = []
     for i in (tie if odd is None else tie | odd).nonzero()[0].tolist():
@@ -202,42 +191,50 @@ def _compare(n, orders: dict, factor_case=None):
     return case, least, won, anomalies
 
 
+def _levels(primes: list[int], squared: bool) -> list[tuple]:
+    """The comparison for every prime of `primes` (ascending): one batched
+    search, mod p and when squared also mod p^2, then the degree-p level
+    and, when squared, the degree-p^2 level on top of it.  Each level is
+    (least values, their prime flags, orders by label, case labels, least
+    orders, winners, anomalies)."""
+    k, top_p = len(primes), primes[-1]
+    values, prime = least_values_1mod(primes + [p * p for p in primes] if squared else primes)
+    top_v = int(values.max())  # bounds the values of both levels
+    p, v = _exact(top_p * (top_p * top_p + top_v), primes, values[:k])
+    orders = _orders(p, v)
+    case, least, won, anomalies = _compare(p, orders)
+    levels = [(values[:k], prime[:k], orders, case, least, won, anomalies)]
+    if squared:
+        top = max(top_p**5, top_p * top_p * top_v, int(least.max()) ** 2)
+        p, v_sq, least = _exact(top, p, values[k:], least)
+        orders = _orders(p, v_sq, least)
+        levels.append((values[k:], prime[k:], orders, *_compare(p * p, orders, case)))
+    return levels
+
+
 def g_prime(p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> CandidateReport:
-    if not is_prime(p):
-        raise InvalidParam(f"{p} is not prime")
-    return _candidate_report(p, least_prime_power_1mod(p), None, verify, cap)
+    return _candidate_report(p, False, verify, cap)
 
 
 def g_prime_squared(
     p: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP
 ) -> CandidateReport:
+    return _candidate_report(p, True, verify, cap)
+
+
+def _candidate_report(p: int, squared: bool, verify: bool, cap: int) -> CandidateReport:
+    """The degree-p report of the prime p, or when squared the degree-p^2
+    one: the scan of [p], plus the specs and the verification of the
+    winners."""
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
-    return _candidate_report(p, least_prime_power_1mod(p), least_prime_power_1mod(p * p), verify, cap)
-
-
-def _row(orders: dict[str, int]) -> dict[str, np.ndarray]:
-    """The orders as exact one-row columns of Python ints."""
-    return dict(zip(orders, np.array([[order] for order in orders.values()], dtype=object)))
-
-
-def _candidate_report(
-    p: int, pp: PrimePower, pp_sq: PrimePower | None, verify: bool, cap: int
-) -> CandidateReport:
-    """The degree-p report of the prime p, or with pp_sq the degree-p^2 one,
-    given the least prime powers pp = 1 mod p and pp_sq = 1 mod p^2: the
-    scans' comparison on one-row columns, plus the specs and the
-    verification of the winners."""
-    n, orders = p, _orders(p, pp.value)
     specs = {"psl2": Psl2(p)} if p >= 5 else {}
-    specs["frobenius"] = Frob(pp.q, pp.m, p)
-    case, least, won, anomalies = _compare([n], _row(orders))
-    winners = [label for label, w in zip(orders, won[:, 0].tolist()) if w]
-    if pp_sq is not None:
-        factor = specs[winners[0]]
-        n, orders = p * p, _orders(p, pp_sq.value, int(least[0]))
-        specs = {"pgroup5": Xsp(p, 2), "frobenius": Frob(pp_sq.q, pp_sq.m, n), "product": Prod(factor, factor)}
-        case, least, won, anomalies = _compare([n], _row(orders), case)
+    for n, (values, prime, orders, case, least, won, anomalies) in zip((p, p * p), _levels([p], squared)):
+        if n != p:  # the product squares the degree-p winner
+            factor = specs[winners[0]]
+            specs = {"pgroup5": Xsp(p, 2), "product": Prod(factor, factor)}
+        v = int(values[0])
+        specs["frobenius"] = Frob(*((v, 1) if prime[0] else prime_power_decomposition(v)), n)
         winners = [label for label, w in zip(orders, won[:, 0].tolist()) if w]
     min_order = int(least[0])
     verified = False
@@ -254,7 +251,7 @@ def _candidate_report(
                 anomalies.append(f"n={n}: witness {label} failed the degree-{n} check")
     return CandidateReport(
         n=n,
-        candidates=tuple(Candidate(label, order, specs[label]) for label, order in orders.items() if label in specs),
+        candidates=tuple(Candidate(label, int(order[0]), specs[label]) for label, order in orders.items() if label in specs),
         min_order=min_order,
         case_label=case[0],
         witness_specs=tuple(specs[label] for label in winners),
@@ -330,20 +327,12 @@ def scan_theorem_b(max_p: int) -> ScanResult:
 
 
 def _scan(max_p: int, squared: bool) -> ScanResult:
-    """One batched search answers every prime of the scan: mod p, and for
-    degree p^2 also mod p^2; one column-wise comparison per degree then
-    gives every row."""
+    """Every prime up to max_p, answered by `_levels`: one batched search,
+    then one column-wise comparison per degree gives every row."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
-    values, _ = least_values_1mod(primes + [p * p for p in primes] if squared else primes)
-    v, v_sq = values[: len(primes)], values[len(primes) :]
-    p, v = _exact(max_p * (max_p * max_p + int(v.max())), primes, v)
-    case, least, _, anomalies = _compare(p, _orders(p, v))
-    if squared:
-        top = max(max_p**5, max_p * max_p * int(v_sq.max()), int(least.max()) ** 2)
-        p, v_sq, least = _exact(top, p, v_sq, least)
-        case, least, _, anomalies = _compare(p * p, _orders(p, v_sq, least), case)
+    *_, case, least, _, anomalies = _levels(primes, squared)[-1]
     cases = case.tolist()
     return ScanResult(
         rows=tuple(map(ScanRow, primes, cases, least.tolist())),

@@ -42,24 +42,44 @@ def test_is_prime_exact_up_to_psi_13():
     assert not arith.is_prime(41 * PSI_13)
 
 
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_takes_the_witnesses_n_needs():
+    """Below psi_t the first t primes decide: each psi_t is a strong
+    pseudoprime to exactly those witnesses, so is_prime must reach the next
+    one there.  Up to 200,000 every answer matches the sieve."""
+    witnesses = arith._MR_WITNESSES
+    for t, psi in enumerate(arith._MR_PSI, 1):
+        assert all(strong_probable_prime(psi, a) for a in witnesses[:t]), t
+        assert not arith.is_prime(psi)
+    primes = set(arith.primes_up_to(200_000))
+    assert [n for n in range(200_000) if arith.is_prime(n)] == sorted(primes)
+
+
 def test_factor_examples():
-    assert arith.factor(1).factors == ()
-    assert arith.factor(12).factors == ((2, 2), (3, 1))
-    assert arith.factor(3420).factors == ((2, 2), (3, 2), (5, 1), (19, 1))
-    assert arith.factor(2476099).factors == ((19, 5),)
+    assert arith.factor(1) == ()
+    assert arith.factor(12) == ((2, 2), (3, 1))
+    assert arith.factor(3420) == ((2, 2), (3, 2), (5, 1), (19, 1))
+    assert arith.factor(2476099) == ((19, 5),)
 
 
 def test_factor_roundtrip_range():
     for n in range(1, 3000):
         f = arith.factor(n)
-        assert f.value == n
-        assert all(arith.is_prime(p) for p, _ in f.factors)
-        assert list(f.factors) == sorted(f.factors)
+        assert math.prod(p**e for p, e in f) == n
+        assert all(arith.is_prime(p) for p, _ in f)
+        assert list(f) == sorted(f)
 
 
 def test_factor_large_semiprime():
     n = 1000003 * 1000033
-    assert arith.factor(n).factors == ((1000003, 1), (1000033, 1))
+    assert arith.factor(n) == ((1000003, 1), (1000033, 1))
 
 
 def test_multiplicative_order():
@@ -81,7 +101,23 @@ def test_multiplicative_order_is_minimal():
             assert all(pow(a, j, n) != 1 for j in range(1, k))
 
 
-def test_least_prime_power_1mod_examples():
+def single(n, primes_only=False):
+    """A single query: a batch of one modulus, which walks."""
+    values, prime = arith.least_values_1mod([n], primes_only)
+    return values.item(), prime.item()
+
+
+def value_and_flag(answers):
+    """The (q, m) answers as least_values_1mod gives them: q**m and m == 1."""
+    return [(q**m, m == 1) for q, m in answers]
+
+
+def batch(moduli, primes_only=False):
+    values, prime = arith.least_values_1mod(moduli, primes_only)
+    return list(zip(values.tolist(), prime.tolist()))
+
+
+def test_least_values_1mod_examples():
     cases = {
         2: (3, 1),
         3: (2, 2),
@@ -98,11 +134,12 @@ def test_least_prime_power_1mod_examples():
         361: (10831, 1),
     }
     for n, (q, m) in cases.items():
-        pp = arith.least_prime_power_1mod(n)
-        assert (pp.q, pp.m) == (q, m), n
+        assert single(n) == (q**m, m == 1), n
+        assert arith.prime_power_decomposition(q**m) == (q, m)
+    assert batch(list(cases) * 2) == value_and_flag(cases.values()) * 2  # 26 moduli: sieved
 
 
-def test_least_prime_power_1mod_is_minimal():
+def test_least_values_1mod_is_minimal():
     # independent oracle: merged sorted stream of prime powers
     bound = 30_000
     stream = sorted(
@@ -111,24 +148,19 @@ def test_least_prime_power_1mod_is_minimal():
         for m in range(1, bound.bit_length())
         if q**m <= bound
     )
-    for n in range(2, 250):
-        expect = next(v for v in stream if v % n == 1)
-        got = arith.least_prime_power_1mod(n)
-        assert got.value == expect, n
-        assert got.value % n == 1
-        assert got.q ** got.m == got.value
+    moduli = range(2, 250)
+    values, prime = arith.least_values_1mod(moduli)  # one batch: the sieve
+    for n, v, is_p in zip(moduli, values.tolist(), prime.tolist()):
+        expect = next(x for x in stream if x % n == 1)
+        assert single(n) == (v, is_p), n  # alone: the walk
+        assert v == expect, n
+        q, m = arith.prime_power_decomposition(v)
+        assert q**m == v and is_p == (m == 1)
 
 
 def test_least_prime_1mod():
-    assert arith.least_prime_1mod(2) == 3
-    assert arith.least_prime_1mod(3) == 7
-    assert arith.least_prime_1mod(5) == 11
-    assert arith.least_prime_1mod(19) == 191
-
-
-def test_kanold_holds():
-    for p in (2, 3, 5, 7, 19, 191):
-        assert arith.kanold_holds(p)
+    for n, q in ((2, 3), (3, 7), (5, 11), (19, 191)):
+        assert single(n, primes_only=True) == (q, True)
 
 
 def test_psl2_order():
@@ -172,10 +204,10 @@ def test_primes_up_to():
 
 
 def test_prime_power_decomposition_small_and_large_factors():
-    assert arith.prime_power_decomposition(2**62) == arith.PrimePower(2, 62)
-    assert arith.prime_power_decomposition(41**11) == arith.PrimePower(41, 11)
-    assert arith.prime_power_decomposition(43**5) == arith.PrimePower(43, 5)
-    assert arith.prime_power_decomposition(1000003**2) == arith.PrimePower(1000003, 2)
+    assert arith.prime_power_decomposition(2**62) == (2, 62)
+    assert arith.prime_power_decomposition(41**11) == (41, 11)
+    assert arith.prime_power_decomposition(43**5) == (43, 5)
+    assert arith.prime_power_decomposition(1000003**2) == (1000003, 2)
     for v in (1, 6, 43 * 47, 43**2 * 47, 2**62 * 3):
         assert arith.prime_power_decomposition(v) is None
 
@@ -243,13 +275,13 @@ def test_single_queries_and_small_batches_only_walk(search_log):
     small = arith.primes_up_to(43)
     assert len(small) == 14
     search_log["built"].clear()  # primes_up_to's own sieve
-    arith.least_prime_power_1mod(29989)
-    arith.least_prime_1mod(29989)
-    arith.least_prime_powers_1mod([29989, 29989**2])
-    arith.least_prime_powers_1mod(small[:13])
+    single(29989)
+    single(29989, primes_only=True)
+    arith.least_values_1mod([29989, 29989**2])
+    arith.least_values_1mod(small[:13])
     walked = [(29989, 1), (29989, 1), (29989, 1), (29989**2, 1)] + [(p, 1) for p in small[:13]]
     assert search_log == {"built": [], "tried": [], "walked": walked}
-    arith.least_prime_powers_1mod(small)
+    arith.least_values_1mod(small)
     assert search_log == {"built": [arith._WINDOW * 43 + 1], "tried": [], "walked": walked}
 
 
@@ -296,15 +328,14 @@ def test_batch_matches_reference_mod_p(monkeypatch, scan_moduli, constants):
         monkeypatch.setattr(arith, name, value)
     primes, answers = scan_moduli
     for flag in (False, True):
-        got = arith.least_prime_powers_1mod(primes, primes_only=flag)
-        assert [(pp.q, pp.m) for pp in got] == answers[flag]
+        assert batch(primes, primes_only=flag) == value_and_flag(answers[flag])
 
 
 def test_batch_matches_reference_mod_p_squared(proper_powers):
     primes = arith.primes_up_to(2000)
-    got = arith.least_prime_powers_1mod([p * p for p in primes])
-    for p, pp in zip(primes, got):
-        assert (pp.q, pp.m) == reference_1mod(p * p, False, proper_powers), p
+    got = batch([p * p for p in primes])
+    for p, answer in zip(primes, got):
+        assert answer == value_and_flag([reference_1mod(p * p, False, proper_powers)])[0], p
 
 
 @pytest.mark.parametrize("gate", [None, 2])
@@ -316,8 +347,7 @@ def test_batch_mixed_code_windows(monkeypatch, gate):
         moduli += arith.primes_up_to(30_000)  # large enough to be sieved
     else:
         monkeypatch.setattr(arith, "_SIEVE_MIN", gate)
-    got = arith.least_prime_powers_1mod(moduli)[:3]
-    assert [(pp.q, pp.m) for pp in got] == [(2, 2), (11, 1), (2, 3)]
+    assert batch(moduli)[:3] == value_and_flag([(2, 2), (11, 1), (2, 3)])
 
 
 @pytest.mark.parametrize("max_p", [300, 2000])
@@ -354,13 +384,9 @@ def test_mixed_batch_matches_single_queries(search_log):
     moduli = arith.primes_up_to(30_000) + [big]
     for flag in (False, True):
         search_log["walked"].clear()
-        got = arith.least_prime_powers_1mod(moduli, primes_only=flag)
+        got = batch(moduli, primes_only=flag)
         assert search_log["walked"] == [(big, 1)]
-        if flag:
-            got, want = [pp.q for pp in got], [arith.least_prime_1mod(n) for n in moduli]
-        else:
-            want = [arith.least_prime_power_1mod(n) for n in moduli]
-        assert got == want
+        assert got == [single(n, primes_only=flag) for n in moduli]
 
 
 def test_trial_codes_classify_every_odd_value_past_the_sieve():
@@ -375,7 +401,7 @@ def test_trial_codes_classify_every_odd_value_past_the_sieve():
     x = np.arange(b + 2, b * b + 1, 2)
     got = arith._trial_codes(x, trial, (qs * qs, higher)).tolist()
     want = [
-        0 if pp is None else arith._PRIME if pp.m == 1 else arith._PROPER_POWER
+        0 if pp is None else arith._PRIME if pp[1] == 1 else arith._PROPER_POWER
         for pp in map(arith.prime_power_decomposition, x.tolist())
     ]
     assert got == want
@@ -385,9 +411,7 @@ def test_trial_codes_classify_every_odd_value_past_the_sieve():
 
 
 def test_batch_rejects_small_moduli():
-    assert arith.least_prime_powers_1mod([]) == []
+    assert batch([]) == []
     for bad in ([1], [5, 0]):
         with pytest.raises(ValueError):
-            arith.least_prime_powers_1mod(bad)
-    with pytest.raises(ValueError):
-        arith.least_prime_power_1mod(1)
+            arith.least_values_1mod(bad)

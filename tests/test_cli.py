@@ -210,6 +210,27 @@ def test_enumerate_stdout_golden(capsys, order):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_GOLDEN[order]
 
 
+# sha256 of the concatenated `gvalue --degree n --no-verify --format json
+# --no-timestamp` stdout over the 168 primes n <= 1,000 and the squares of
+# the 25 primes p <= 100, taken while a single report still ran its own
+# comparison beside the scans'.
+GVALUE_GOLDEN = "19f9b439c73e8d8141fd650aaeac80496acdaa6ce67ebec5b8e5025003589d0a"
+
+
+def test_gvalue_stdout_golden(capsys):
+    primes = [n for n in range(2, 1001) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    degrees = primes + [p * p for p in primes if p <= 100]
+    assert len(degrees) == 193
+    out = ""
+    for n in degrees:
+        code, text, _ = invoke(
+            capsys, "gvalue", "--degree", str(n), "--no-verify", "--format", "json", "--no-timestamp"
+        )
+        assert code == 0, n
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == GVALUE_GOLDEN
+
+
 def test_gvalue_beyond_exact_primality(capsys):
     """psi_12 is a strong pseudoprime to bases 2..37 but composite, so it is
     no prime degree (exit 2); psi_13 is where the witnesses stop (exit 3)."""

@@ -88,7 +88,7 @@ def _reference_cases():
             n = q**m - 1
             cases.add((q, m, n))
             if n > 1:
-                cases.add((q, m, max(r for r, _ in factor(n).factors)))
+                cases.add((q, m, max(r for r, _ in factor(n))))
             m += 1
     return sorted(cases | {(2, 8, 17), (191, 1, 19), (103, 1, 17)})
 

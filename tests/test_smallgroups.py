@@ -127,7 +127,7 @@ def relabel(table, pi):
 
 
 def sub_searches(n):
-    least = factor(n).factors[-1][0] if n > 1 else 1
+    least = factor(n)[-1][0] if n > 1 else 1
     return [m for m in range(least, n + 1) if n % m == 0]
 
 

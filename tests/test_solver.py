@@ -5,11 +5,12 @@ psl2:p, p * least prime power ≡ 1 mod p, p^5, and squared minima) and
 cross-checked with an independent computer algebra run before freezing.
 """
 
+import numpy as np
 import pytest
 
 from chardeg.catalog import Frob, Named, Prod, Psl2, Xsp, spec_text
 from chardeg import solver
-from chardeg.arith import least_prime_1mod
+from chardeg.arith import least_values_1mod
 from chardeg.errors import CapExceeded, InvalidParam
 from chardeg.solver import (
     catalog_report,
@@ -236,6 +237,30 @@ def test_scan_b_rows_exact_past_int64():
         assert (row.case_label, row.min_order) == (report.case_label, report.min_order)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_compare_ties_and_product_anomaly(dtype):
+    """The comparison rows that no scan reaches: ties, and a winning product
+    built from non-Frobenius factors, on synthetic columns."""
+    col = lambda *xs: np.array(xs, dtype=dtype)
+    case, least, won, anomalies = solver._compare(col(7), {"psl2": col(10), "frobenius": col(10)})
+    assert (case.tolist(), least.tolist(), won.tolist()) == (["tie"], [10], [[True], [True]])
+    assert anomalies == ["n=7: candidates psl2, frobenius tie at order 10"]
+    # rows: a three-way tie of case-b factors, a product of case-a factors
+    # winning alone, and a product tie whose factors tie themselves
+    orders = {"pgroup5": col(50, 90, 40), "frobenius": col(50, 70, 30), "product": col(50, 60, 30)}
+    factor_case = np.array(["b", "a", "tie"], dtype=object)
+    case, least, won, anomalies = solver._compare(col(4, 9, 25), orders, factor_case)
+    assert case.tolist() == ["tie", "c", "tie"]
+    assert least.tolist() == [50, 60, 30]
+    assert won.tolist() == [[True, False, False], [True, False, True], [True, True, True]]
+    assert anomalies == [
+        "n=4: candidates pgroup5, frobenius, product tie at order 50",
+        "n=9: winning product is built from case-a factors, not Frobenius ones",
+        "n=25: candidates frobenius, product tie at order 30",
+        "n=25: winning product is built from case-tie factors, not Frobenius ones",
+    ]
+
+
 def test_scan_rejects_tiny_bound():
     with pytest.raises(InvalidParam):
         scan_theorem_a(1)
@@ -328,7 +353,8 @@ def test_kanold_rows():
 def test_kanold_scan_matches_single_queries():
     rows = kanold_scan(5000)
     assert len(rows) == 669
-    assert all(r.q == least_prime_1mod(r.p) for r in rows)
+    # a one-modulus batch walks, where the scan reads the sieve
+    assert all(r.q == least_values_1mod([r.p], primes_only=True)[0][0] for r in rows)
 
 
 # ----------------------------------------------------------------- witness
