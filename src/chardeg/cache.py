@@ -117,19 +117,24 @@ class DegreeCache:
 
     def store(self, entry: CacheEntry):
         """Append the entry, first dropping, under the same exclusive lock,
-        every line that fails CacheEntry.from_json."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.seek(0)
-            lines = fh.readlines()
-            kept = [line.rstrip("\n") + "\n" for line in lines if _parses(line)]
-            if kept != lines:
-                fh.truncate(0)
-                fh.writelines(kept)
-            fh.write(entry.to_json() + "\n")
-            fh.flush()
-            fcntl.flock(fh, fcntl.LOCK_UN)
+        every line that fails CacheEntry.from_json.  A location that cannot
+        be written (the directory is a regular file, say) is warned about,
+        and the entry is not stored."""
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a+", encoding="utf-8") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                fh.seek(0)
+                lines = fh.readlines()
+                kept = [line.rstrip("\n") + "\n" for line in lines if _parses(line)]
+                if kept != lines:
+                    fh.truncate(0)
+                    fh.writelines(kept)
+                fh.write(entry.to_json() + "\n")
+                fh.flush()
+                fcntl.flock(fh, fcntl.LOCK_UN)
+        except OSError as exc:
+            log.warning("cache not writable, entry not stored: %s", exc)
 
     def stats(self) -> dict:
         entries = self._load()
@@ -140,7 +145,9 @@ class DegreeCache:
         }
 
     def clear(self) -> int:
-        entries = self._load()
+        """Delete the file and return how many entries it held.  An OSError
+        (the file is a directory, say) propagates."""
+        entries = self._load() if self.path.is_file() else []
         if self.path.exists():
             self.path.unlink()
         return len(entries)

@@ -373,7 +373,11 @@ def _cmd_enumerate(args, settings) -> int:
 def _cmd_cache(args, settings) -> int:
     cache = DegreeCache(settings.cache_dir)
     if args.clear:
-        removed = cache.clear()
+        try:
+            removed = cache.clear()
+        except OSError as exc:
+            log.error("cannot clear the cache: %s", exc)
+            return 2
         data = {"cleared": removed, "path": str(cache.path)}
         pretty = [f"cleared {removed} entries from {cache.path}"]
         body = [["cleared", removed]]

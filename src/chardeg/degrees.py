@@ -11,7 +11,10 @@ The degree multiset of a finite group is computed from first principles:
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
      unity exist mod l and every degree square is recovered exactly from its
      residue; exp(G) comes from one walk of powers (ClassData.cover),
-  4. the derived subgroup G′ over positions, and each class's coset of it:
+  4. the derived subgroup G′ over positions, and each class's coset of it,
+     the cosets being the orbits of right multiplication by G′'s generators,
+     joined in numpy when they are many and small (|G′|³ ≤ |G|) and walked
+     one at a time when they are few and large (see _derived_cosets):
      the |G:G′| linear characters are those of G/G′, so their degrees are 1,
      and every other chi has central character values summing to zero over
      each coset, so those vectors span W = {v : the coordinates of each
@@ -135,11 +138,11 @@ class ClassData:
         The representatives are walked in ascending order, skipping one whose
         class holds a power of a walked one (its order divides that one's),
         so every class holds a walked power.  Each walked order divides |G|."""
-        n = sum(self.sizes)
+        n, class_at = sum(self.sizes), memoryview(self.class_at)
         walked, at = {}, [None] * self.count
         for i, x in enumerate(self.reps.tolist()):
             if at[i] is None:
-                ys = walked[i] = self.class_at[self.tables.powers(x)].tolist()
+                ys = walked[i] = [class_at[y] for y in self.tables.powers(x)]
                 if n % len(ys):
                     raise SelfCheckFailed(f"position {x} has order {len(ys)}, not dividing {n}")
                 for j, k in enumerate(ys, 1):
@@ -242,13 +245,9 @@ def _level_classes(t: IndexTables):
     parent is non-decreasing, so the level after positions [a, b) is [b, c)
     with c the first position whose parent is b or more.  Each generator's
     row of left is one gather per level, and the inverses a second pass
-    once left is complete.  The orbits are joined one generator at a time,
-    in a forest over positions whose every pointer goes to a smaller
-    position: each pair (x, h⁻¹·x·h) whose ends have two roots points the
-    larger root at the smaller, and pointer jumping flattens the forest,
-    until every pair shares its root.  Joining only merges orbits, so the
-    pairs of earlier generators stay joined, and each root ends as its
-    class's least, first-discovered, position.
+    once left is complete.  The classes are the orbits of the conjugations
+    x ↦ h⁻¹·x·h, one array per generator h, joined by _orbits, so each
+    class is numbered by its least, first-discovered, position.
     """
     right, parent, via = t.right, t.parent, t.via
     s, n = right.shape
@@ -268,9 +267,28 @@ def _level_classes(t: IndexTables):
     for a, b, up, rows in levels:
         inv[a:b] = left.ravel()[inv[up] + rows]
     del levels
+    class_at, reps = _orbits(n, (right[j][left[j]] for j in range(s)))
+    del left
+    inverse_class = tuple(class_at[inv[reps]].tolist())
+    return tuple(np.bincount(class_at).tolist()), inverse_class, class_at, reps
+
+
+def _orbits(n: int, perms) -> tuple[np.ndarray, np.ndarray]:
+    """(at, firsts): the orbit at[x] of each x in range(n) under the
+    permutations perms (intp arrays, consumed one at a time), the orbits
+    numbered by their least members, which firsts holds, ascending.
+
+    The orbits are joined one permutation at a time, in a forest over
+    range(n) whose every pointer goes to a smaller position: each pair
+    (x, perm[x]) whose ends have two roots points the larger root at the
+    smaller, and pointer jumping flattens the forest, until every pair
+    shares its root.  Joining only merges orbits, so the pairs of earlier
+    permutations stay joined, and each root ends as its orbit's least
+    member.
+    """
     root = np.arange(n)
-    for j in range(s):
-        x, y = np.arange(n), right[j][left[j]]  # y[i] = position of g_j⁻¹·x[i]·g_j
+    for perm in perms:
+        x, y = np.arange(n), perm
         while True:
             rx, ry = root[x], root[y]
             apart = rx != ry
@@ -285,12 +303,9 @@ def _level_classes(t: IndexTables):
                 if (up == root).all():
                     break
                 root = up
-    del left, x, y
+        del x, y, perm  # free before the next permutation is made
     first = root == np.arange(n)
-    class_at = (np.cumsum(first) - 1)[root]
-    reps = np.flatnonzero(first)
-    inverse_class = tuple(class_at[inv[reps]].tolist())
-    return tuple(np.bincount(class_at).tolist()), inverse_class, class_at, reps
+    return (np.cumsum(first) - 1)[root], np.flatnonzero(first)
 
 
 def _check_class_data(cd, order):
@@ -359,36 +374,69 @@ def dixon_modulus(cd: ClassData) -> int:
 def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
     """|G′| and the coset of G′ of each position, G′ itself being coset 0.
 
-    G′ is the normal closure of the generators' commutators.  H starts as
-    the subgroup they generate, closed breadth-first under right
-    multiplication by its generators, each a permutation of the positions
-    got by walking the generator's word through the index tables.  While H
-    is not a union of classes, one missing member of each class it meets
-    joins the generators: it is a conjugate of an element of H, so it lies
-    in G′.  A subgroup with more than |G|/2 elements is G, so the closure
-    stops there.  The cosets are then numbered breadth-first over G/H:
-    H·x·g_j is the gather right[j] of the coset H·x.
+    The cosets x·G′ are the orbits of right multiplication by the
+    generators of G′ that _derived_subgroup finds.  With many small cosets
+    (|G′|³ ≤ |G|) they are joined in numpy by _orbits, which costs a few
+    passes over all positions; with few large ones (the Frobenius groups)
+    _coset_walk's Python iteration per coset and generator costs less.
+    """
+    n = len(cd.tables)
+    h, perms = _derived_subgroup(cd)
+    if h is None:
+        return n, np.zeros(n, dtype=np.intp)
+    if len(h) ** 3 <= n:
+        return len(h), _orbits(n, perms)[0]
+    return len(h), _coset_walk(cd.tables.right, h)
+
+
+def _derived_subgroup(cd: ClassData) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """(h, perms): the positions of G′, ascending, or None if G′ = G, and
+    the permutations x ↦ x·y of the positions for generators y of G′.
+
+    G′ is the normal closure of the generators' commutators
+    g_i⁻¹·g_j⁻¹·g_i·g_j, each walked from g_i⁻¹ (the x with x·g_i = 1)
+    along the word of g_j⁻¹; its permutation is the gather x·g_i·g_j with
+    g_j⁻¹ and g_i⁻¹ put in front by two scatters.  H starts as the subgroup
+    they generate, closed breadth-first under those permutations; a
+    generator already in H is dropped.  While H is not a union of classes,
+    one missing member of each class it meets joins the generators, its
+    permutation walked along its word: it is a conjugate of an element of
+    H, so it lies in G′.  A subgroup with more than |G|/2 elements is G, so
+    the closure stops there.
     """
     t = cd.tables
     right = t.right
     s, n = right.shape
-    back = np.empty_like(right)  # back[j, x·g_j] = x
-    back[np.arange(s)[:, None], right] = np.arange(n)
-    new = {  # g_i⁻¹·g_j⁻¹·g_i·g_j
-        int(right[j, right[i, back[j, back[i, 0]]]])
-        for i in range(s)
-        for j in range(i + 1, s)
-    }
-    new = sorted(new - {0})
+    invs = [int(np.argmax(row == 0)) for row in right]  # the positions of the g_i⁻¹
+    words = [t.word(x) for x in invs]
+    pairs = {}  # the position of g_i⁻¹·g_j⁻¹·g_i·g_j -> (i, j)
+    for i in range(s):
+        for j in range(i + 1, s):
+            x = invs[i]
+            for k in [*words[j], i, j]:
+                x = int(right[k, x])
+            pairs.setdefault(x, (i, j))
+    pairs.pop(0, None)
+    new = sorted(pairs)
     in_h = np.zeros(n, dtype=bool)
     in_h[0] = True
     size = 1
     perms = []
     while new:
         for y in new:
-            p = np.arange(n)
-            for j in t.word(y):
-                p = right[j][p]
+            if in_h[y]:
+                continue
+            if y in pairs:
+                i, j = pairs[y]
+                p = right[j][right[i]]
+                for k in j, i:
+                    q = np.empty_like(p)
+                    q[right[k]] = p  # q[z] = p[z·g_k⁻¹]
+                    p = q
+            else:
+                p = np.arange(n)
+                for j in t.word(y):
+                    p = right[j][p]
             perms.append(p)
             x = int(p[0])
             while not in_h[x]:  # y's powers, so that a long cycle costs no levels
@@ -405,21 +453,27 @@ def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
             front = np.flatnonzero(fresh)
             size += front.size
             if 2 * size > n:
-                return n, np.zeros(n, dtype=np.intp)
+                return None, perms
         hit = np.bincount(cd.class_at[in_h], minlength=cd.count)
         partial = (hit > 0) & (hit < cd.sizes)
         missing = np.flatnonzero(partial[cd.class_at] & ~in_h)
         new = missing[np.unique(cd.class_at[missing], return_index=True)[1]].tolist()
-    h = np.flatnonzero(in_h)
-    coset_at = np.full(n, -1, dtype=np.intp)
+    return np.flatnonzero(in_h), perms
+
+
+def _coset_walk(right: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The coset of each position of the normal subgroup at positions h,
+    numbered breadth-first over G/H from H = coset 0: H·x·g_j is the
+    gather right[j] of the coset H·x."""
+    coset_at = np.full(right.shape[1], -1, dtype=np.intp)
     coset_at[h] = 0
     cosets = [h]
     for c in cosets:  # grows while it is walked
-        for j in range(s):
-            if coset_at[right[j, c[0]]] < 0:
-                coset_at[right[j][c]] = len(cosets)
-                cosets.append(right[j][c])
-    return h.size, coset_at
+        for row in right:
+            if coset_at[row[c[0]]] < 0:
+                coset_at[row[c]] = len(cosets)
+                cosets.append(row[c])
+    return coset_at
 
 
 # ------------------------------------------------- modular linear algebra

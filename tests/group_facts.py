@@ -1,6 +1,6 @@
-"""Element-path references: element orders and the derived subgroup taken
-by multiplying elements, which the engine's walks over positions
-(IndexTables.order, degrees._derived_cosets) are tested against; the
+"""Element-path references: element orders, the derived subgroup and its
+cosets taken by multiplying elements, which the engine's walks over
+positions (IndexTables.order, degrees._derived_cosets) are tested against; the
 exponent over every cyclic subgroup and the order of every class
 representative, which the engine's cover walk
 (degrees.ClassData.cover) is tested against; and the headline facts of a
@@ -65,8 +65,8 @@ def representative_modulus(cd) -> int:
     return v
 
 
-def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Order of the commutator subgroup, by multiplying elements.
+def derived_subgroup(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> set:
+    """The elements of the commutator subgroup, by multiplying elements.
 
     Generator-pair commutators are closed into a subgroup, then repeatedly
     conjugated by the group generators and re-closed until stable; the result
@@ -86,7 +86,7 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
     }
     comms.discard(group.identity)
     if not comms:
-        return 1
+        return {group.identity}
     sub = set(_closure(group.identity, mul, comms, cap, group.descriptor).elements)
     while True:
         new = set()
@@ -96,10 +96,31 @@ def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_C
                 if y not in sub:
                     new.add(y)
         if not new:
-            return len(sub)
+            return sub
         sub = set(
             _closure(group.identity, mul, sub | new, cap, group.descriptor).elements
         )
+
+
+def derived_subgroup_order(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> int:
+    """Order of the commutator subgroup, by multiplying elements."""
+    return len(derived_subgroup(group, cap))
+
+
+def derived_coset_firsts(group: GroupRealization, cap: int = DEFAULT_ELEMENT_CAP) -> list[int]:
+    """For each position x (enumerate_elements' order), the least position
+    of its coset x·G′, by multiplying x by every element of G′."""
+    elements = enumerate_elements(group, cap)
+    sub = derived_subgroup(group, cap)
+    if len(sub) == len(elements):
+        return [0] * len(elements)
+    at = {x: i for i, x in enumerate(elements)}
+    first = [-1] * len(elements)
+    for i, x in enumerate(elements):
+        if first[i] < 0:
+            for y in sub:
+                first[at[group.multiply(x, y)]] = i
+    return first
 
 
 @dataclass(frozen=True)

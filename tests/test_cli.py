@@ -844,6 +844,29 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert json.loads(out)["cleared"] == 1
 
 
+def test_unwritable_cache_location_still_answers(capsys, tmp_path):
+    """A --cache-dir that is a regular file cannot hold the cache: the store
+    is warned about in one line, and the answer prints with exit 0."""
+    where = tmp_path / "file"
+    where.write_text("")
+    argv = ("degrees", "--spec", "psl2:5", "--format", "json", "--no-timestamp")
+    _, want, _ = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--cache", "--cache-dir", str(where))
+    assert code == 0 and out == want
+    assert err.count("WARNING:") == 1 and "not stored" in err
+    assert "Traceback" not in err and where.read_text() == ""
+
+
+def test_cache_clear_of_a_directory_exits_2(capsys, tmp_path):
+    """cache --clear cannot delete a degrees.jsonl that is a directory: one
+    ERROR line, exit 2, and the directory stays."""
+    (tmp_path / "degrees.jsonl").mkdir()
+    code, out, err = invoke(capsys, "cache", "--clear", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
+    assert (tmp_path / "degrees.jsonl").is_dir()
+
+
 def test_cache_requires_action(capsys):
     code, _, _ = invoke(capsys, "cache")
     assert code == 2

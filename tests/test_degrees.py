@@ -38,6 +38,7 @@ from chardeg.groups import (
 from chardeg.smallgroups import enumerate_groups, table_to_realization
 
 from group_facts import (
+    derived_coset_firsts,
     derived_subgroup_order,
     element_order,
     exponent,
@@ -734,11 +735,25 @@ def test_linear_count_equals_abelianization():
 CATALOG_CORPUS = sorted({t for t, _ in FROZEN_DEGREES} | set(REFERENCE_GROUPS))
 
 
-DERIVED_CASES = [(text, lambda text=text: make(text)) for text in CATALOG_CORPUS] + [
+# the class-bound bench specs; a G′ of order 1 with 499 cosets; one spec
+# either side of _derived_cosets' size comparison |G′|³ ≤ |G|, 7³ = 343
+# against |G| = 1029 (joined) and 147 (walked)
+JOINED = ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2", "cyclic:499"]
+WALKED = ["prod(frob:7^1:3,cyclic:7)"]
+DERIVED_CASES = [
+    (text, lambda text=text: make(text))
+    for text in CATALOG_CORPUS + JOINED + ["prod(frob:7^1:3,cyclic:49)"] + WALKED
+] + [
     (f"order{n}[{k}]", lambda t=t: table_to_realization(t))
-    for n in range(1, 13)
+    for n in range(1, 17)
     for k, t in enumerate(enumerate_groups(n))
 ]
+
+
+def firsts(coset_at):
+    """The least position of each position's block."""
+    _, first, block = np.unique(coset_at, return_index=True, return_inverse=True)
+    return first[block].tolist()
 
 
 @pytest.mark.parametrize(
@@ -746,17 +761,48 @@ DERIVED_CASES = [(text, lambda text=text: make(text)) for text in CATALOG_CORPUS
 )
 def test_derived_cosets_match_element_path(build):
     """|G′| over positions equals the one got by multiplying elements, and
-    the cosets partition the group into |G:G′| blocks of |G′|, each a union
-    of classes."""
+    so do the cosets: _derived_cosets' and both numberings', called on the
+    same generators of G′.  The join numbers them by their least
+    positions, the walk breadth-first; G′ is coset 0 in both."""
     g = build()
     cd = conjugacy_classes(g)
+    n = len(cd.tables)
     derived, coset_at = degrees._derived_cosets(cd)
     assert derived == derived_subgroup_order(g)
-    n = len(cd.tables)
-    assert (np.bincount(coset_at) == derived).all()
-    assert len(np.bincount(coset_at)) == n // derived
+    want = derived_coset_firsts(g)
+    assert firsts(coset_at) == want
+    h, perms = degrees._derived_subgroup(cd)
+    if h is None:
+        assert derived == n and not coset_at.any()
+        return
+    assert len(h) == derived
+    join = degrees._orbits(n, perms)[0]
+    walk = degrees._coset_walk(cd.tables.right, h)
+    for numbering in join, walk:
+        assert firsts(numbering) == want
+        assert np.flatnonzero(numbering == 0).tolist() == h.tolist()
+    assert join.tolist() == np.unique(want, return_inverse=True)[1].tolist()
+    assert (coset_at == (join if derived**3 <= n else walk)).all()
     for k in range(cd.count):
         assert len(set(coset_at[cd.members(k)].tolist())) == 1
+
+
+def test_coset_numbering_sides(monkeypatch):
+    """The bench's class-bound specs and cyclic:499 are joined; the mult-bound
+    Frobenius specs, few cosets of a large G′, are walked."""
+    called = []
+    for name in "_orbits", "_coset_walk":
+        real = getattr(degrees, name)
+        monkeypatch.setattr(
+            degrees, name, lambda *a, name=name, real=real: called.append(name) or real(*a)
+        )
+    for text, side in [(t, "_orbits") for t in JOINED] + [
+        (t, "_coset_walk") for t in WALKED + ["frob:191^1:19", "frob:2^8:17"]
+    ]:
+        cd = conjugacy_classes(make(text))  # _level_classes joins by _orbits too
+        called.clear()
+        degrees._derived_cosets(cd)
+        assert called == [side], text
 
 
 @pytest.mark.parametrize(
