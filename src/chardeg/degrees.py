@@ -91,11 +91,11 @@ class ClassData:
     class_at is the intp array of the class of each position.  Classes are
     numbered in the order their first members were discovered, and reps is
     the intp array of those first members' positions, each its class's
-    representative, so class 0 is the identity.
+    representative, so class 0 is the identity.  The facts read off powers
+    (cover, inverse_class) are walked on first use.
     """
 
     sizes: tuple[int, ...]
-    inverse_class: tuple[int, ...]
     class_at: np.ndarray = field(compare=False, repr=False)
     reps: np.ndarray = field(compare=False, repr=False)
     tables: IndexTables = field(compare=False, repr=False)
@@ -150,6 +150,20 @@ class ClassData:
                         at[k] = (i, j)
         return walked, at
 
+    @cached_property
+    def inverse_class(self) -> tuple[int, ...]:
+        """The class of the inverses of each class's members, read off the
+        cover: class k holds y^j for (i, j) = at[k], so its inverses are
+        conjugate to y^(o−j), o = |y|, whose class is walked[i][o − j − 1]
+        (the identity's, at j = o, is the last).  The map must be an
+        involution that keeps class sizes."""
+        walked, at = self.cover
+        inv = tuple([walked[i][len(walked[i]) - j - 1] for i, j in at])
+        for i, j in enumerate(inv):
+            if inv[j] != i or self.sizes[j] != self.sizes[i]:
+                raise SelfCheckFailed("inverse-class map is not a size-preserving involution")
+        return inv
+
 
 @dataclass(frozen=True)
 class DegreeMultiset:
@@ -181,7 +195,8 @@ def conjugacy_classes(
     h⁻¹·x·h is right[h][left[x]], where left[x] is the position of h⁻¹·x.
     left is filled along the closure's tree from left[0] = h⁻¹, the x with
     x·h = 1, since h⁻¹·(p·s) = (h⁻¹·p)·s, so no group multiplication is
-    needed.  Inverses follow the tree too: (p·s)⁻¹ = s⁻¹·p⁻¹.
+    needed.  No inverse is walked: inverse classes are read off the cover
+    when a class matrix or a norm needs them (ClassData.inverse_class).
 
     A closure over codes (a coded group of groups._CODES_FROM elements or
     more) is walked a breadth-first level at a time in numpy
@@ -193,22 +208,23 @@ def conjugacy_classes(
     t = index_tables(g, cap)
     walk = _walk_classes if t.elements is not None else _level_classes
     cd = ClassData(*walk(t), tables=t)
-    _check_class_data(cd, len(t))
+    if sum(cd.sizes) != len(t):
+        raise SelfCheckFailed("class sizes do not partition the group")
+    if cd.reps[0] != 0 or cd.sizes[0] != 1:  # position 0 is the identity
+        raise SelfCheckFailed("class 0 is not the identity singleton")
     return cd
 
 
 def _walk_classes(t: IndexTables):
-    """(sizes, inverse_class, class_at, reps), one position at a time."""
+    """(sizes, class_at, reps), one position at a time."""
     right, parent, via = t.right.tolist(), t.parent.tolist(), t.via.tolist()
     n = len(t)
-    lefts = []  # lefts[j][x] = position of g_j⁻¹ · x
     conj = []  # conj[j][x] = position of g_j⁻¹ · x · g_j
     for col in right:
-        left = [0] * n
+        left = [0] * n  # left[x] = position of g_j⁻¹ · x
         left[0] = col.index(0)
         for x in range(1, n):
             left[x] = right[via[x]][left[parent[x]]]
-        lefts.append(left)
         conj.append([col[y] for y in left])
     class_at = [-1] * n
     reps, sizes = [], []
@@ -225,52 +241,38 @@ def _walk_classes(t: IndexTables):
                     orbit.append(z)
         reps.append(x)
         sizes.append(len(orbit))
-    inv = {0: 0}  # position -> its inverse's, on the reps' paths from 0
-    for x in reps:
-        path = []
-        while x not in inv:
-            path.append(x)
-            x = parent[x]
-        for x in reversed(path):
-            inv[x] = lefts[via[x]][inv[parent[x]]]
-    inverse_class = tuple(class_at[inv[x]] for x in reps)
-    class_at, reps = np.array(class_at, dtype=np.intp), np.array(reps, dtype=np.intp)
-    return tuple(sizes), inverse_class, class_at, reps
+    return tuple(sizes), np.array(class_at, dtype=np.intp), np.array(reps, dtype=np.intp)
 
 
 def _level_classes(t: IndexTables):
-    """(sizes, inverse_class, class_at, reps), a breadth-first level at a
-    time.
+    """(sizes, class_at, reps), a breadth-first level at a time.
 
     parent is non-decreasing, so the level after positions [a, b) is [b, c)
-    with c the first position whose parent is b or more.  Each generator's
-    row of left is one gather per level, and the inverses a second pass
-    once left is complete.  The classes are the orbits of the conjugations
-    x ↦ h⁻¹·x·h, one array per generator h, joined by _orbits, so each
-    class is numbered by its least, first-discovered, position.
+    with c the first position whose parent is b or more.  A generator's row
+    left of positions g⁻¹·x is one gather per level.  The classes are the
+    orbits of the conjugations x ↦ g⁻¹·x·g, made one generator at a time as
+    _orbits consumes them, so each class is numbered by its least,
+    first-discovered, position.
     """
     right, parent, via = t.right, t.parent, t.via
-    s, n = right.shape
+    n = right.shape[1]
     ends = [1]
     while ends[-1] < n:
         ends.append(int(np.searchsorted(parent, ends[-1])))
-    # positions [a, b), their parents, and the flat offsets of their
-    # generators' rows
-    levels = [(a, b, parent[a:b], via[a:b] * n) for a, b in zip(ends, ends[1:])]
-    flat = right.ravel()
-    left = np.empty((s, n), dtype=np.intp)  # left[j, x] = position of g_j⁻¹·x
-    left[:, 0] = np.argmax(right == 0, axis=1)
-    for row in left:
-        for a, b, up, rows in levels:
-            row[a:b] = flat[row[up] + rows]
-    inv = np.zeros(n, dtype=np.intp)  # (p·g)⁻¹ = g⁻¹·p⁻¹
-    for a, b, up, rows in levels:
-        inv[a:b] = left.ravel()[inv[up] + rows]
-    del levels
-    class_at, reps = _orbits(n, (right[j][left[j]] for j in range(s)))
-    del left
-    inverse_class = tuple(class_at[inv[reps]].tolist())
-    return tuple(np.bincount(class_at).tolist()), inverse_class, class_at, reps
+    # positions [a, b), their parents and their generators
+    levels = [(a, b, parent[a:b], via[a:b]) for a, b in zip(ends, ends[1:])]
+
+    def conjugations():
+        for row in right:
+            left = np.empty(n, dtype=np.intp)  # left[x] = position of g⁻¹·x
+            left[0] = np.argmax(row == 0)
+            for a, b, up, gens in levels:
+                left[a:b] = right[gens, left[up]]
+            left = row[left]  # rebound, so that only the conjugation stays alive
+            yield left
+
+    class_at, reps = _orbits(n, conjugations())
+    return tuple(np.bincount(class_at).tolist()), class_at, reps
 
 
 def _orbits(n: int, perms) -> tuple[np.ndarray, np.ndarray]:
@@ -306,16 +308,6 @@ def _orbits(n: int, perms) -> tuple[np.ndarray, np.ndarray]:
         del x, y, perm  # free before the next permutation is made
     first = root == np.arange(n)
     return (np.cumsum(first) - 1)[root], np.flatnonzero(first)
-
-
-def _check_class_data(cd, order):
-    if sum(cd.sizes) != order:
-        raise SelfCheckFailed("class sizes do not partition the group")
-    if cd.reps[0] != 0 or cd.sizes[0] != 1:  # position 0 is the identity
-        raise SelfCheckFailed("class 0 is not the identity singleton")
-    for i, j in enumerate(cd.inverse_class):
-        if cd.inverse_class[j] != i or cd.sizes[j] != cd.sizes[i]:
-            raise SelfCheckFailed("inverse-class map is not a size-preserving involution")
 
 
 def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
@@ -723,13 +715,14 @@ def character_degrees(
         basis[range(len(piv)), piv] = 1
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
         size_invs = np.array([pow(s, l - 2, l) for s in cd.sizes], dtype=np.int64)
+        inv = np.array(cd.inverse_class)
         for v in _split_common_eigenvectors(
             partial(class_matrix, cd), _split_order(cd), basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")
             w = v * pow(int(v[0]), l - 2, l) % l  # central character, w[0] = 1
-            t = int((w * np.take(w, cd.inverse_class) % l * size_invs % l).sum() % l)
+            t = int((w * w[inv] % l * size_invs % l).sum() % l)
             if t == 0:
                 raise SelfCheckFailed("vanishing norm for a central character")
             dd = order * pow(t, l - 2, l) % l
@@ -744,11 +737,7 @@ def character_degrees(
             f"splitting W gave {len(degrees) - order // derived} characters, "
             f"not r − |G:G′| = {r - order // derived}"
         )
-    if sum(d * d for d in degrees) != order:
-        raise SumOfSquaresMismatch(
-            f"degree squares sum to {sum(d * d for d in degrees)}, order is {order}"
-        )
-    return DegreeMultiset(degrees=tuple(sorted(degrees)), group_order=order)
+    return DegreeMultiset(degrees=tuple(degrees), group_order=order)
 
 
 # -------------------------------------------------------------- closed forms

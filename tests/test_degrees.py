@@ -6,6 +6,7 @@ test must reproduce them from first principles.
 """
 
 import dataclasses
+import tracemalloc
 from math import isqrt, lcm
 
 import numpy as np
@@ -306,12 +307,20 @@ def test_class_matrix_rows_match_reference(build):
 @pytest.mark.parametrize("text", ["named:S3", "psl2:7"])
 def test_class_sizes_must_divide_the_rows(text):
     """With the sizes of classes 1 and 2 swapped, every class matrix but
-    the identity's reads a row through the symmetry that is not whole."""
+    the identity's reads a row through the symmetry that is not whole.  On
+    psl2:7 the swap moves a class whose inverses lie in another class of
+    its old size, so inverse classes read off the swapped sizes fail the
+    involution check; the matrices read the ones taken before the swap."""
     g = make(text)
     cd = conjugacy_classes(g)
     sizes = list(cd.sizes)
     sizes[1], sizes[2] = sizes[2], sizes[1]
     bad = dataclasses.replace(cd, sizes=tuple(sizes))
+    if text == "psl2:7":
+        with pytest.raises(SelfCheckFailed, match="size-preserving involution"):
+            bad.inverse_class
+        bad.__dict__["inverse_class"] = cd.inverse_class
+    assert bad.inverse_class == cd.inverse_class
     assert (class_matrix(bad, 0) == np.eye(cd.count, dtype=np.int64)).all()
     for i in range(1, cd.count):
         with pytest.raises(SelfCheckFailed, match="not divisible by its class size"):
@@ -499,6 +508,49 @@ def test_abelian_classes_are_singletons():
     assert cd.count == 7
     assert cd.sizes == (1,) * 7
     assert cd.inverse_class == (0, 6, 5, 4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("text", ["named:A4", "psl2:7"])
+def test_classes_walk_no_powers(text):
+    """Neither class walk (A4's by position, psl2:7's by level) walks the
+    cover or the inverse classes; they are read off the cover on first
+    use."""
+    cd = conjugacy_classes(make(text))
+    assert "cover" not in cd.__dict__ and "inverse_class" not in cd.__dict__
+    cd.inverse_class
+    assert "cover" in cd.__dict__
+
+
+def test_class_walk_peak_memory():
+    """The level walk of xsp:7:2 keeps no table of left multiplications or
+    inverses: with the index tables closed beforehand, its traced peak
+    stays within 10 words a position (12 when it kept both)."""
+    g = make("xsp:7:2")
+    n = len(index_tables(g))
+    tracemalloc.start()
+    try:
+        conjugacy_classes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("text", ["cyclic:7", "named:A4", "psl2:7", "prod(xsp:3:1,cyclic:2)"])
+def test_corrupt_cover_fails_the_involution_check(text):
+    """Recording any class at a power that lies in another class breaks the
+    inverse-class map, which must be a size-preserving involution."""
+    cd = conjugacy_classes(make(text))
+    walked, at = cd.cover
+    for k in range(1, cd.count):
+        i, j = at[k]
+        ys = walked[i]
+        for t in range(1, len(ys) + 1):
+            if ys[t - 1] != k:
+                bad = dataclasses.replace(cd)
+                bad.__dict__["cover"] = (walked, at[:k] + [(i, t)] + at[k + 1 :])
+                with pytest.raises(SelfCheckFailed, match="size-preserving involution"):
+                    bad.inverse_class
 
 
 def test_sym3_classes():

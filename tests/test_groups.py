@@ -195,9 +195,9 @@ def test_closure_over_rows_matches_multiply(text, coded):
 def assert_class_walks_agree(t):
     """The numpy walk over levels and the Python walk over positions give
     the same classes on the same tables."""
-    levels, walk = degrees._level_classes(t), degrees._walk_classes(t)
-    assert levels[:2] == walk[:2]  # sizes and inverse_class
-    for a, b in zip(levels[2:], walk[2:]):  # class_at and reps
+    (sizes, *levels), (want, *walk) = degrees._level_classes(t), degrees._walk_classes(t)
+    assert sizes == want
+    for a, b in zip(levels, walk, strict=True):  # class_at and reps
         assert a.dtype == b.dtype == np.intp
         assert np.array_equal(a, b)
 
