@@ -118,17 +118,17 @@ class ClassData:
         walking[c] = how many words have a step in column c.  The closure
         is breadth-first and each rep is its class's first-discovered
         member, so word lengths never go down as k rises: the words with a
-        step in column c are the last walking[c] rows of gens.  The words
-        are walked up the tree for all representatives at once, last step
-        first.
+        step in column c are the last walking[c] rows of gens.  gens (int8
+        below 128 generators) is as wide as the last word and filled up the
+        tree for all representatives at once, last step first.
         """
         parent, via = self.tables.parent, self.tables.via
+        width = len(self.tables.word(int(self.reps[-1])))
+        gens = np.empty((self.count, width), np.int8 if len(self.tables.right) < 128 else np.intp)
         x = self.reps
-        back = []  # back[t][k]: step t from the end of word k, or -1
-        while x[-1]:  # the last word is the longest
-            back.append(via[x])
+        for c in range(width - 1, -1, -1):
+            gens[:, c] = via[x]
             x = np.maximum(parent[x], 0)
-        gens = np.array(back[::-1], dtype=np.intp).reshape(len(back), self.count).T
         return gens, np.count_nonzero(gens >= 0, axis=0).tolist()
 
     @cached_property
@@ -316,11 +316,13 @@ def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
 
     y = x⁻¹ z_k, and x⁻¹ runs over C_{i'} as x runs over C_i, so column k
     counts the classes of w·z_k for w in C_{i'}.  w·z_k is reached from w by
-    right multiplications along z_k's generator word in the closure's tree,
-    each a gather from the index tables.  Row j is column j′ read through
-    a_{ijk}·|C_k| = a_{ik′j′}·|C_j| (class sums commute, and yx = z iff
-    x·z⁻¹ = y⁻¹), so only the columns j′ are walked, and divided exactly in
-    int64 while |G|² < 2⁶³, as a_{ik′j′} ≤ |C_i|."""
+    right multiplications along z_k's generator word in the closure's tree:
+    v has one row per walked column, ascending, so the ones still walking
+    at a word step are a suffix of v (words align at their ends), and the
+    step is one in-place gather of it from the flat index tables.  Row j is
+    column j′ read through a_{ijk}·|C_k| = a_{ik′j′}·|C_j| (class sums
+    commute, and yx = z iff x·z⁻¹ = y⁻¹), so only the columns j′ are walked,
+    and divided exactly in int64 while |G|² < 2⁶³, as a_{ik′j′} ≤ |C_i|."""
     r = cd.count
     inv = np.array(cd.inverse_class)
     rows = np.arange(r) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -329,17 +331,19 @@ def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
     gens, walking = cd.rep_words
     first = np.searchsorted(cols, r - np.array(walking)).tolist()
     right = cd.tables.right
+    steps = gens[cols].astype(np.intp) * right.shape[1]  # int8 times n would wrap
     ws = cd.members(cd.inverse_class[i])
     block = max(1, _BLOCK_ENTRIES // len(ws))
     counts = np.empty((len(cols), r), dtype=np.int64)  # counts[t, k] = a_{i k cols[t]}
     for b0 in range(0, len(cols), block):
         b1 = min(len(cols), b0 + block)
-        v = np.repeat(ws[:, None], b1 - b0, axis=1)
+        v = np.repeat(ws[None, :], b1 - b0, axis=0)  # v[t] walks column cols[b0 + t]
         for c, a in enumerate(first):
             a = max(b0, a)  # the block's columns from a on have a step in c
             if a < b1:
-                v[:, a - b0 :] = right[gens[cols[a:b1], c], v[:, a - b0 :]]
-        flat = np.arange(b1 - b0) * r + cd.class_at[v]
+                v[a - b0 :] += steps[a:b1, c, None]
+                np.take(right.ravel(), v[a - b0 :], out=v[a - b0 :])
+        flat = np.arange(b1 - b0)[:, None] * r + cd.class_at[v]
         counts[b0:b1] = np.bincount(flat.ravel(), minlength=(b1 - b0) * r).reshape(-1, r)
     sizes = np.array(cd.sizes, dtype=np.int64)
     out, rem = np.divmod(counts[np.searchsorted(cols, need)][:, inv] * sizes[rows, None], sizes)
@@ -553,13 +557,18 @@ def _charpoly(h: np.ndarray, l: int) -> np.ndarray:
 
 
 def _poly_roots(poly: list[int], l: int) -> np.ndarray:
-    """All roots in F_l, ascending: in-place Horner passes over every residue."""
-    xs = np.arange(l, dtype=np.int64)
-    vals = np.full(l, poly[-1], dtype=np.int64)
-    for c in poly[-2::-1]:
+    """All roots in F_l, ascending: in-place uint64 Horner passes over every
+    residue, reduced mod l every `lazy` steps and at the end.  t ≤ lazy =
+    ⌊64/b⌋ − 1 steps from below l stay below l^(t+1) ≤ 2⁶⁴, b the bits of l − 1."""
+    assert l < 1 << 32  # as the split's guard r·(l − 1)² < 2⁶³ implies
+    lazy = 64 // (l - 1).bit_length() - 1
+    xs = np.arange(l, dtype=np.uint64)
+    vals = np.full(l, poly[-1], dtype=np.uint64)
+    for t, c in enumerate(poly[-2::-1], 1):
         vals *= xs
         vals += c
-        vals %= l
+        if t % lazy == 0 or t == len(poly) - 1:
+            vals %= l
     return np.flatnonzero(vals == 0)
 
 
@@ -705,6 +714,7 @@ def character_degrees(
     coset = coset_at[cd.reps]
     if (coset[cd.class_at] != coset_at).any():
         raise SelfCheckFailed("a conjugacy class meets two cosets of the derived subgroup")
+    del coset_at  # one intp a position, not needed past the check
     coset = coset.tolist()
     last = {c: k for k, c in enumerate(coset)}
     piv = [k for k, c in enumerate(coset) if last[c] != k]

@@ -6,6 +6,7 @@ test must reproduce them from first principles.
 """
 
 import dataclasses
+import random
 import tracemalloc
 from math import isqrt, lcm
 
@@ -121,6 +122,18 @@ def reference_class_matrix(g, cd, i):
     return a
 
 
+def reference_poly_roots(poly, l):
+    """All roots in F_l, ascending: int64 Horner passes over every residue,
+    reduced after each coefficient."""
+    xs = np.arange(l, dtype=np.int64)
+    vals = np.full(l, poly[-1], dtype=np.int64)
+    for c in poly[-2::-1]:
+        vals *= xs
+        vals += c
+        vals %= l
+    return np.flatnonzero(vals == 0)
+
+
 def reference_rref(a, l):
     """Reduced row echelon form mod l, one Python step per column."""
     a = a % l
@@ -177,7 +190,7 @@ def kernel_split(matrices, order, b, piv, l):
                 done.append((b, piv))
                 continue
             cp = degrees._charpoly(degrees._hessenberg(rmat, l), l)
-            for lam in degrees._poly_roots(cp, l).tolist():
+            for lam in reference_poly_roots(cp, l).tolist():
                 coords = reference_kernel((rmat - lam * eye).T % l, l)
                 done.append(reference_rref(coords @ b % l, l))
         subspaces = done
@@ -272,14 +285,65 @@ def test_split_of_w_matches_full_space_reference(build):
     assert character_degrees(g).degrees == reference_degrees(g)
 
 
-@pytest.mark.parametrize("text", ["psl2:7", "prod(xsp:3:1,cyclic:2)"])
+@pytest.mark.parametrize("text", ["psl2:7", "prod(xsp:3:1,cyclic:2)", "cyclic:60"])
 def test_class_matrix_column_blocks(monkeypatch, text):
     """An entry budget below one column still walks every representative,
-    also when the words' lengths change inside and between blocks."""
+    also when the words' lengths change inside and between blocks.  With
+    blocks of three columns, some word step's walking suffix starts inside
+    a block and crosses the next block boundary: each block walks only its
+    own part of the suffix."""
     g = make(text)
     cd = conjugacy_classes(g)
-    monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", 5)
-    for i in range(cd.count):
+    r = cd.count
+    starts = [r - w for w in cd.rep_words[1]]  # every column is walked
+    assert any(a % 3 and a < r - 3 for a in starts), starts
+    for i in range(r):
+        want = reference_class_matrix(g, cd, i)
+        for budget in 5, 3 * cd.sizes[cd.inverse_class[i]]:
+            monkeypatch.setattr(degrees, "_BLOCK_ENTRIES", budget)
+            assert (class_matrix(cd, i) == want).all()
+
+
+def assert_rep_words_are_tree_words(cd, dtype):
+    """Row k of the words is reps[k]'s word in the tree, padded on the left
+    with -1 to the longest word; walking[c] counts the last rows, those
+    with a step in column c."""
+    gens, walking = cd.rep_words
+    assert gens.dtype == dtype
+    words = [cd.tables.word(x) for x in cd.reps.tolist()]
+    width = max(map(len, words))
+    assert gens.shape == (cd.count, width)
+    for k, word in enumerate(words):
+        assert gens[k].tolist() == [-1] * (width - len(word)) + word
+    suffix = np.arange(cd.count)[:, None] >= cd.count - np.array(walking, dtype=np.intp)
+    assert ((gens >= 0) == suffix).all()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda text=text: make(text) for text in ["psl2:37", "xsp:3:2", "prod(xsp:3:2,cyclic:2)"]]
+    + [lambda: table_to_realization(enumerate_groups(8)[3])],
+    ids=["psl2:37", "xsp:3:2", "prod(xsp:3:2,cyclic:2)", "order8[3]"],
+)
+def test_rep_words_are_int8_tree_words(build):
+    assert_rep_words_are_tree_words(conjugacy_classes(build()), np.int8)
+
+
+def test_rep_words_of_128_generators_are_intp():
+    """int8 holds generator indices up to 127; with 128 generators the
+    words are intp."""
+    n = 200
+    g = GroupRealization(
+        identity=0,
+        multiply=lambda a, b: (a + b) % n,
+        generators=list(range(1, 129)),
+        descriptor=f"C{n}",
+        expected_order=n,
+    )
+    cd = conjugacy_classes(g)
+    assert_rep_words_are_tree_words(cd, np.intp)
+    assert max(cd.tables.via.tolist()) == 127  # the last generator is in a word
+    for i in (1, 150):
         assert (class_matrix(cd, i) == reference_class_matrix(g, cd, i)).all()
 
 
@@ -431,6 +495,40 @@ def test_squarefree_part_and_multiplicities():
     lam = degrees._poly_roots(g, l).tolist()
     assert lam == [1, 4, 5]
     assert [degrees._multiplicity(h, x, l) for x in lam] == [3, 1, 2]
+
+
+@pytest.mark.parametrize("l, lazy", [(65521, 3), (65537, 2), (2097143, 2), (2097169, 1)])
+def test_poly_roots_match_reference_scan(l, lazy):
+    """Seeded split polynomials with known roots, some repeated, over
+    primes on either side of 2¹⁶ and 2²¹, where the scan reduces every 3,
+    2, 2 and 1 coefficients: degrees 1–20 below 2¹⁷, also against the
+    reference, and around the first reductions and at 20 above it, where a
+    scan takes 10 ms a coefficient; and, against the reference,
+    −(x²⁰ − 1)/(x − 1), whose coefficients are all l − 1, which at its
+    root x = l − 1 takes the unreduced values to the top of the bound
+    l^(lazy+1) ≤ 2⁶⁴.  The wraps of one more step would cancel there, so
+    a polynomial of degree lazy + 1, all l − 1 but a constant that makes
+    l − 1 a root, checks that one: lazy + 1 unreduced steps pass 2⁶⁴ at
+    x = l − 1 where l^(lazy+2) > 2⁶⁴, and a wrap would lose the root."""
+    assert 64 // (l - 1).bit_length() - 1 == lazy
+    rng, small = random.Random(l), l < 1 << 17
+    for d in range(1, 21) if small else (1, 2, 3, 4, 20):
+        roots = [rng.randrange(l) for _ in range((d + 1) // 2)]
+        roots += rng.choices(roots, k=d - len(roots))
+        poly = [1]
+        for lam in roots:  # poly·(x − lam)
+            poly = [(a - lam * b) % l for a, b in zip([0] + poly, poly + [0])]
+        got = degrees._poly_roots(poly, l).tolist()
+        assert got == sorted(set(roots)), d
+        if small:
+            assert got == reference_poly_roots(poly, l).tolist(), d
+    top = [l - 1] * 20
+    edge = [0] + [l - 1] * (lazy + 1)
+    edge[0] = -sum(c * (l - 1) ** i for i, c in enumerate(edge)) % l
+    for poly in top, edge:
+        got = degrees._poly_roots(poly, l).tolist()
+        assert got[-1] == l - 1
+        assert got == reference_poly_roots(poly, l).tolist()
 
 
 @pytest.mark.parametrize(
