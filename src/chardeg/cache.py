@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .degrees import DegreeMultiset
-from .errors import SelfCheckFailed, SumOfSquaresMismatch
+from .errors import CheckFailed
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +62,7 @@ class CacheEntry:
         )
         try:
             DegreeMultiset(entry.degrees, entry.order)
-        except (SumOfSquaresMismatch, SelfCheckFailed) as exc:
+        except CheckFailed as exc:
             raise ValueError(exc) from exc
         return entry
 

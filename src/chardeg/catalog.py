@@ -12,10 +12,11 @@ Spec grammar (no whitespace):
     MATLIST := matrices separated by ";", each m*m entries separated by ","
     NAME    := S3 | A4 | C5C4 | C11C5 | C7C6 | E8C7 | G72D | G72Q | A4A4
 
-Each family states this once, as the text template of its dataclass (see
-_Family), which parse_spec and spec_text both read.  "prod(" nests at most
-MAX_PROD_NESTING deep; deeper input is a syntax error rather than a
-recursion overflow in the parser or the realizations.
+Each family is one dataclass (see _Family): its text template, which
+parse_spec and spec_text both read, its check, its predicted order, its
+build and its element text.  "prod(" nests at most MAX_PROD_NESTING deep;
+deeper input is a syntax error rather than a recursion overflow in the
+parser or the realizations.
 
 Realizations:
 
@@ -74,8 +75,6 @@ __all__ = [
     "NamedWitness",
     "parse_spec",
     "spec_text",
-    "element_text",
-    "expected_order",
     "realize",
     "named_witnesses",
     "witnesses_for_degree",
@@ -83,16 +82,41 @@ __all__ = [
 
 
 class _Family:
-    """A catalog family: its dataclass fields, in order, fill the holes of
-    its text template.  parse_spec reads a field named left or right as a
-    nested spec, name as a name, mats as a matrix list and any other as a
-    number; spec_text prints them back.  check refuses parameters outside
-    the family's domain."""
+    """A catalog family, stated once.  Its dataclass fields, in order, fill
+    the holes of its text template: parse_spec reads a field named left or
+    right as a nested spec, name as a name, mats as a matrix list and any
+    other as a number, and spec_text prints them back.  check refuses
+    parameters outside the family's domain.
+
+    Each family also defines order(cap), |G| predicted before anything is
+    built, and build(order, cap), the realization of that order; realize
+    runs them with the cap check between.  element_text(x) prints an
+    element of the realization as witness shows it."""
 
     template: ClassVar[str]
 
     def check(self):
         pass
+
+    def _steps(self, cap: int):
+        """The predicted order and a call that builds it, realize's steps.  A
+        family whose prediction closes a group overrides this to build on
+        that closure."""
+        order = self.order(cap)
+        return order, lambda: self.build(order, cap)
+
+    def element_text(self, x) -> str:
+        """A permutation of points as disjoint cycles, each from its least
+        point, fixed points left out."""
+        seen, parts = set(), []
+        for i in range(len(x)):
+            if i not in seen and x[i] != i:
+                cyc = [i]
+                while x[cyc[-1]] != i:
+                    cyc.append(x[cyc[-1]])
+                seen.update(cyc)
+                parts.append("(" + " ".join(map(str, cyc)) + ")")
+        return "".join(parts) or "()"
 
 
 @dataclass(frozen=True)
@@ -103,6 +127,21 @@ class Cyclic(_Family):
     def check(self):
         if self.n < 1:
             raise InvalidParam("cyclic order must be >= 1")
+
+    def order(self, cap: int) -> int:
+        return self.n
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        return GroupRealization(
+            identity=0,
+            multiply=lambda a, b: (a + b) % order,
+            generators=[1 % order],
+            descriptor=spec_text(self),
+            expected_order=order,
+        )
+
+    def element_text(self, x) -> str:
+        return str(x)
 
 
 @dataclass(frozen=True)
@@ -123,6 +162,16 @@ class Frob(_Family):
         if (q**m - 1) % k != 0:
             raise InvalidParam(f"{k} does not divide {q}^{m} - 1 = {q**m - 1}")
 
+    def order(self, cap: int) -> int:
+        return self.q**self.m * self.k
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        """The affine group of F_q^m whose one matrix multiplies by an
+        element of order k."""
+        a = ffield.multiplier(self.q, self.m, self.k)
+        matrices = _matrix_group(self.q, self.m, (a,))
+        return _realize_affine(self.q, self.m, matrices, order, spec_text(self))
+
 
 @dataclass(frozen=True)
 class Psl2(_Family):
@@ -132,6 +181,32 @@ class Psl2(_Family):
     def check(self):
         if not is_prime(self.p):
             raise InvalidParam(f"psl2 parameter {self.p} is not prime")
+
+    def order(self, cap: int) -> int:
+        return psl2_order(self.p)
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        p = self.p
+        inf = p  # projective point at infinity
+        pts = range(p + 1)
+        u = 1 if p == 2 else next(v for v in range(2, p) if multiplicative_order(v, p) == p - 1)
+        uu = u * u % p
+
+        def s_img(z):
+            if z == inf:
+                return 0
+            if z == 0:
+                return inf
+            return (-pow(z, p - 2, p)) % p
+
+        t = [inf if z == inf else (z + 1) % p for z in pts]
+        s = [s_img(z) for z in pts]
+        d = [inf if z == inf else z * uu % p for z in pts]
+        # the same maps as Moebius matrices: z+1, -1/z and uz/u^-1
+        mats = np.array([[1, 1, 0, 1], [0, p - 1, 1, 0], [u, 0, 0, pow(u, p - 2, p)]])
+        return _perm_realization(
+            [t, s, d], spec_text(self), order, lambda _cap: _psl2_act(p, mats)
+        )
 
 
 @dataclass(frozen=True)
@@ -145,6 +220,30 @@ class Xsp(_Family):
             raise InvalidParam(f"xsp parameter {self.p} is not prime")
         if self.n < 1:
             raise InvalidParam("xsp rank must be >= 1")
+
+    def order(self, cap: int) -> int:
+        return self.p ** (2 * self.n + 1)
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        p, n = self.p, self.n
+
+        def mul(x, y):
+            dot = sum(x[i] * y[n + i] for i in range(n))
+            return tuple(
+                (a + b) % p for a, b in zip(x[: 2 * n], y[: 2 * n])
+            ) + ((x[2 * n] + y[2 * n] + dot) % p,)
+
+        return GroupRealization(
+            identity=(0,) * (2 * n + 1),
+            multiply=mul,
+            generators=[tuple(int(i == j) for i in range(2 * n + 1)) for j in range(2 * n)],
+            descriptor=spec_text(self),
+            expected_order=order,
+            coding=lambda _cap: _xsp_act(p, n),
+        )
+
+    def element_text(self, x) -> str:
+        return "(" + ",".join(map(str, x)) + ")"
 
 
 @dataclass(frozen=True)
@@ -168,12 +267,42 @@ class Affine(_Family):
             if ffield.mat_det(q, mat) == 0:
                 raise InvalidParam(f"matrix {mat} is singular mod {q}")
 
+    def order(self, cap: int) -> int:
+        return self._steps(cap)[0]
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        matrices = _matrix_group(self.q, self.m, self.mats)
+        return _realize_affine(self.q, self.m, matrices, order, spec_text(self))
+
+    def _steps(self, cap: int, matrices: GroupRealization | None = None):
+        """q^m times the order of the matrix group, and the group built on
+        that one closure of the matrices, which codes its elements.  It
+        closes the matrices, not the points, so the order of the point
+        action is checked against a count of its own."""
+        if matrices is None:
+            matrices = _matrix_group(self.q, self.m, self.mats)
+        pts = self.q**self.m
+        order = pts * len(index_tables(matrices, max(1, cap // pts)))
+        return order, lambda: _realize_affine(self.q, self.m, matrices, order, spec_text(self))
+
 
 @dataclass(frozen=True)
 class Prod(_Family):
     left: "GroupSpec"
     right: "GroupSpec"
     template: ClassVar[str] = "prod({},{})"
+
+    def order(self, cap: int) -> int:
+        return self.left.order(cap) * self.right.order(cap)
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        """The factors go through realize; a square's one factor is
+        realized and closed once."""
+        g = realize(self.left, cap)
+        return direct_product(g, g if self.right == self.left else realize(self.right, cap))
+
+    def element_text(self, x) -> str:
+        return f"({self.left.element_text(x[0])}, {self.right.element_text(x[1])})"
 
 
 @dataclass(frozen=True)
@@ -185,36 +314,33 @@ class Named(_Family):
         if self.name not in _NAMED:
             raise InvalidParam(f"unknown named group {self.name!r}")
 
+    def order(self, cap: int) -> int:
+        return _NAMED[self.name][1]
+
+    def build(self, order: int, cap: int) -> GroupRealization:
+        """The entry's spec under this name, checked against the catalog
+        order.  The order-72 witnesses' complement check closes the matrices
+        once, and that closure also predicts the order and codes the
+        elements."""
+        spec = _NAMED[self.name][0]
+        if self.name in ("G72D", "G72Q"):
+            _, build = spec._steps(cap, _check_complement(self.name))
+            g = build()
+        else:
+            g = realize(spec, cap)
+        g.descriptor = spec_text(self)
+        if g.expected_order is not None and g.expected_order != order:
+            raise SelfCheckFailed(
+                f"{g.descriptor}: catalog order {order} != predicted {g.expected_order}"
+            )
+        g.expected_order = order
+        return g
+
+    def element_text(self, x) -> str:
+        return _NAMED[self.name][0].element_text(x)
+
 
 GroupSpec = Union[Cyclic, Frob, Psl2, Xsp, Affine, Prod, Named]
-
-
-def element_text(spec: GroupSpec, x) -> str:
-    """An element of realize(spec) as text: permutations of points as
-    cycles, xsp tuples and product pairs in parentheses."""
-    match spec:
-        case Cyclic():
-            return str(x)
-        case Xsp():
-            return "(" + ",".join(map(str, x)) + ")"
-        case Prod(left, right):
-            return f"({element_text(left, x[0])}, {element_text(right, x[1])})"
-        case Named(name):
-            return element_text(_NAMED[name][0], x)
-    return _perm_cycles(x)  # frob, psl2 and affine
-
-
-def _perm_cycles(p) -> str:
-    """Disjoint cycles, each from its least point, fixed points left out."""
-    seen, parts = set(), []
-    for i in range(len(p)):
-        if i not in seen and p[i] != i:
-            cyc = [i]
-            while p[cyc[-1]] != i:
-                cyc.append(p[cyc[-1]])
-            seen.update(cyc)
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "()"
 
 
 # ------------------------------------------------------------------- parsing
@@ -338,33 +464,6 @@ def _matrix_group(q, m, mats) -> GroupRealization:
     )
 
 
-def expected_order(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    match spec:
-        case Cyclic(n):
-            return n
-        case Frob(q, m, k):
-            return q**m * k
-        case Psl2(p):
-            return psl2_order(p)
-        case Xsp(p, n):
-            return p ** (2 * n + 1)
-        case Affine(q, m, mats):
-            return _affine_order(q, m, _matrix_group(q, m, mats), cap)
-        case Prod(left, right):
-            return expected_order(left, cap) * expected_order(right, cap)
-        case Named(name):
-            return _NAMED[name][1]
-    raise TypeError(f"not a GroupSpec: {spec!r}")
-
-
-def _affine_order(q: int, m: int, matrices: GroupRealization, cap: int) -> int:
-    """q^m times the order of the matrix group.  It closes the matrices, not
-    the points, so the order of the point action realized from them is
-    checked against a count of its own."""
-    pts = q**m
-    return pts * len(index_tables(matrices, max(1, cap // pts)))
-
-
 def _perm_realization(images_list, descriptor, order, coding):
     """Permutations as image tuples, multiplied as maps (a·b)(x) = a(b(x)),
     with coding(cap) giving act over the codes range(order)."""
@@ -379,53 +478,6 @@ def _perm_realization(images_list, descriptor, order, coding):
         descriptor=descriptor,
         expected_order=order,
         coding=coding,
-    )
-
-
-def _realize_cyclic(spec: Cyclic) -> GroupRealization:
-    n = spec.n
-    return GroupRealization(
-        identity=0,
-        multiply=lambda a, b: (a + b) % n,
-        generators=[1 % n],
-        descriptor=spec_text(spec),
-        expected_order=n,
-    )
-
-
-def _realize_frob(spec: Frob, order: int) -> GroupRealization:
-    """The affine group of F_q^m whose one matrix multiplies by an element of
-    order k."""
-    a = ffield.multiplier(spec.q, spec.m, spec.k)
-    matrices = _matrix_group(spec.q, spec.m, (a,))
-    return _realize_affine(spec.q, spec.m, matrices, order, spec_text(spec))
-
-
-def _realize_psl2(spec: Psl2) -> GroupRealization:
-    p = spec.p
-    inf = p  # projective point at infinity
-    pts = range(p + 1)
-    if p == 2:
-        u = 1
-    else:
-        u = next(v for v in range(2, p) if multiplicative_order(v, p) == p - 1)
-    uu = u * u % p
-
-    def s_img(z):
-        if z == inf:
-            return 0
-        if z == 0:
-            return inf
-        return (-pow(z, p - 2, p)) % p
-
-    t = [inf if z == inf else (z + 1) % p for z in pts]
-    s = [s_img(z) for z in pts]
-    d = [inf if z == inf else z * uu % p for z in pts]
-    # the same maps as Moebius matrices: z+1, -1/z and uz/u^-1
-    mats = np.array([[1, 1, 0, 1], [0, p - 1, 1, 0], [u, 0, 0, pow(u, p - 2, p)]])
-    order = psl2_order(p)
-    return _perm_realization(
-        [t, s, d], spec_text(spec), order, lambda _cap: _psl2_act(p, mats)
     )
 
 
@@ -466,30 +518,6 @@ def _psl2_act(p: int, gens: np.ndarray):
         return code_at[ab * p + np.where(ab >= p, c, d)]
 
     return act
-
-
-def _realize_xsp(spec: Xsp) -> GroupRealization:
-    p, n = spec.p, spec.n
-
-    def mul(x, y):
-        dot = sum(x[i] * y[n + i] for i in range(n))
-        return tuple(
-            (a + b) % p for a, b in zip(x[: 2 * n], y[: 2 * n])
-        ) + ((x[2 * n] + y[2 * n] + dot) % p,)
-
-    gens = []
-    for j in range(2 * n):
-        g = [0] * (2 * n + 1)
-        g[j] = 1
-        gens.append(tuple(g))
-    return GroupRealization(
-        identity=(0,) * (2 * n + 1),
-        multiply=mul,
-        generators=gens,
-        descriptor=spec_text(spec),
-        expected_order=p ** (2 * n + 1),
-        coding=lambda _cap: _xsp_act(p, n),
-    )
 
 
 def _xsp_act(p: int, n: int):
@@ -567,35 +595,16 @@ def _affine_act(q: int, m: int, mt: IndexTables):
 
 
 def realize(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> GroupRealization:
-    """Build a concrete realization; the order is validated when enumerated.
+    """Predict the order, refuse a spec predicted past the cap, and build;
+    the order is validated when enumerated.
 
-    A spec whose predicted order exceeds cap is refused before anything is
-    built, since enumerating it would allocate every element first.
+    The refusal comes before anything is built, since enumerating the group
+    would allocate every element first.
     """
-    if isinstance(spec, Affine):  # one closure of the matrices counts and codes
-        matrices = _matrix_group(spec.q, spec.m, spec.mats)
-        order = _affine_order(spec.q, spec.m, matrices, cap)
-    else:
-        order = expected_order(spec, cap)
+    order, build = spec._steps(cap)
     if order > cap:
         raise CapExceeded(f"{spec_text(spec)}: order {order} exceeds cap {cap}")
-    match spec:
-        case Cyclic():
-            return _realize_cyclic(spec)
-        case Frob():
-            return _realize_frob(spec, order)
-        case Psl2():
-            return _realize_psl2(spec)
-        case Xsp():
-            return _realize_xsp(spec)
-        case Affine(q, m):
-            return _realize_affine(q, m, matrices, order, spec_text(spec))
-        case Prod(left, right):  # a square's one factor is realized and closed once
-            g = realize(left, cap)
-            return direct_product(g, g if right == left else realize(right, cap))
-        case Named():
-            return _realize_named(spec, cap)
-    raise TypeError(f"not a GroupSpec: {spec!r}")
+    return build()
 
 
 # ---------------------------------------------------------------- named table
@@ -641,27 +650,6 @@ def _check_complement(name: str) -> GroupRealization:
         for mat in mats:
             if ffield.mat_det(3, mat) != 1:
                 raise SelfCheckFailed(f"{name}: generator {mat} not in SL2(3)")
-    return g
-
-
-def _realize_named(named: Named, cap: int) -> GroupRealization:
-    name = named.name
-    spec, order, _claim = _NAMED[name]
-    if name in ("G72D", "G72Q"):
-        # the complement's one closure also predicts the order, as
-        # expected_order(spec) would by closing the same matrices again, and
-        # codes the elements
-        matrices = _check_complement(name)
-        predicted = _affine_order(spec.q, spec.m, matrices, cap)
-        g = _realize_affine(spec.q, spec.m, matrices, predicted, spec_text(spec))
-    else:
-        g = realize(spec, cap)
-    g.descriptor = spec_text(named)
-    if g.expected_order is not None and g.expected_order != order:
-        raise SelfCheckFailed(
-            f"{g.descriptor}: catalog order {order} != predicted {g.expected_order}"
-        )
-    g.expected_order = order
     return g
 
 

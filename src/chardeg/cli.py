@@ -33,28 +33,9 @@ from pathlib import Path
 
 from . import __version__
 from .cache import CacheEntry, DegreeCache, utc_now
-from .catalog import (
-    _REFUTED_CLAIMS,
-    Named,
-    element_text,
-    expected_order,
-    parse_spec,
-    realize,
-    spec_text,
-)
+from .catalog import parse_spec, realize, spec_text, witnesses_for_degree
 from .degrees import character_degrees
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    InvalidParam,
-    NotCoprime,
-    NotPerfectSquare,
-    OrderNotDividing,
-    SearchExhausted,
-    SelfCheckFailed,
-    SpecSyntaxError,
-    SumOfSquaresMismatch,
-)
+from .errors import Error, InvalidParam
 from .groups import DEFAULT_ELEMENT_CAP, index_tables
 from .smallgroups import (
     DEFAULT_NODE_BUDGET,
@@ -248,7 +229,7 @@ def _cmd_degrees(args, settings) -> int:
     spec = parse_spec(args.spec)
     canonical = spec_text(spec)
     cache = DegreeCache(settings.cache_dir) if args.cache else None
-    order = functools.cache(functools.partial(expected_order, spec, settings.element_cap))
+    order = functools.cache(functools.partial(spec.order, settings.element_cap))
     entry = cache.lookup(canonical, __version__, order) if cache else None
     cached = entry is not None
     if entry is None:
@@ -286,11 +267,11 @@ def _cmd_witness(args, settings) -> int:
         c.spec for c in report.candidates if c.order == report.min_order
     )
     # an unverified report lists refuted claims too (G72D for degree 8)
-    refuted = [Named(name) for name in _REFUTED_CLAIMS.get(report.n, ())]
+    refuted = [w.spec for w in witnesses_for_degree(report.n) if w.degree_claim != report.n]
     spec = next((s for s in specs if s not in refuted), specs[0])
     g = realize(spec, settings.element_cap)
     order = len(index_tables(g, settings.element_cap))
-    gens = [element_text(spec, x) for x in g.generators]
+    gens = [spec.element_text(x) for x in g.generators]
     data = {
         "n": report.n,
         "spec": spec_text(spec),
@@ -476,15 +457,10 @@ def run(argv: list[str] | None = None) -> int:
             "cache": _cmd_cache,
         }[args.command]  # argparse admits no other command
         return command(args, settings)
-    except (SpecSyntaxError, InvalidParam, NotCoprime, OrderNotDividing) as exc:
-        log.error("%s", exc)
-        return 2
-    except (CapExceeded, BudgetExceeded, SearchExhausted) as exc:
-        log.error("%s", exc)
-        return 3
-    except (NotPerfectSquare, SumOfSquaresMismatch, SelfCheckFailed) as exc:
-        log.error("internal verification failure: %s", exc)
-        return 1
+    except Error as exc:
+        prefix = "internal verification failure: " if exc.exit_code == 1 else ""
+        log.error("%s%s", prefix, exc)
+        return exc.exit_code
     except MemoryError:
         log.error("out of memory")
         return 3

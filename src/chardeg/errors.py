@@ -1,44 +1,64 @@
 """Exception types raised by the library.
 
-Every failure mode callers are expected to handle gets its own class so the
-CLI can map them onto exit codes (invalid input vs. exceeded caps vs. a
-failed internal verification).
+Every failure mode callers are expected to handle gets its own class, and
+each class carries the CLI's exit code for it in exit_code, through one of
+three bases: InvalidInput (2), LimitExceeded (3) and CheckFailed (1).
 """
 
 
 class Error(Exception):
     """Base class for all library errors."""
 
+    exit_code: int
 
-class NotCoprime(Error):
+
+class InvalidInput(Error):
+    """The request is outside what the library accepts."""
+
+    exit_code = 2
+
+
+class LimitExceeded(Error):
+    """A cap, budget or bounded search ran out before the answer."""
+
+    exit_code = 3
+
+
+class CheckFailed(Error):
+    """An internal verification failed; indicates a bug, not bad input."""
+
+    exit_code = 1
+
+
+class NotCoprime(InvalidInput):
     """Multiplicative order requested for a base not coprime to the modulus."""
 
 
-class SearchExhausted(Error):
+class SearchExhausted(LimitExceeded):
     """An unbounded arithmetic search ran past its safety cap."""
 
 
-class OrderNotDividing(Error):
+class OrderNotDividing(InvalidInput):
     """Requested element order does not divide the multiplicative group order."""
 
 
-class CapExceeded(Error):
+class CapExceeded(LimitExceeded):
     """A group enumeration or realization grew beyond the configured cap."""
 
 
-class BudgetExceeded(Error):
+class BudgetExceeded(LimitExceeded):
     """The table search exceeded its node budget."""
 
 
-class NotPerfectSquare(Error):
+class NotPerfectSquare(CheckFailed):
     """A lifted squared character degree was not a perfect square."""
 
 
-class SumOfSquaresMismatch(Error):
+class SumOfSquaresMismatch(CheckFailed):
     """Computed degrees do not satisfy the sum-of-squares identity."""
 
 
-class SpecSyntaxError(Error):
+class SpecSyntaxError(InvalidInput):
     """Group spec text failed to parse; carries the byte offset of the error."""
 
     def __init__(self, message: str, offset: int):
@@ -46,9 +66,9 @@ class SpecSyntaxError(Error):
         self.offset = offset
 
 
-class InvalidParam(Error):
+class InvalidParam(InvalidInput):
     """Group spec parsed but its parameters are out of domain."""
 
 
-class SelfCheckFailed(Error):
-    """An internal consistency check failed; indicates a bug, not bad input."""
+class SelfCheckFailed(CheckFailed):
+    """An internal consistency check failed."""

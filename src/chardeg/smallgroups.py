@@ -59,7 +59,8 @@ import numpy as np
 
 from .arith import factor
 from .errors import BudgetExceeded, InvalidParam, SelfCheckFailed
-from .groups import GroupRealization, _closure
+from .degrees import conjugacy_classes
+from .groups import GroupRealization
 
 __all__ = [
     "CayleyTable",
@@ -114,12 +115,16 @@ class CayleyTable:
         generated by the ones before it, so there are at most log2(n)."""
         rows = self.table
         gens: list[int] = []
-        closed = (0,)
+        closed, seen = [0], {0}
         while len(closed) < self.n:
-            gens.append(next(x for x in range(self.n) if x not in closed))
-            closed = _closure(
-                0, lambda a, b: rows[a][b], gens, self.n, f"table:{self.n}"
-            ).elements
+            gens.append(next(x for x in range(self.n) if x not in seen))
+            for x in closed:  # the list grows as it is walked, to the subgroup
+                row = rows[x]
+                for g in gens:
+                    y = row[g]
+                    if y not in seen:
+                        seen.add(y)
+                        closed.append(y)
         return tuple(gens)
 
 
@@ -441,8 +446,6 @@ def is_isomorphic(t1: CayleyTable, t2: CayleyTable) -> bool:
 
 
 def _fingerprint(t: CayleyTable):
-    from .degrees import conjugacy_classes
-
     sizes = conjugacy_classes(table_to_realization(t)).sizes
     return (tuple(sorted(t.element_orders())), tuple(sorted(sizes)))
 

@@ -5,6 +5,7 @@ independently with a general-purpose computer algebra system and frozen here.
 """
 
 import hashlib
+from typing import get_args
 
 import pytest
 
@@ -14,12 +15,11 @@ from chardeg.catalog import (
     Affine,
     Cyclic,
     Frob,
+    GroupSpec,
     Named,
     Prod,
     Psl2,
     Xsp,
-    element_text,
-    expected_order,
     named_witnesses,
     parse_spec,
     realize,
@@ -28,7 +28,7 @@ from chardeg.catalog import (
 )
 from chardeg.errors import CapExceeded, InvalidParam, SpecSyntaxError
 from chardeg.ffield import digits, multiplier, undigits
-from chardeg.groups import enumerate_elements, index_tables
+from chardeg.groups import DEFAULT_ELEMENT_CAP, enumerate_elements, index_tables
 
 from group_facts import exponent, group_data
 
@@ -146,23 +146,47 @@ def test_element_text():
         ("prod(cyclic:2,named:S3)", ["(1, ())", "(0, (0 1 2))", "(0, (1 2))"]),
     ]:
         spec = parse_spec(text)
-        assert [element_text(spec, x) for x in realize(spec).generators] == want
+        assert [spec.element_text(x) for x in realize(spec).generators] == want
 
 
 def test_expected_orders():
-    assert expected_order(parse_spec("frob:5^1:4")) == 20
-    assert expected_order(parse_spec("psl2:19")) == 3420
-    assert expected_order(parse_spec("xsp:2:1")) == 8
-    assert expected_order(parse_spec("affine:3^1:2")) == 6
-    assert expected_order(parse_spec("prod(cyclic:4,cyclic:6)")) == 24
-    assert expected_order(parse_spec("named:A4A4")) == 144
+    cap = DEFAULT_ELEMENT_CAP
+    assert parse_spec("frob:5^1:4").order(cap) == 20
+    assert parse_spec("psl2:19").order(cap) == 3420
+    assert parse_spec("xsp:2:1").order(cap) == 8
+    assert parse_spec("affine:3^1:2").order(cap) == 6
+    assert parse_spec("prod(cyclic:4,cyclic:6)").order(cap) == 24
+    assert parse_spec("named:A4A4").order(cap) == 144
 
 
 def test_realize_orders_match_prediction():
-    for text in ["cyclic:12", "frob:5^1:4", "psl2:7", "xsp:3:1", "named:S3"]:
+    """One spec of every family, and the named entries built on a product
+    and on a checked complement."""
+    cap = DEFAULT_ELEMENT_CAP
+    texts = [
+        "cyclic:12",
+        "frob:5^1:4",
+        "psl2:7",
+        "xsp:3:1",
+        "named:S3",
+        "affine:3^1:2",
+        "prod(cyclic:4,cyclic:6)",
+        "named:A4A4",
+        "named:G72D",
+    ]
+    assert {type(parse_spec(text)) for text in texts} == set(get_args(GroupSpec))
+    for text in texts:
         spec = parse_spec(text)
         g = realize(spec)
-        assert len(enumerate_elements(g)) == expected_order(spec)
+        assert spec.order(cap) == g.expected_order == len(index_tables(g))
+        assert len(enumerate_elements(g)) == g.expected_order
+
+
+@pytest.mark.parametrize("family", get_args(GroupSpec), ids=lambda f: f.__name__)
+def test_every_family_states_its_order_and_build(family):
+    """A family is one record: it predicts its order and builds itself, not
+    through a default or a dispatch elsewhere."""
+    assert "order" in vars(family) and "build" in vars(family)
 
 
 def test_realize_refuses_over_cap_before_building():
@@ -179,7 +203,7 @@ def test_psl2_realizations():
     # orders follow the closed formula; small exponents frozen from oracle runs
     for p, expo in [(2, 6), (3, 6), (5, 30), (7, 84)]:
         g = realize(Psl2(p))
-        assert len(enumerate_elements(g)) == expected_order(Psl2(p))
+        assert len(enumerate_elements(g)) == Psl2(p).order(DEFAULT_ELEMENT_CAP)
         assert exponent(g) == expo
     data = group_data(realize(Psl2(5)))
     assert data.derived_order == 60  # perfect

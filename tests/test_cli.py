@@ -600,6 +600,48 @@ def test_self_check_failure_exits_1(capsys, monkeypatch, exc):
     assert err == "ERROR: internal verification failure: walked order does not divide |G|\n"
 
 
+def _concrete_errors(cls=errors.Error):
+    for sub in cls.__subclasses__():
+        yield from _concrete_errors(sub) if sub.__subclasses__() else [sub]
+
+
+# The exit code README documents for each error: 2 invalid input, 3 a cap,
+# budget or bounded search exceeded, 1 a failed verification check.
+README_EXIT_CODES = {
+    "SpecSyntaxError": 2,
+    "InvalidParam": 2,
+    "NotCoprime": 2,
+    "OrderNotDividing": 2,
+    "CapExceeded": 3,
+    "BudgetExceeded": 3,
+    "SearchExhausted": 3,
+    "NotPerfectSquare": 1,
+    "SumOfSquaresMismatch": 1,
+    "SelfCheckFailed": 1,
+}
+
+
+def test_every_error_class_is_documented():
+    assert {c.__name__ for c in _concrete_errors()} == set(README_EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc", list(_concrete_errors()), ids=lambda c: c.__name__)
+def test_every_error_exits_with_its_code(capsys, monkeypatch, exc):
+    """Each error raised from inside a command exits with its documented
+    code and prints one ERROR line, with no traceback."""
+
+    def fail(*args, **kwargs):
+        raise exc("boom", 0) if exc is errors.SpecSyntaxError else exc("boom")
+
+    monkeypatch.setattr(cli, "character_degrees", fail)
+    code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
+    want = README_EXIT_CODES[exc.__name__]
+    assert (code, exc.exit_code, out) == (want, want, "")
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
+    assert ("internal verification failure: " in err) == (want == 1)
+    assert "boom" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------ settings precedence
 
 

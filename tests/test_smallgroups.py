@@ -13,7 +13,7 @@ from chardeg.arith import factor
 from chardeg.catalog import parse_spec, realize
 from chardeg.degrees import character_degrees
 from chardeg.errors import BudgetExceeded, InvalidParam, SelfCheckFailed
-from chardeg.groups import enumerate_elements
+from chardeg.groups import _closure, enumerate_elements
 from chardeg.smallgroups import (
     _SYMMETRY_ENTRIES,
     CayleyTable,
@@ -251,6 +251,22 @@ def test_associativity_check_matches_triple_loop():
     tables = [t for n in range(1, 17) for t in enumerate_groups(n)]
     for t in tables + [LOOP]:
         assert t.is_associative() == associative_by_loop(t)
+
+
+def reference_generator_chain(t: CayleyTable) -> tuple[int, ...]:
+    """Greedy generators, each subgroup closed by the engine's closure."""
+    gens, closed = [], (0,)
+    while len(closed) < t.n:
+        gens.append(next(x for x in range(t.n) if x not in closed))
+        closed = _closure(0, lambda a, b: t.table[a][b], gens, t.n, f"table:{t.n}").elements
+    return tuple(gens)
+
+
+def test_generator_chain_matches_closure_reference():
+    tables = [t for n in range(1, 17) for t in enumerate_groups(n)]
+    assert len(tables) == 42
+    for t in tables:
+        assert t.generator_chain == reference_generator_chain(t)
 
 
 def test_search_without_propagation_fails_its_self_check(monkeypatch):
