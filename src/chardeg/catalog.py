@@ -293,13 +293,24 @@ class Prod(_Family):
     template: ClassVar[str] = "prod({},{})"
 
     def order(self, cap: int) -> int:
-        return self.left.order(cap) * self.right.order(cap)
+        return self._steps(cap)[0]
 
     def build(self, order: int, cap: int) -> GroupRealization:
-        """The factors go through realize; a square's one factor is
+        return self._steps(cap)[1]()
+
+    def _steps(self, cap: int):
+        """Each factor is built on the closure its own prediction made, so an
+        affine factor closes its matrices once; a square's one factor is
         realized and closed once."""
-        g = realize(self.left, cap)
-        return direct_product(g, g if self.right == self.left else realize(self.right, cap))
+        left_order, left = self.left._steps(cap)
+        same = self.right == self.left
+        right_order, right = (left_order, left) if same else self.right._steps(cap)
+
+        def build():
+            g = left()
+            return direct_product(g, g if same else right())
+
+        return left_order * right_order, build
 
     def element_text(self, x) -> str:
         return f"({self.left.element_text(x[0])}, {self.right.element_text(x[1])})"

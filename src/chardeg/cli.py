@@ -29,6 +29,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +44,7 @@ from .smallgroups import (
     enumerate_groups,
     table_to_realization,
 )
-from .solver import g_report, kanold_scan, scan_theorem_a, scan_theorem_b, verify_minimal
+from .solver import _kanold_columns, _scan_columns, g_report, verify_minimal
 
 log = logging.getLogger("chardeg")
 
@@ -55,6 +56,7 @@ _DEFAULTS = {
     "element_cap": DEFAULT_ELEMENT_CAP,
 }
 _INT_SETTINGS = {"oracle_cap", "budget", "element_cap"}
+_FORMATS = ("pretty", "json", "csv")
 
 
 def _read_config(path: str) -> dict:
@@ -91,6 +93,8 @@ class Settings:
                     raise InvalidParam(f"setting {key} must be an integer, got {raw!r}")
                 if raw < 0:
                     raise InvalidParam(f"setting {key} must not be negative, got {raw}")
+            elif key == "format" and raw not in _FORMATS:
+                raise InvalidParam(f"unknown format {raw!r}")
             self.values[key] = raw
 
     def __getattr__(self, key):
@@ -103,34 +107,65 @@ class Settings:
 # ---------------------------------------------------------------- rendering
 
 
+class _JsonText(str):
+    """Text already encoded as JSON, which _emit's json output takes as it is."""
+
+
+def _json_rows(columns: dict) -> _JsonText:
+    """json.dumps(rows, sort_keys=True) of the rows that the columns hold:
+    equal-length lists by key, each all ints, all bools or all strings.
+    Each column is encoded once, ints by int.__repr__, bools from a table
+    and strings by json.dumps once per distinct value, and one join
+    interleaves them with the keys' text."""
+    rows, pieces = len(next(iter(columns.values()), ())), []
+    for key in sorted(columns):
+        col = columns[key]
+        kind = type(col[0]) if col else int
+        if kind is bool:
+            encoded = map(("false", "true").__getitem__, col)
+        elif kind is str:
+            encoded = map({s: json.dumps(s) for s in set(col)}.__getitem__, col)
+        else:
+            encoded = map(int.__repr__, col)
+        pieces += [repeat(("{" if not pieces else ", ") + json.dumps(key) + ": "), encoded]
+    text = "".join(chain.from_iterable(zip(*pieces, repeat("}, ", rows))))
+    return _JsonText("[" + text[:-2] + "]")
+
+
 def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
     """Print the rendering the format asks for.  data (a dict for json),
     rows (a CSV header and body) and pretty (lines) are functions, and only
-    the one the format prints is called."""
+    the one the format prints is called.  The json output is
+    json.dumps(data, sort_keys=True), but a `_JsonText` value is spliced in
+    as it is: the scans encode their rows by column (`_json_rows`)."""
     fmt = settings.format
-    if fmt not in ("pretty", "json", "csv"):
-        raise InvalidParam(f"unknown format {fmt!r}")
     stamp = not args.no_timestamp
     if fmt == "json":
         payload = dict(data())
         if stamp:
             payload["timestamp"] = utc_now()
-        print(json.dumps(payload, sort_keys=True))
+        if not any(isinstance(value, _JsonText) for value in payload.values()):
+            print(json.dumps(payload, sort_keys=True))
+        else:  # json.dumps's layout, a key at a time (one call is cheaper)
+            items = (
+                f"{json.dumps(key)}: "
+                + (value if isinstance(value, _JsonText) else json.dumps(value, sort_keys=True))
+                for key, value in sorted(payload.items())
+            )
+            print("{" + ", ".join(items) + "}")
     elif fmt == "csv":
         header, body = rows()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in body:
-            writer.writerow(row)
+        writer.writerows(body)
         sys.stdout.write(buf.getvalue())
         for comment in csv_comments:
             print(f"# {comment}")
         if stamp:
             print(f"# generated {utc_now()}")
     else:
-        for line in pretty():
-            print(line)
+        sys.stdout.write("".join(map("%s\n".__mod__, pretty())))
         if stamp:
             print(f"generated {utc_now()}")
 
@@ -174,53 +209,37 @@ def _cmd_gvalue(args, settings) -> int:
 
 
 def _cmd_scan(args, settings) -> int:
-    scan = (scan_theorem_a if args.command == "scan-a" else scan_theorem_b)(args.max_p)
+    columns, case_a, anomalies = _scan_columns(args.max_p, args.command == "scan-b")
+    p, case, least = columns.values()
     _emit(
         args,
         settings,
-        lambda: {
-            "rows": [
-                {"p": r.p, "case_label": r.case_label, "min_order": r.min_order}
-                for r in scan.rows
-            ],
-            "case_a": list(scan.case_a),
-            "anomalies": list(scan.anomalies),
-        },
-        lambda: (
-            ["p", "case_label", "min_order"],
-            [[r.p, r.case_label, r.min_order] for r in scan.rows],
-        ),
-        lambda: [f"p={r.p:<6} case {r.case_label:<4} min_order {r.min_order}" for r in scan.rows]
-        + [f"case (a) primes: {list(scan.case_a)}"]
-        + [f"anomaly: {a}" for a in scan.anomalies],
-        [f"case_a {' '.join(map(str, scan.case_a))}"],
+        lambda: {"rows": _json_rows(columns), "case_a": case_a, "anomalies": anomalies},
+        lambda: (list(columns), zip(p, case, least)),
+        lambda: [
+            *map("p=%-6d case %-4s min_order %d".__mod__, zip(p, case, least)),
+            f"case (a) primes: {list(case_a)}",
+            *[f"anomaly: {a}" for a in anomalies],
+        ],
+        [f"case_a {' '.join(map(str, case_a))}"],
     )
     return 0
 
 
 def _cmd_kanold(args, settings) -> int:
-    rows = kanold_scan(args.max_p)
-    all_hold = all(r.holds for r in rows)
+    columns = _kanold_columns(args.max_p)
+    p, q, holds, companion = columns.values()
+    all_hold = all(holds)
+    yes_no = map(("NO", "yes").__getitem__, holds), map(("no", "yes").__getitem__, companion)
     _emit(
         args,
         settings,
-        lambda: {
-            "rows": [
-                {"p": r.p, "q": r.q, "holds": r.holds, "companion_holds": r.companion_holds}
-                for r in rows
-            ],
-            "all_hold": all_hold,
-        },
-        lambda: (
-            ["p", "q", "holds", "companion_holds"],
-            [[r.p, r.q, int(r.holds), int(r.companion_holds)] for r in rows],
-        ),
+        lambda: {"rows": _json_rows(columns), "all_hold": all_hold},
+        lambda: (list(columns), zip(p, q, map(int, holds), map(int, companion))),
         lambda: [
-            f"p={r.p:<6} q={r.q:<8} q<p^2 {'yes' if r.holds else 'NO'}   "
-            f"companion {'yes' if r.companion_holds else 'no'}"
-            for r in rows
-        ]
-        + ["conjecture holds over the scanned range" if all_hold else "CONJECTURE VIOLATED in range"],
+            *map("p=%-6d q=%-8d q<p^2 %s   companion %s".__mod__, zip(p, q, *yes_no)),
+            "conjecture holds over the scanned range" if all_hold else "CONJECTURE VIOLATED in range",
+        ],
     )
     return 0
 
@@ -378,7 +397,7 @@ def _cmd_cache(args, settings) -> int:
 @functools.cache  # a parse leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["pretty", "json", "csv"], default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--config", default=None, help="key = value settings file")
     common.add_argument("--cache-dir", dest="cache_dir", default=None)
     common.add_argument("--no-timestamp", action="store_true")

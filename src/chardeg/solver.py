@@ -28,6 +28,7 @@ when the remaining orders were exhaustively enumerated and cleared, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 import numpy as np
@@ -327,18 +328,21 @@ def scan_theorem_b(max_p: int) -> ScanResult:
 
 
 def _scan(max_p: int, squared: bool) -> ScanResult:
+    columns, case_a, anomalies = _scan_columns(max_p, squared)
+    return ScanResult(tuple(map(ScanRow, *columns.values())), case_a, anomalies)
+
+
+def _scan_columns(max_p: int, squared: bool) -> tuple[dict, tuple, tuple]:
     """Every prime up to max_p, answered by `_levels`: one batched search,
-    then one column-wise comparison per degree gives every row."""
+    then one column-wise comparison per degree gives every row.  Returns
+    the rows as lists by ScanRow field, the case (a) primes and the
+    anomalies."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
     *_, case, least, _, anomalies = _levels(primes, squared)[-1]
-    cases = case.tolist()
-    return ScanResult(
-        rows=tuple(map(ScanRow, primes, cases, least.tolist())),
-        case_a=tuple(q for q, c in zip(primes, cases) if c == "a"),
-        anomalies=tuple(anomalies),
-    )
+    columns = {"p": primes, "case_label": case.tolist(), "min_order": least.tolist()}
+    return columns, tuple(compress(primes, (case == "a").tolist())), tuple(anomalies)
 
 
 def lower_bound(n: int) -> int:
@@ -410,6 +414,11 @@ def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
     """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1):
     the companion holds when frob:q^1:p is smaller than PSL2(p), in the
     scans' comparison."""
+    return tuple(map(KanoldRow, *_kanold_columns(max_p).values()))
+
+
+def _kanold_columns(max_p: int) -> dict:
+    """kanold_scan's rows as lists by KanoldRow field."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
@@ -417,4 +426,9 @@ def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
     p, q = _exact(max_p * (max_p * max_p + int(values.max())), primes, values)
     psl2 = p * ((p * p - 1) // np.where(p > 2, 2, 1))
     case, *_ = _compare(p, {"psl2": psl2, "frobenius": p * q})
-    return tuple(map(KanoldRow, primes, values.tolist(), (q < p * p).tolist(), (case == "b").tolist()))
+    return {
+        "p": primes,
+        "q": values.tolist(),
+        "holds": (q < p * p).tolist(),
+        "companion_holds": (case == "b").tolist(),
+    }

@@ -343,6 +343,32 @@ def test_order_72_witnesses_close_their_complement_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "affine:3^2:0,2,1,0;1,0,0,2",
+        "prod(affine:3^2:0,2,1,0;1,0,0,2,cyclic:2)",
+        "prod(named:G72Q,cyclic:2)",
+    ],
+)
+def test_matrix_group_closes_once_in_a_product(text, monkeypatch):
+    """A product builds its affine factor on the closure that predicted the
+    factor's order, so the matrices close once, as for the factor alone."""
+    from chardeg import groups
+
+    closed = []
+    closure = groups._closure
+
+    def counted(*args, **kwargs):
+        closed.append(args[4])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    g = realize(parse_spec(text))
+    assert closed.count("matrix group over F_3") == 1
+    assert len(index_tables(g)) == g.expected_order
+
+
+@pytest.mark.parametrize(
     "text,want",
     [
         ("named:A4A4", ["matrix group over F_2", "named:A4A4", "named:A4"]),

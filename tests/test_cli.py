@@ -5,9 +5,11 @@ streams are observable without spawning subprocesses, except a closed
 stdout, which only a process of its own can meet.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import pytest
 
 from chardeg import __version__, cli, errors, groups
 from chardeg.cli import run
+from chardeg.solver import kanold_scan, scan_theorem_a, scan_theorem_b
 
 
 def invoke(capsys, *argv):
@@ -278,6 +281,53 @@ def test_kanold_json(capsys):
     rows = {r["p"]: r for r in data["rows"]}
     assert rows[5] == {"p": 5, "q": 11, "holds": True, "companion_holds": True}
     assert rows[7]["companion_holds"] is False
+
+
+def _random_column(rng, kind, n):
+    if kind == "int":
+        edges = [0, 1, -1, 2**63 - 1, 2**63, 2**64 + 1, -(2**63) - 1, 10**40]
+        return [
+            rng.choice(edges) if rng.random() < 0.3 else rng.randrange(-(2**70), 2**70)
+            for _ in range(n)
+        ]
+    if kind == "bool":
+        return [rng.random() < 0.5 for _ in range(n)]
+    # a quote, a backslash, control characters, non-ASCII and a lone surrogate
+    alphabet = ["a", " ", '"', "\\", "/", "%s", "\n", "\t", "\x00", "\x1f", "\x7f"]
+    alphabet += ["é", "€", "\u2028", "\ud800", "😀"]
+    return ["".join(rng.choices(alphabet, k=rng.randrange(4))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 250])
+@pytest.mark.parametrize("seed", range(6))
+def test_json_rows_match_json_dumps(n, seed):
+    """The column encoder writes what json.dumps writes for the same rows:
+    ints past 2**63, bools, and strings that need escaping."""
+    rng = random.Random(seed)
+    keys = rng.sample(["p", "q", "case_label", "holds", 'k"\\é', "%d"], rng.randrange(1, 6))
+    columns = {k: _random_column(rng, rng.choice(["int", "bool", "str"]), n) for k in keys}
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    assert cli._json_rows(columns) == json.dumps(rows, sort_keys=True)
+
+
+LIBRARY_SCANS = {
+    "scan-a": lambda max_p: scan_theorem_a(max_p).rows,
+    "scan-b": lambda max_p: scan_theorem_b(max_p).rows,
+    "kanold": kanold_scan,
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_SCANS))
+def test_timestamped_scan_json_carries_the_library_rows(capsys, command):
+    """The rows spliced next to the timestamp parse to the library's rows,
+    and the whole output is what json.dumps writes for its payload."""
+    code, out, _ = invoke(capsys, command, "--max-p", "400", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+    assert data["rows"] == [dataclasses.asdict(r) for r in LIBRARY_SCANS[command](400)]
+    _, bare, _ = invoke(capsys, command, "--max-p", "400", "--format", "json", "--no-timestamp")
+    assert data.pop("timestamp") and json.loads(bare) == data
 
 
 def test_witness_cycle_notation(capsys):
@@ -694,6 +744,29 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     cfg.write_text("no equals sign here\n")
     code, _, _ = invoke(capsys, "gvalue", "--degree", "2", "--config", str(cfg))
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_unknown_format_exits_2_before_the_work(capsys, monkeypatch, tmp_path, source):
+    """A bad format is refused with the other settings, before any solver
+    call, not after the whole scan."""
+
+    def solver_called(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    for name in ("_scan_columns", "_kanold_columns", "g_report", "verify_minimal"):
+        monkeypatch.setattr(cli, name, solver_called)
+    argv = ["scan-a", "--max-p", "2000000"]
+    if source == "env":
+        monkeypatch.setenv("CHARDEG_FORMAT", "xml")
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text("format = xml\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["ERROR: unknown format 'xml'"]
 
 
 def test_bad_env_integer_exits_2(capsys, monkeypatch):
