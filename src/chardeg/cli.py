@@ -210,12 +210,13 @@ def _cmd_gvalue(args, settings) -> int:
 
 def _cmd_scan(args, settings) -> int:
     columns, case_a, anomalies = _scan_columns(args.max_p, args.command == "scan-b")
-    p, case, least = columns.values()
+    header = ["p", "case_label", "min_order"]
+    p, case, least = map(columns.__getitem__, header)
     _emit(
         args,
         settings,
         lambda: {"rows": _json_rows(columns), "case_a": case_a, "anomalies": anomalies},
-        lambda: (list(columns), zip(p, case, least)),
+        lambda: (header, zip(p, case, least)),
         lambda: [
             *map("p=%-6d case %-4s min_order %d".__mod__, zip(p, case, least)),
             f"case (a) primes: {list(case_a)}",
@@ -228,14 +229,15 @@ def _cmd_scan(args, settings) -> int:
 
 def _cmd_kanold(args, settings) -> int:
     columns = _kanold_columns(args.max_p)
-    p, q, holds, companion = columns.values()
+    header = ["p", "q", "holds", "companion_holds"]
+    p, q, holds, companion = map(columns.__getitem__, header)
     all_hold = all(holds)
     yes_no = map(("NO", "yes").__getitem__, holds), map(("no", "yes").__getitem__, companion)
     _emit(
         args,
         settings,
         lambda: {"rows": _json_rows(columns), "all_hold": all_hold},
-        lambda: (list(columns), zip(p, q, map(int, holds), map(int, companion))),
+        lambda: (header, zip(p, q, map(int, holds), map(int, companion))),
         lambda: [
             *map("p=%-6d q=%-8d q<p^2 %s   companion %s".__mod__, zip(p, q, *yes_no)),
             "conjecture holds over the scanned range" if all_hold else "CONJECTURE VIOLATED in range",

@@ -27,7 +27,7 @@ when the remaining orders were exhaustively enumerated and cleared, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from math import isqrt
 
@@ -329,14 +329,15 @@ def scan_theorem_b(max_p: int) -> ScanResult:
 
 def _scan(max_p: int, squared: bool) -> ScanResult:
     columns, case_a, anomalies = _scan_columns(max_p, squared)
-    return ScanResult(tuple(map(ScanRow, *columns.values())), case_a, anomalies)
+    rows = tuple(map(ScanRow, *(columns[f.name] for f in fields(ScanRow))))
+    return ScanResult(rows, case_a, anomalies)
 
 
 def _scan_columns(max_p: int, squared: bool) -> tuple[dict, tuple, tuple]:
     """Every prime up to max_p, answered by `_levels`: one batched search,
     then one column-wise comparison per degree gives every row.  Returns
-    the rows as lists by ScanRow field, the case (a) primes and the
-    anomalies."""
+    the rows as lists keyed by ScanRow field name, the case (a) primes and
+    the anomalies."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
@@ -414,11 +415,12 @@ def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
     """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1):
     the companion holds when frob:q^1:p is smaller than PSL2(p), in the
     scans' comparison."""
-    return tuple(map(KanoldRow, *_kanold_columns(max_p).values()))
+    columns = _kanold_columns(max_p)
+    return tuple(map(KanoldRow, *(columns[f.name] for f in fields(KanoldRow))))
 
 
 def _kanold_columns(max_p: int) -> dict:
-    """kanold_scan's rows as lists by KanoldRow field."""
+    """kanold_scan's rows as lists keyed by KanoldRow field name."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p)
