@@ -335,7 +335,6 @@ def least_values_1mod(moduli, primes_only: bool = False) -> tuple[np.ndarray, np
         raise ValueError("least_values_1mod needs every modulus >= 2")
     values = np.zeros(len(moduli), dtype=np.int64)
     prime = np.zeros(len(moduli), dtype=bool)
-    walks = [(i, 1) for i in range(len(moduli))]
     if _SIEVE_PER_MODULUS * len(moduli) >= _SIEVE_MIN:
         top = max(moduli)
         b = min(_WINDOW * top + 1, _SIEVE_PER_MODULUS * len(moduli), _SIEVE_MAX)
@@ -346,6 +345,8 @@ def least_values_1mod(moduli, primes_only: bool = False) -> tuple[np.ndarray, np
         # the sieve ends at the last candidate a first block reads below b
         b = int((np.minimum(_WINDOW, (b - 1) // ns) * ns).max()) + 1
         walks = _search_blocks(ns, primes_only, b, values, prime)
+    else:
+        walks = [(i, 1) for i in range(len(moduli))]
     for i, k in walks:
         values[i], prime[i] = _walk_1mod(moduli[i], k, primes_only)
     return values, prime

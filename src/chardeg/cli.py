@@ -72,7 +72,10 @@ def _read_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise InvalidParam(f"{path}:{lineno}: expected 'key = value'")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _DEFAULTS:
+            raise InvalidParam(f"{path}:{lineno}: unknown setting {key!r}")
+        cfg[key] = value.strip()
     return cfg
 
 

@@ -11,10 +11,10 @@ The degree multiset of a finite group is computed from first principles:
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
      unity exist mod l and every degree square is recovered exactly from its
      residue; exp(G) comes from one walk of powers (ClassData.cover),
-  4. the derived subgroup G′ over positions, and each class's coset of it,
-     the cosets being the orbits of right multiplication by G′'s generators,
-     joined in numpy when they are many and small (|G′|³ ≤ |G|) and walked
-     one at a time when they are few and large (see _derived_cosets):
+  4. each class's coset of the derived subgroup G′, the cosets being the
+     finest partition coarser than the classes that right multiplication
+     by each generator maps block to block, joined from the classes in
+     numpy until a round joins nothing (see _derived_cosets):
      the |G:G′| linear characters are those of G/G′, so their degrees are 1,
      and every other chi has central character values summing to zero over
      each coset, so those vectors span W = {v : the coordinates of each
@@ -277,37 +277,40 @@ def _level_classes(t: IndexTables):
 
 def _orbits(n: int, perms) -> tuple[np.ndarray, np.ndarray]:
     """(at, firsts): the orbit at[x] of each x in range(n) under the
-    permutations perms (intp arrays, consumed one at a time), the orbits
-    numbered by their least members, which firsts holds, ascending.
-
-    The orbits are joined one permutation at a time, in a forest over
-    range(n) whose every pointer goes to a smaller position: each pair
-    (x, perm[x]) whose ends have two roots points the larger root at the
-    smaller, and pointer jumping flattens the forest, until every pair
-    shares its root.  Joining only merges orbits, so the pairs of earlier
-    permutations stay joined, and each root ends as its orbit's least
-    member.
-    """
+    permutations perms (intp arrays, each joined by _join before the next
+    is made), numbered by their least members, which firsts holds, ascending."""
     root = np.arange(n)
     for perm in perms:
-        x, y = np.arange(n), perm
-        while True:
-            rx, ry = root[x], root[y]
-            apart = rx != ry
-            if not apart.any():
-                break
-            rx, ry = rx[apart], ry[apart]
-            root[np.maximum(rx, ry)] = np.minimum(rx, ry)
-            del rx, ry  # the arrays of pairs are the walk's largest
-            x, y = x[apart], y[apart]  # pairs once joined stay joined
-            while True:
-                up = root[root]
-                if (up == root).all():
-                    break
-                root = up
-        del x, y, perm  # free before the next permutation is made
+        _join(root, np.arange(n), perm)
+        del perm  # free before the next permutation is made
     first = root == np.arange(n)
     return (np.cumsum(first) - 1)[root], np.flatnonzero(first)
+
+
+def _join(root: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Join every pair (x[i], y[i]) in the forest root, in place.
+
+    Every pointer goes to a smaller index, and every tree has height one
+    (root[root] = root): each pair whose ends have two roots points the
+    larger root at the smaller, and pointer jumping flattens the forest,
+    until every pair shares its root.  Joining only merges trees, so pairs
+    joined earlier stay joined, and each root is its tree's least member.
+    """
+    while True:
+        rx, ry = root[x], root[y]
+        apart = rx != ry
+        if not apart.any():
+            return
+        rx, ry = rx[apart], ry[apart]
+        root[np.maximum(rx, ry)] = np.minimum(rx, ry)
+        del rx, ry  # the arrays of pairs are the walk's largest
+        x, y = x[apart], y[apart]  # pairs once joined stay joined
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root[:] = up
+            del up  # so that root and one jump are alive at a time
 
 
 def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
@@ -370,106 +373,37 @@ def dixon_modulus(cd: ClassData) -> int:
 def _derived_cosets(cd: ClassData) -> tuple[int, np.ndarray]:
     """|G′| and the coset of G′ of each position, G′ itself being coset 0.
 
-    The cosets x·G′ are the orbits of right multiplication by the
-    generators of G′ that _derived_subgroup finds.  With many small cosets
-    (|G′|³ ≤ |G|) they are joined in numpy by _orbits, which costs a few
-    passes over all positions; with few large ones (the Frobenius groups)
-    _coset_walk's Python iteration per coset and generator costs less.
+    The cosets are the finest partition coarser than the classes that right
+    multiplication by each generator maps block to block.  They are one
+    such partition; and in any, the block N of 1 is a subgroup whose cosets
+    are the blocks, normal as a union of classes, holding every commutator
+    as x and x^g share a block, so N ⊇ G′.  The blocks start as the
+    classes; a round joins (_join), for each generator, each block's images
+    to the image some[b] of one member, the pairs deduplicated when the m²
+    possible ones are fewer, until a round joins nothing or one block
+    (G′ = G) is left.  Blocks are numbered by their least classes, which
+    hold their least positions.
     """
-    n = len(cd.tables)
-    h, perms = _derived_subgroup(cd)
-    if h is None:
-        return n, np.zeros(n, dtype=np.intp)
-    if len(h) ** 3 <= n:
-        return len(h), _orbits(n, perms)[0]
-    return len(h), _coset_walk(cd.tables.right, h)
-
-
-def _derived_subgroup(cd: ClassData) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """(h, perms): the positions of G′, ascending, or None if G′ = G, and
-    the permutations x ↦ x·y of the positions for generators y of G′.
-
-    G′ is the normal closure of the generators' commutators
-    g_i⁻¹·g_j⁻¹·g_i·g_j, each walked from g_i⁻¹ (the x with x·g_i = 1)
-    along the word of g_j⁻¹; its permutation is the gather x·g_i·g_j with
-    g_j⁻¹ and g_i⁻¹ put in front by two scatters.  H starts as the subgroup
-    they generate, closed breadth-first under those permutations; a
-    generator already in H is dropped.  While H is not a union of classes,
-    one missing member of each class it meets joins the generators, its
-    permutation walked along its word: it is a conjugate of an element of
-    H, so it lies in G′.  A subgroup with more than |G|/2 elements is G, so
-    the closure stops there.
-    """
-    t = cd.tables
-    right = t.right
-    s, n = right.shape
-    invs = [int(np.argmax(row == 0)) for row in right]  # the positions of the g_i⁻¹
-    words = [t.word(x) for x in invs]
-    pairs = {}  # the position of g_i⁻¹·g_j⁻¹·g_i·g_j -> (i, j)
-    for i in range(s):
-        for j in range(i + 1, s):
-            x = invs[i]
-            for k in [*words[j], i, j]:
-                x = int(right[k, x])
-            pairs.setdefault(x, (i, j))
-    pairs.pop(0, None)
-    new = sorted(pairs)
-    in_h = np.zeros(n, dtype=bool)
-    in_h[0] = True
-    size = 1
-    perms = []
-    while new:
-        for y in new:
-            if in_h[y]:
-                continue
-            if y in pairs:
-                i, j = pairs[y]
-                p = right[j][right[i]]
-                for k in j, i:
-                    q = np.empty_like(p)
-                    q[right[k]] = p  # q[z] = p[z·g_k⁻¹]
-                    p = q
-            else:
-                p = np.arange(n)
-                for j in t.word(y):
-                    p = right[j][p]
-            perms.append(p)
-            x = int(p[0])
-            while not in_h[x]:  # y's powers, so that a long cycle costs no levels
-                in_h[x] = True
-                size += 1
-                x = int(p[x])
-        front = np.flatnonzero(in_h)
-        while front.size:
-            fresh = np.zeros(n, dtype=bool)
-            for p in perms:
-                fresh[p[front]] = True
-            fresh &= ~in_h
-            in_h |= fresh
-            front = np.flatnonzero(fresh)
-            size += front.size
-            if 2 * size > n:
-                return None, perms
-        hit = np.bincount(cd.class_at[in_h], minlength=cd.count)
-        partial = (hit > 0) & (hit < cd.sizes)
-        missing = np.flatnonzero(partial[cd.class_at] & ~in_h)
-        new = missing[np.unique(cd.class_at[missing], return_index=True)[1]].tolist()
-    return np.flatnonzero(in_h), perms
-
-
-def _coset_walk(right: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The coset of each position of the normal subgroup at positions h,
-    numbered breadth-first over G/H from H = coset 0: H·x·g_j is the
-    gather right[j] of the coset H·x."""
-    coset_at = np.full(right.shape[1], -1, dtype=np.intp)
-    coset_at[h] = 0
-    cosets = [h]
-    for c in cosets:  # grows while it is walked
-        for row in right:
-            if coset_at[row[c[0]]] < 0:
-                coset_at[row[c]] = len(cosets)
-                cosets.append(row[c])
-    return coset_at
+    n, block, m = len(cd.tables), cd.class_at, cd.count
+    while m > 1:
+        root = np.arange(m)
+        for row in cd.tables.right:
+            image = block[row]
+            some = np.empty(m, dtype=np.intp)
+            some[block] = image
+            apart = some[block] != image
+            x, y = some[block[apart]], image[apart]
+            if m * m <= len(x):
+                x, y = np.divmod(np.flatnonzero(np.bincount(x * m + y, minlength=m * m)), m)
+            _join(root, x, y)
+            if not root.any():
+                return n, np.zeros(n, dtype=np.intp)
+        first = root == np.arange(m)
+        if first.all():
+            break
+        block = (np.cumsum(first) - 1)[root][block]
+        m = int(np.count_nonzero(first))
+    return n // m, block
 
 
 # ------------------------------------------------- modular linear algebra

@@ -746,6 +746,22 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unknown_config_key_exits_2_before_the_work(capsys, monkeypatch, tmp_path):
+    """A key spelled as its flag (element-cap) is refused, naming the file,
+    the line and the key, before any group is built; it is not ignored."""
+
+    def realized(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(cli, "realize", realized)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# caps\nformat = json\nelement-cap = 5\n")
+    code, out, err = invoke(capsys, "degrees", "--spec", "psl2:7", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"ERROR: {cfg}:3: unknown setting 'element-cap'"]
+
+
 @pytest.mark.parametrize("source", ["env", "config"])
 def test_unknown_format_exits_2_before_the_work(capsys, monkeypatch, tmp_path, source):
     """A bad format is refused with the other settings, before any solver

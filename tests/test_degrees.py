@@ -885,9 +885,9 @@ def test_linear_count_equals_abelianization():
 CATALOG_CORPUS = sorted({t for t, _ in FROZEN_DEGREES} | set(REFERENCE_GROUPS))
 
 
-# the class-bound bench specs; a G′ of order 1 with 499 cosets; one spec
-# either side of _derived_cosets' size comparison |G′|³ ≤ |G|, 7³ = 343
-# against |G| = 1029 (joined) and 147 (walked)
+# the class-bound bench specs and a G′ of order 1 with 499 cosets (JOINED);
+# few cosets of a large G′ (WALKED): the two shapes of coset partition, one
+# joined from many small classes, the other from few large ones
 JOINED = ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2", "cyclic:499"]
 WALKED = ["prod(frob:7^1:3,cyclic:7)"]
 DERIVED_CASES = [
@@ -900,10 +900,14 @@ DERIVED_CASES = [
 ]
 
 
-def firsts(coset_at):
-    """The least position of each position's block."""
-    _, first, block = np.unique(coset_at, return_index=True, return_inverse=True)
-    return first[block].tolist()
+def assert_element_path_cosets(g, cd, derived, coset_at):
+    """|G′| and the cosets are those got by multiplying elements, numbered
+    by their least positions (so G′ is coset 0), each class in one."""
+    assert derived == derived_subgroup_order(g)
+    want = np.unique(derived_coset_firsts(g), return_inverse=True)[1]
+    assert coset_at.tolist() == want.tolist()
+    for k in range(cd.count):
+        assert len(set(coset_at[cd.members(k)].tolist())) == 1
 
 
 @pytest.mark.parametrize(
@@ -911,48 +915,42 @@ def firsts(coset_at):
 )
 def test_derived_cosets_match_element_path(build):
     """|G′| over positions equals the one got by multiplying elements, and
-    so do the cosets: _derived_cosets' and both numberings', called on the
-    same generators of G′.  The join numbers them by their least
-    positions, the walk breadth-first; G′ is coset 0 in both."""
+    so do the cosets."""
     g = build()
     cd = conjugacy_classes(g)
-    n = len(cd.tables)
+    assert_element_path_cosets(g, cd, *degrees._derived_cosets(cd))
+
+
+PARTIAL_JOIN_CASES = [
+    (text, lambda text=text: make(text))
+    for text in ["frob:2^3:7", "named:G72D", "prod(xsp:3:2,cyclic:2)", "psl2:7"]
+] + [("order16[9]", lambda: table_to_realization(enumerate_groups(16)[9]))]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in PARTIAL_JOIN_CASES], ids=[t for t, _ in PARTIAL_JOIN_CASES]
+)
+def test_derived_cosets_fixpoint_from_partial_joins(monkeypatch, build):
+    """With _join merging one pair a call, each joining call merges two
+    blocks, the merges spread over several rounds once they outnumber the
+    generators (psl2:7, named:G72D and order16[9]), and the fixpoint still
+    reaches the element path's cosets."""
+    g = build()
+    cd = conjugacy_classes(g)  # its orbits are joined in full
+    real, calls = degrees._join, []
+
+    def one_pair(root, x, y):
+        apart = np.flatnonzero(root[x] != root[y])
+        calls.append(len(apart) > 0)
+        real(root, x[apart[:1]], y[apart[:1]])
+
+    monkeypatch.setattr(degrees, "_join", one_pair)
     derived, coset_at = degrees._derived_cosets(cd)
-    assert derived == derived_subgroup_order(g)
-    want = derived_coset_firsts(g)
-    assert firsts(coset_at) == want
-    h, perms = degrees._derived_subgroup(cd)
-    if h is None:
-        assert derived == n and not coset_at.any()
-        return
-    assert len(h) == derived
-    join = degrees._orbits(n, perms)[0]
-    walk = degrees._coset_walk(cd.tables.right, h)
-    for numbering in join, walk:
-        assert firsts(numbering) == want
-        assert np.flatnonzero(numbering == 0).tolist() == h.tolist()
-    assert join.tolist() == np.unique(want, return_inverse=True)[1].tolist()
-    assert (coset_at == (join if derived**3 <= n else walk)).all()
-    for k in range(cd.count):
-        assert len(set(coset_at[cd.members(k)].tolist())) == 1
-
-
-def test_coset_numbering_sides(monkeypatch):
-    """The bench's class-bound specs and cyclic:499 are joined; the mult-bound
-    Frobenius specs, few cosets of a large G′, are walked."""
-    called = []
-    for name in "_orbits", "_coset_walk":
-        real = getattr(degrees, name)
-        monkeypatch.setattr(
-            degrees, name, lambda *a, name=name, real=real: called.append(name) or real(*a)
-        )
-    for text, side in [(t, "_orbits") for t in JOINED] + [
-        (t, "_coset_walk") for t in WALKED + ["frob:191^1:19", "frob:2^8:17"]
-    ]:
-        cd = conjugacy_classes(make(text))  # _level_classes joins by _orbits too
-        called.clear()
-        degrees._derived_cosets(cd)
-        assert called == [side], text
+    merges, s = cd.count - len(cd.tables) // derived, len(cd.tables.right)
+    assert sum(calls) == merges
+    joining_rounds = sum(any(calls[i : i + s]) for i in range(0, len(calls), s))
+    assert joining_rounds >= 2 or merges <= s
+    assert_element_path_cosets(g, cd, derived, coset_at)
 
 
 @pytest.mark.parametrize(
@@ -1047,11 +1045,15 @@ def test_no_element_arithmetic_after_the_closure(text):
     assert derived == derived_subgroup_order(ref)
 
 
-def test_perfect_group_stops_at_half():
-    """psl2:37 is perfect: the closure stops once it holds over half of G."""
+def test_perfect_group_is_one_coset(monkeypatch):
+    """psl2:37 is perfect: its classes join into one block within the first
+    round, which ends the fixpoint without a confirming round."""
     cd = conjugacy_classes(make("psl2:37"))
+    real, calls = degrees._join, []
+    monkeypatch.setattr(degrees, "_join", lambda *a: calls.append(1) or real(*a))
     derived, coset_at = degrees._derived_cosets(cd)
     assert derived == len(cd.tables) and not coset_at.any()
+    assert len(calls) <= len(cd.tables.right)
 
 
 def wrong_cosets(monkeypatch, move):
