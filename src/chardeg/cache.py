@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .degrees import DegreeMultiset
 from .errors import CheckFailed
 
 log = logging.getLogger(__name__)
@@ -60,6 +59,7 @@ class CacheEntry:
             engine_version=str(raw["engine_version"]),
             timestamp=str(raw["timestamp"]),
         )
+        from .degrees import DegreeMultiset
         try:
             DegreeMultiset(entry.degrees, entry.order)
         except CheckFailed as exc:

@@ -17,15 +17,14 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 a cap or budget was exceeded or memory ran out, 130 interrupted, 141
 stdout closed before all was written.  Settings resolve flags
 first, then CHARDEG_* environment variables, then --config key = value lines.
+Each subcommand imports the layers it uses when it runs, and no sooner.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import logging
 import os
 import sys
@@ -33,18 +32,8 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
-from .cache import CacheEntry, DegreeCache, utc_now
-from .catalog import parse_spec, realize, spec_text, witnesses_for_degree
-from .degrees import character_degrees
+from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_NODE_BUDGET, DEFAULT_ORDER_CAP
 from .errors import Error, InvalidParam
-from .groups import DEFAULT_ELEMENT_CAP, index_tables
-from .smallgroups import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_ORDER_CAP,
-    enumerate_groups,
-    table_to_realization,
-)
-from .solver import _kanold_columns, _scan_columns, g_report, verify_minimal
 
 log = logging.getLogger("chardeg")
 
@@ -120,6 +109,7 @@ def _json_rows(columns: dict) -> _JsonText:
     Each column is encoded once, ints by int.__repr__, bools from a table
     and strings by json.dumps once per distinct value, and one join
     interleaves them with the keys' text."""
+    import json
     rows, pieces = len(next(iter(columns.values()), ())), []
     for key in sorted(columns):
         col = columns[key]
@@ -141,12 +131,15 @@ def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
     the one the format prints is called.  The json output is
     json.dumps(data, sort_keys=True), but a `_JsonText` value is spliced in
     as it is: the scans encode their rows by column (`_json_rows`)."""
-    fmt = settings.format
-    stamp = not args.no_timestamp
+    fmt, stamp = settings.format, None
+    if not args.no_timestamp:
+        from .cache import utc_now
+        stamp = utc_now()
     if fmt == "json":
+        import json
         payload = dict(data())
         if stamp:
-            payload["timestamp"] = utc_now()
+            payload["timestamp"] = stamp
         if not any(isinstance(value, _JsonText) for value in payload.values()):
             print(json.dumps(payload, sort_keys=True))
         else:  # json.dumps's layout, a key at a time (one call is cheaper)
@@ -157,6 +150,7 @@ def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
             )
             print("{" + ", ".join(items) + "}")
     elif fmt == "csv":
+        import csv
         header, body = rows()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -166,17 +160,19 @@ def _emit(args, settings, data, rows, pretty, csv_comments: list[str] = ()):
         for comment in csv_comments:
             print(f"# {comment}")
         if stamp:
-            print(f"# generated {utc_now()}")
+            print(f"# generated {stamp}")
     else:
         sys.stdout.write("".join(map("%s\n".__mod__, pretty())))
         if stamp:
-            print(f"generated {utc_now()}")
+            print(f"generated {stamp}")
 
 
 # -------------------------------------------------------------- subcommands
 
 
 def _cmd_gvalue(args, settings) -> int:
+    from .catalog import spec_text
+    from .solver import g_report
     report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
     data = {
         "n": report.n,
@@ -212,6 +208,7 @@ def _cmd_gvalue(args, settings) -> int:
 
 
 def _cmd_scan(args, settings) -> int:
+    from .solver import _scan_columns
     columns, case_a, anomalies = _scan_columns(args.max_p, args.command == "scan-b")
     header = ["p", "case_label", "min_order"]
     p, case, least = map(columns.__getitem__, header)
@@ -231,6 +228,7 @@ def _cmd_scan(args, settings) -> int:
 
 
 def _cmd_kanold(args, settings) -> int:
+    from .solver import _kanold_columns
     columns = _kanold_columns(args.max_p)
     header = ["p", "q", "holds", "companion_holds"]
     p, q, holds, companion = map(columns.__getitem__, header)
@@ -250,13 +248,17 @@ def _cmd_kanold(args, settings) -> int:
 
 
 def _cmd_degrees(args, settings) -> int:
+    from .cache import CacheEntry, DegreeCache, utc_now
+    from .catalog import parse_spec, realize, spec_text
+    from .degrees import character_degrees
     spec = parse_spec(args.spec)
     canonical = spec_text(spec)
     cache = DegreeCache(settings.cache_dir) if args.cache else None
     order = functools.cache(functools.partial(spec.order, settings.element_cap))
     entry = cache.lookup(canonical, __version__, order) if cache else None
-    cached = entry is not None
-    if entry is None:
+    if entry is not None:
+        log.info("cache hit for %s", canonical)
+    else:
         g = realize(spec, settings.element_cap)
         multiset = character_degrees(g, settings.element_cap)
         entry = CacheEntry(
@@ -268,8 +270,6 @@ def _cmd_degrees(args, settings) -> int:
         )
         if cache:
             cache.store(entry)
-    if cached:
-        log.info("cache hit for %s", canonical)
     data = {
         "spec": canonical,
         "degrees": list(entry.degrees),
@@ -286,6 +286,9 @@ def _cmd_degrees(args, settings) -> int:
 
 
 def _cmd_witness(args, settings) -> int:
+    from .catalog import realize, spec_text, witnesses_for_degree
+    from .groups import index_tables
+    from .solver import g_report
     report = g_report(args.degree, verify=not args.no_verify, cap=settings.element_cap)
     specs = report.witness_specs or tuple(
         c.spec for c in report.candidates if c.order == report.min_order
@@ -311,6 +314,7 @@ def _cmd_witness(args, settings) -> int:
 
 
 def _cmd_verify(args, settings) -> int:
+    from .solver import g_report, verify_minimal
     report = g_report(args.degree, verify=False)
     status = verify_minimal(
         args.degree, report.min_order, settings.oracle_cap, settings.budget
@@ -344,6 +348,8 @@ def _cmd_verify(args, settings) -> int:
 
 
 def _cmd_enumerate(args, settings) -> int:
+    from .degrees import character_degrees
+    from .smallgroups import enumerate_groups, table_to_realization
     tables = enumerate_groups(args.order, budget=settings.budget)
     classes = []
     for i, t in enumerate(tables):
@@ -376,6 +382,7 @@ def _cmd_enumerate(args, settings) -> int:
 
 
 def _cmd_cache(args, settings) -> int:
+    from .cache import DegreeCache
     cache = DegreeCache(settings.cache_dir)
     if args.clear:
         try:

@@ -3,7 +3,12 @@
 Every failure mode callers are expected to handle gets its own class, and
 each class carries the CLI's exit code for it in exit_code, through one of
 three bases: InvalidInput (2), LimitExceeded (3) and CheckFailed (1).
+The default caps live here too, so the CLI reads them without numpy.
 """
+
+DEFAULT_ELEMENT_CAP = 50_000  # elements a closure may reach
+DEFAULT_ORDER_CAP = 16  # largest order the small-group search takes
+DEFAULT_NODE_BUDGET = 10**9  # nodes of one small-group search
 
 
 class Error(Exception):

@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import CapExceeded, SelfCheckFailed
+from .errors import DEFAULT_ELEMENT_CAP, CapExceeded, SelfCheckFailed
 
 __all__ = [
     "DEFAULT_ELEMENT_CAP",
@@ -47,7 +47,6 @@ __all__ = [
     "direct_product",
 ]
 
-DEFAULT_ELEMENT_CAP = 50_000
 # Order from which a coded realization is closed over its codes.  A
 # breadth-first level over codes costs some 25 numpy calls whatever its
 # size, more than multiplying the few products of a smaller group's level.

@@ -58,6 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import factor
+from .errors import DEFAULT_NODE_BUDGET, DEFAULT_ORDER_CAP
 from .errors import BudgetExceeded, InvalidParam, SelfCheckFailed
 from .degrees import conjugacy_classes
 from .groups import GroupRealization
@@ -71,8 +72,6 @@ __all__ = [
     "is_isomorphic",
 ]
 
-DEFAULT_ORDER_CAP = 16
-DEFAULT_NODE_BUDGET = 10**9
 # Entry budget for a sub-search's relabellings: |S| * n^2 stays under it,
 # which bounds both the permutation arrays and each node's gather.
 _SYMMETRY_ENTRIES = 1 << 18

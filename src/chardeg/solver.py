@@ -51,15 +51,8 @@ from .catalog import (
     spec_text,
     witnesses_for_degree,
 )
-from .degrees import character_degrees
+from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_NODE_BUDGET, DEFAULT_ORDER_CAP
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
-from .groups import DEFAULT_ELEMENT_CAP
-from .smallgroups import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_ORDER_CAP,
-    enumerate_groups,
-    table_to_realization,
-)
 
 __all__ = [
     "Candidate",
@@ -137,6 +130,7 @@ def verify_witness(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> b
     """Realize the spec and check the claimed degree from scratch.  The
     realized order is checked against `expected_order` when the degree
     engine enumerates it (`groups.index_tables`)."""
+    from .degrees import character_degrees
     return n in character_degrees(realize(spec, cap), cap).degrees
 
 
@@ -284,6 +278,7 @@ def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) 
     witness_specs = tuple(c.spec for c in winners)
     verified = False
     if verify and min_order <= cap:
+        from .degrees import character_degrees
         witness_specs = ()
         for c in winners:
             multiset = character_degrees(realize(c.spec, cap), cap)
@@ -385,6 +380,8 @@ def verify_minimal(
             all_cleared = False
             notes.append(f"order {m} above oracle cap {oracle_cap}: not enumerated")
             continue
+        from .degrees import character_degrees
+        from .smallgroups import enumerate_groups, table_to_realization
         try:
             tables = enumerate_groups(m, budget=budget, cap=oracle_cap)
         except BudgetExceeded as exc:

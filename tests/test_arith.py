@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ def test_primes_up_to():
     assert arith.primes_up_to(3000) == [
         n for n in range(3001) if trial_division_is_prime(n)
     ]
+
+
+def test_primes_up_to_refuses_past_the_memory_ceiling(monkeypatch):
+    """A bound whose sieve and prime list would pass 2 GB is refused before
+    the sieve is allocated; the estimate bounds what a sieve really holds."""
+    tracemalloc.start()
+    primes = arith.primes_up_to(10**6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(primes) == 78498
+    assert peak < 10**6 + 56 * int(1.26 * 10**6 / math.log(10**6))
+    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: pytest.fail("sieved"))
+    for n in (5 * 10**8, 10**10, 2**64, 10**20):
+        with pytest.raises(CapExceeded, match=f"primes up to {n} need about"):
+            arith.primes_up_to(n)
 
 
 def test_prime_power_decomposition_small_and_large_factors():

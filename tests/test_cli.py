@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from chardeg import __version__, cli, errors, groups
+from chardeg import __version__, arith, catalog, cli, degrees, errors, groups, smallgroups, solver
 from chardeg.cli import run
 from chardeg.solver import kanold_scan, scan_theorem_a, scan_theorem_b
 
@@ -566,12 +567,10 @@ def test_deeply_nested_spec_exits_2(capsys):
 
 
 def test_memory_error_exits_3(capsys, monkeypatch):
-    import chardeg.cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(chardeg.cli, "character_degrees", exhausted)
+    monkeypatch.setattr(degrees, "character_degrees", exhausted)
     code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
     assert code == 3
     assert out == ""
@@ -583,12 +582,10 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     [(RecursionError, 3, "recursion too deep"), (KeyboardInterrupt, 130, "interrupted")],
 )
 def test_recursion_and_interrupt_exit_codes(capsys, monkeypatch, exc, code, message):
-    import chardeg.cli
-
     def stop(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(chardeg.cli, "enumerate_groups", stop)
+    monkeypatch.setattr(smallgroups, "enumerate_groups", stop)
     got, out, err = invoke(capsys, "enumerate", "--order", "6", "--no-timestamp")
     assert got == code
     assert out == ""
@@ -643,7 +640,7 @@ def test_self_check_failure_exits_1(capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc("walked order does not divide |G|")
 
-    monkeypatch.setattr(cli, "character_degrees", fail)
+    monkeypatch.setattr(degrees, "character_degrees", fail)
     code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
     assert code == 1
     assert out == ""
@@ -683,13 +680,74 @@ def test_every_error_exits_with_its_code(capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc("boom", 0) if exc is errors.SpecSyntaxError else exc("boom")
 
-    monkeypatch.setattr(cli, "character_degrees", fail)
+    monkeypatch.setattr(degrees, "character_degrees", fail)
     code, out, err = invoke(capsys, "degrees", "--spec", "named:S3", "--no-timestamp")
     want = README_EXIT_CODES[exc.__name__]
     assert (code, exc.exit_code, out) == (want, want, "")
     assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
     assert ("internal verification failure: " in err) == (want == 1)
     assert "boom" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["scan-a", "scan-b", "kanold"])
+@pytest.mark.parametrize("bound", ["99999999999999999999", "10000000000"])
+def test_huge_scan_bound_exits_3_before_the_sieve(capsys, monkeypatch, command, bound):
+    """A scan whose sieve would pass the memory ceiling is refused with one
+    ERROR line before the sieve is allocated, not by numpy's traceback."""
+    monkeypatch.setattr(arith, "_prime_power_codes", lambda b: pytest.fail("sieved"))
+    code, out, err = invoke(capsys, command, "--max-p", bound, "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(
+        f"ERROR: primes up to {bound} need about [0-9]+ MB, past the 2 GB ceiling\n", err
+    )
+
+
+# Valid specs of every family, and the pieces that mutations splice into them.
+FUZZ_SPECS = [
+    "cyclic:12", "frob:2^3:7", "frob:11^1:5", "psl2:7", "xsp:3:2", "named:S3",
+    "named:G72D", "affine:3^2:0,2,1,0;1,0,0,2", "prod(cyclic:2,named:A4)",
+    "prod(affine:2^1:1,cyclic:3)",
+]
+FUZZ_PIECES = list("0123456789:^,;()-+ x") + [
+    "prod(", "cyclic:", "psl2:", "xsp:", "frob:", "named:", "affine:", "99999", "10**9",
+    str(2**64), "-1", "0",
+]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        kind = rng.randrange(4)
+        if kind == 0:  # delete a few characters
+            text = text[:i] + text[j:]
+        elif kind == 1:  # insert a piece
+            text = text[:i] + rng.choice(FUZZ_PIECES) + text[i:]
+        elif kind == 2:  # replace a few characters with a piece
+            text = text[:i] + rng.choice(FUZZ_PIECES) + text[j:]
+        else:  # graft part of another spec
+            other = rng.choice(FUZZ_SPECS)
+            k = rng.randrange(len(other))
+            text = text[:i] + other[k : k + rng.randint(1, 8)] + text[j:]
+    return text
+
+
+def test_spec_fuzz_exits_0_2_or_3(capsys):
+    """Seeded mutations of valid specs, and huge or negative scan bounds,
+    each exit 0, 2 or 3 with at most one ERROR line and no traceback."""
+    rng = random.Random(17)
+    runs = [["degrees", "--spec", mutate(rng, rng.choice(FUZZ_SPECS))] for _ in range(3000)]
+    for command in ("scan-a", "scan-b", "kanold"):
+        for bound in ("-1", "-99999999999999999999", "0", "1", "10**9", str(2**64), "1e300"):
+            runs.append([command, "--max-p", bound])
+    codes = {}
+    for argv in runs:
+        code, _, err = invoke(capsys, *argv, "--no-timestamp")
+        assert code in (0, 2, 3), (argv, err)
+        assert err.count("ERROR:") <= 1 and "Traceback" not in err, (argv, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0, 0) > 10 and codes.get(2, 0) > 1000 and codes.get(3, 0) > 10, codes
 
 
 # ------------------------------------------------------ settings precedence
@@ -753,7 +811,7 @@ def test_unknown_config_key_exits_2_before_the_work(capsys, monkeypatch, tmp_pat
     def realized(*args, **kwargs):
         raise AssertionError("the group was built")
 
-    monkeypatch.setattr(cli, "realize", realized)
+    monkeypatch.setattr(catalog, "realize", realized)
     cfg = tmp_path / "cfg"
     cfg.write_text("# caps\nformat = json\nelement-cap = 5\n")
     code, out, err = invoke(capsys, "degrees", "--spec", "psl2:7", "--config", str(cfg))
@@ -771,7 +829,7 @@ def test_unknown_format_exits_2_before_the_work(capsys, monkeypatch, tmp_path, s
         raise AssertionError("the solver ran")
 
     for name in ("_scan_columns", "_kanold_columns", "g_report", "verify_minimal"):
-        monkeypatch.setattr(cli, name, solver_called)
+        monkeypatch.setattr(solver, name, solver_called)
     argv = ["scan-a", "--max-p", "2000000"]
     if source == "env":
         monkeypatch.setenv("CHARDEG_FORMAT", "xml")

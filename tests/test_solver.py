@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chardeg.catalog import Frob, Named, Prod, Psl2, Xsp, spec_text
-from chardeg import solver
+from chardeg import degrees, solver
 from chardeg.arith import least_values_1mod
 from chardeg.errors import CapExceeded, InvalidParam
 from chardeg.solver import (
@@ -156,13 +156,13 @@ def test_g_report_8_keeps_g72d_refutation_visible():
 def test_catalog_report_computes_each_winner_once(monkeypatch):
     # G72D and G72Q tie at order 72; G72D's failed claim reuses its multiset
     calls = []
-    real = solver.character_degrees
+    real = degrees.character_degrees
 
     def counting(g, *args):
         calls.append(g.descriptor)
         return real(g, *args)
 
-    monkeypatch.setattr(solver, "character_degrees", counting)
+    monkeypatch.setattr(degrees, "character_degrees", counting)
     catalog_report(8)
     assert calls == ["named:G72D", "named:G72Q"]
 
