@@ -72,8 +72,10 @@ _SIEVE_MIN = 2**16
 _SIEVE_MAX = 2**23
 _TRIAL_MAX = 2**14
 _BLOCK = 2**13
-# primes_up_to(n) holds at most n + 56 * pi(n) bytes (codes, mask, and per
-# prime two int64s, a list slot and an int), and refuses n past this first.
+# primes_up_to(n, per_prime) refuses n past this first, when n bytes of
+# sieve and per_prime bytes a prime would pass it: the list alone holds 56
+# (codes, mask, and per prime two int64s, a list slot and an int), a caller
+# that keeps more per prime says how much.
 _MEMORY_CEILING = 2 * 10**9  # 2 GB
 
 
@@ -369,11 +371,11 @@ def is_cyclic_number(m: int) -> bool:
     return math.gcd(m, euler_phi(m)) == 1
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Sieve of Eratosthenes, inclusive."""
+def primes_up_to(n: int, per_prime: int = 56) -> list[int]:
+    """Sieve of Eratosthenes, inclusive, within _MEMORY_CEILING."""
     if n < 2:
         return []
-    need = n + 56 * int(1.26 * n / math.log(n))  # pi(n) < 1.26 n / ln n
+    need = n + per_prime * int(1.26 * n / math.log(n))  # pi(n) < 1.26 n / ln n
     if need > _MEMORY_CEILING:
         raise CapExceeded(f"primes up to {n} need about {need // 10**6} MB, past the 2 GB ceiling")
     return [2] + (2 * np.flatnonzero(_prime_power_codes(n) == _PRIME) + 1).tolist()

@@ -7,7 +7,8 @@ The degree multiset of a finite group is computed from first principles:
      representative (class 0 = identity),
   2. class-algebra structure constants a_{ijk} = #{(x,y) in C_i x C_j :
      xy = z} for fixed z in C_k, one matrix M_i = (a_{ijk})_{jk} per class,
-     built only at the split's pivot rows, each read off a column,
+     built only at the split's pivot rows, each read off a column, or for
+     a central class read as the permutation of the classes it is,
   3. a prime modulus l ≡ 1 (mod exp(G)) with l > |G|, so exp(G)-th roots of
      unity exist mod l and every degree square is recovered exactly from its
      residue; exp(G) comes from one walk of powers (ClassData.cover),
@@ -35,14 +36,16 @@ order, and keeps subspace bases in reduced row echelon form, which are
 unique: the pseudo-random rows a Krylov pass starts from change nothing.  A
 central z acts on the characters by their central character, so it is a
 cheap matrix that separates them early; a power of an earlier central z
-separates nothing more, and is skipped.
+separates nothing more, and is skipped.  Two or more kept central classes
+are first consumed as one seeded random combination, which separates
+every central character in one round unless coefficients collide.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from math import isqrt, lcm
 
@@ -325,10 +328,22 @@ def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
     step is one in-place gather of it from the flat index tables.  Row j is
     column j′ read through a_{ijk}·|C_k| = a_{ik′j′}·|C_j| (class sums
     commute, and yx = z iff x·z⁻¹ = y⁻¹), so only the columns j′ are walked,
-    and divided exactly in int64 while |G|² < 2⁶³, as a_{ik′j′} ≤ |C_i|."""
+    and divided exactly in int64 while |G|² < 2⁶³, as a_{ik′j′} ≤ |C_i|.
+
+    A central C_i = {z} is read as the permutation it is: row j is e_σ(j),
+    σ(j) the class of reps[j]·z, walked from the rows' representatives
+    along z's word; σ must keep class sizes."""
     r = cd.count
-    inv = np.array(cd.inverse_class)
     rows = np.arange(r) if rows is None else np.asarray(rows, dtype=np.intp)
+    if cd.sizes[i] == 1:
+        v = cd.reps[rows]
+        for s in cd.tables.word(int(cd.reps[i])):
+            v = cd.tables.right[s, v]
+        sigma, sizes = cd.class_at[v], np.array(cd.sizes)
+        if (sizes[sigma] != sizes[rows]).any():
+            raise SelfCheckFailed("central class maps a class to one of another size")
+        return (sigma[:, None] == np.arange(r)).astype(np.int64)
+    inv = np.array(cd.inverse_class)
     need = inv[rows]
     cols = np.flatnonzero(np.bincount(need, minlength=r))  # ascending, so words never get shorter
     gens, walking = cd.rep_words
@@ -622,7 +637,9 @@ def _split_order(cd: ClassData) -> list[int]:
     of an earlier central z is left out: on a subspace where M_z acts as
     the scalar omega(z), M_{z^k} acts as omega(z)^k, so it splits nothing
     that z has not.  z's powers are read off the cover: z = y^j for a
-    walked y of order o, so z^k = y^(jk) for k = 1, ..., o."""
+    walked y of order o, so z^k = y^(jk) for k = 1, ..., o.  When two or
+    more central classes are kept, character_degrees puts their seeded
+    combination in front of them, so the centre splits in one round."""
     walked, at = cd.cover
     central, powers = [], set()
     for k in range(1, cd.count):
@@ -658,10 +675,20 @@ def character_degrees(
         basis = np.zeros((len(piv), r), dtype=np.int64)  # e_k − e_last of k's coset
         basis[range(len(piv)), piv] = 1
         basis[range(len(piv)), [last[coset[k]] for k in piv]] = l - 1
-        size_invs = np.array([pow(s, l - 2, l) for s in cd.sizes], dtype=np.int64)
+        inverse_of = {s: pow(s, l - 2, l) for s in set(cd.sizes)}  # few distinct sizes
+        size_invs = np.array([inverse_of[s] for s in cd.sizes], dtype=np.int64)
         inv = np.array(cd.inverse_class)
+        keys = _split_order(cd)
+        central = tuple(k for k in keys if cd.sizes[k] == 1)
+
+        def matrices(key, rows=None):
+            """M_key, or for the tuple of kept central classes Σ c_z·M_z, c_z seeded by z."""
+            if isinstance(key, tuple):
+                return sum(random.Random(z).randrange(1, l) * class_matrix(cd, z, rows) for z in key)
+            return class_matrix(cd, key, rows)
+
         for v in _split_common_eigenvectors(
-            partial(class_matrix, cd), _split_order(cd), basis, piv, l
+            matrices, ([central] if len(central) > 1 else []) + keys, basis, piv, l
         ):
             if v[0] == 0:
                 raise SelfCheckFailed("eigenvector with zero identity coordinate")

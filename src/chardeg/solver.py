@@ -40,17 +40,6 @@ from .arith import (
     prime_power_decomposition,
     primes_up_to,
 )
-from .catalog import (
-    Frob,
-    GroupSpec,
-    Named,
-    Prod,
-    Psl2,
-    Xsp,
-    realize,
-    spec_text,
-    witnesses_for_degree,
-)
 from .errors import DEFAULT_ELEMENT_CAP, DEFAULT_NODE_BUDGET, DEFAULT_ORDER_CAP
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 
@@ -124,12 +113,16 @@ class KanoldRow:
 
 
 _CASE_BY_LABEL = {"psl2": "a", "pgroup5": "a", "frobenius": "b", "product": "c"}
+# Bytes a scan holds a prime, JSON rows included (peak RSS up to 4·10⁶):
+# the sieve refuses a bound whose rows would pass the memory ceiling.
+_SCAN_BYTES = {"scan-a": 450, "scan-b": 550, "kanold": 460}
 
 
 def verify_witness(spec: GroupSpec, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Realize the spec and check the claimed degree from scratch.  The
     realized order is checked against `expected_order` when the degree
     engine enumerates it (`groups.index_tables`)."""
+    from .catalog import realize
     from .degrees import character_degrees
     return n in character_degrees(realize(spec, cap), cap).degrees
 
@@ -221,6 +214,7 @@ def _candidate_report(p: int, squared: bool, verify: bool, cap: int) -> Candidat
     """The degree-p report of the prime p, or when squared the degree-p^2
     one: the scan of [p], plus the specs and the verification of the
     winners."""
+    from .catalog import Frob, Prod, Psl2, Xsp
     if not is_prime(p):
         raise InvalidParam(f"{p} is not prime")
     specs = {"psl2": Psl2(p)} if p >= 5 else {}
@@ -266,6 +260,7 @@ def catalog_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) 
     reported every time: G72D affords degree 4, and its degree-8 claim shows
     up here as an anomaly of the degree-8 report.
     """
+    from .catalog import Named, realize, spec_text, witnesses_for_degree
     entries = witnesses_for_degree(n)
     if not entries:
         raise InvalidParam(f"no catalog witness claims degree {n}")
@@ -335,7 +330,7 @@ def _scan_columns(max_p: int, squared: bool) -> tuple[dict, tuple, tuple]:
     the anomalies."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
-    primes = primes_up_to(max_p)
+    primes = primes_up_to(max_p, _SCAN_BYTES["scan-b" if squared else "scan-a"])
     *_, case, least, _, anomalies = _levels(primes, squared)[-1]
     columns = {"p": primes, "case_label": case.tolist(), "min_order": least.tolist()}
     return columns, tuple(compress(primes, (case == "a").tolist())), tuple(anomalies)
@@ -420,7 +415,7 @@ def _kanold_columns(max_p: int) -> dict:
     """kanold_scan's rows as lists keyed by KanoldRow field name."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
-    primes = primes_up_to(max_p)
+    primes = primes_up_to(max_p, _SCAN_BYTES["kanold"])
     values, _ = least_values_1mod(primes, primes_only=True)
     p, q = _exact(max_p * (max_p * max_p + int(values.max())), primes, values)
     psl2 = p * ((p * p - 1) // np.where(p > 2, 2, 1))

@@ -8,12 +8,15 @@ stdout, which only a process of its own can meet.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import re
 import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -690,17 +693,36 @@ def test_every_error_exits_with_its_code(capsys, monkeypatch, exc):
 
 
 @pytest.mark.parametrize("command", ["scan-a", "scan-b", "kanold"])
-@pytest.mark.parametrize("bound", ["99999999999999999999", "10000000000"])
+@pytest.mark.parametrize("bound", ["99999999999999999999", "10000000000", "400000000"])
 def test_huge_scan_bound_exits_3_before_the_sieve(capsys, monkeypatch, command, bound):
-    """A scan whose sieve would pass the memory ceiling is refused with one
-    ERROR line before the sieve is allocated, not by numpy's traceback."""
+    """A scan whose sieve, or whose rows, would pass the memory ceiling is
+    refused with one ERROR line within a second, before the sieve is
+    allocated, not by numpy's traceback.  At 4·10⁸ the sieve and the list
+    of primes alone fit in 2 GB; the scan's rows, about 450 bytes a prime,
+    would not."""
     monkeypatch.setattr(arith, "_prime_power_codes", lambda b: pytest.fail("sieved"))
+    start = time.perf_counter()
     code, out, err = invoke(capsys, command, "--max-p", bound, "--no-timestamp")
+    assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     assert re.fullmatch(
         f"ERROR: primes up to {bound} need about [0-9]+ MB, past the 2 GB ceiling\n", err
     )
+
+
+@pytest.mark.parametrize("command", ["scan-a", "kanold"])
+def test_scan_estimate_bounds_what_a_json_scan_holds(capsys, command):
+    """The estimate a scan is refused by, in bytes a prime, bounds what a
+    scan to 200,000 rendered as JSON really allocates, sieve included.
+    (scan-b is left out: a traced run of that size takes seconds.)"""
+    bound = 200_000
+    tracemalloc.start()
+    code, out, _ = invoke(capsys, command, "--max-p", str(bound), "--format", "json", "--no-timestamp")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0 and len(json.loads(out)["rows"]) == 17984
+    assert peak < bound + solver._SCAN_BYTES[command] * int(1.26 * bound / math.log(bound))
 
 
 # Valid specs of every family, and the pieces that mutations splice into them.

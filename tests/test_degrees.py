@@ -245,6 +245,7 @@ REFERENCE_GROUPS = [
     "named:G72D",
     "cyclic:60",  # long tree paths to the representatives
     "prod(cyclic:25,named:S3)",
+    "prod(xsp:3:1,prod(cyclic:3,cyclic:3))",  # a centre of 13 kept classes
 ]
 REFERENCE_CASES = (
     [(text, lambda text=text: make(text)) for text in REFERENCE_GROUPS]
@@ -1089,22 +1090,67 @@ def test_wrong_derived_order_is_caught(monkeypatch):
         character_degrees(make("xsp:3:1"))
 
 
-def test_central_classes_split_first(monkeypatch):
-    """Three many-class specs split W with 5 class matrices, each of a
-    central class; splitting the full space took 161 + 127 + 72.  A
-    central class that is a power of an earlier one is skipped: it was the
-    sixth matrix, and split nothing."""
-    built = []
-    real = degrees.class_matrix
+def count_split_work(monkeypatch):
+    """Record the size of each class whose matrix is built, and count the
+    eigen-rounds (_eigenspaces calls)."""
+    built, rounds = [], []
+    real_matrix, real_rounds = degrees.class_matrix, degrees._eigenspaces
 
-    def counting(cd, i, rows=None):
+    def matrix(cd, i, rows=None):
         built.append(cd.sizes[i])
-        return real(cd, i, rows)
+        return real_matrix(cd, i, rows)
 
-    monkeypatch.setattr(degrees, "class_matrix", counting)
+    def eigenspaces(rmat, l):
+        rounds.append(len(rmat))
+        return real_rounds(rmat, l)
+
+    monkeypatch.setattr(degrees, "class_matrix", matrix)
+    monkeypatch.setattr(degrees, "_eigenspaces", eigenspaces)
+    return built, rounds
+
+
+def test_central_classes_split_first(monkeypatch):
+    """Three many-class specs split W in 3 eigen-rounds, one each, from 8
+    class matrices, all central: their 4 + 3 + 1 kept central classes go
+    into one combined round a spec (one class alone needs no combination).
+    Consumed one at a time, the split took 5 central matrices in 8 rounds;
+    splitting the full space took 161 + 127 + 72 matrices."""
+    built, rounds = count_split_work(monkeypatch)
     for text in ["prod(xsp:3:2,cyclic:3)", "prod(xsp:3:2,cyclic:2)", "xsp:3:2"]:
         character_degrees(make(text))
-    assert built == [1] * 5
+    assert built == [1] * 8
+    assert len(rounds) == 3
+
+
+def test_coefficient_collision_leaves_the_single_central_classes(monkeypatch):
+    """prod(xsp:3:1,cyclic:5) (l = 151) keeps central classes 3, 35 and 43.
+    Their seeded combination gives two central characters one eigenvalue,
+    so a subspace stays live after the combined round and single central
+    classes split it.  The degrees are still the closed form's."""
+    want = product_degrees(
+        extraspecial_degrees_closed_form(3, 1), DegreeMultiset((1,) * 5, 5)
+    ).degrees
+    g = make("prod(xsp:3:1,cyclic:5)")
+    cd = conjugacy_classes(g)
+    assert dixon_modulus(cd) == 151 and degrees._split_order(cd)[:3] == [3, 35, 43]
+    built, _ = count_split_work(monkeypatch)
+    assert character_degrees(g).degrees == want
+    assert len(built) > 3  # single central classes after the combined three
+
+
+@pytest.mark.parametrize("text", ["xsp:3:1", "psl2:5", "psl2:7"])
+def test_non_central_class_read_as_a_permutation_fails_the_size_check(text):
+    """A class of size 1 is read as the permutation of a central element.
+    Here every non-central class relabelled to size 1 maps some class to
+    one of another size.  The check is necessary, not sufficient: relabelled,
+    S3's 3-cycles or any non-central class of xsp:2:1 map each class to one of
+    the same size."""
+    cd = conjugacy_classes(make(text))
+    for k in range(1, cd.count):
+        if cd.sizes[k] > 1:
+            bad = dataclasses.replace(cd, sizes=cd.sizes[:k] + (1,) + cd.sizes[k + 1 :])
+            with pytest.raises(SelfCheckFailed, match="another size"):
+                class_matrix(bad, k)
 
 
 def test_split_order_keeps_one_central_class_per_cyclic_subgroup():

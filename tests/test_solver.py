@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chardeg.catalog import Frob, Named, Prod, Psl2, Xsp, spec_text
-from chardeg import degrees, solver
+from chardeg import catalog, degrees, solver
 from chardeg.arith import least_values_1mod
 from chardeg.errors import CapExceeded, InvalidParam
 from chardeg.solver import (
@@ -172,7 +172,7 @@ def test_catalog_report_computes_each_winner_once(monkeypatch):
 def test_catalog_report_past_the_cap_builds_nothing(monkeypatch, verify):
     """A minimal order above the element cap is not verified, as with
     verification off: every order-72 entry is listed, nothing is built."""
-    monkeypatch.setattr(solver, "realize", lambda *args: pytest.fail("realized past the cap"))
+    monkeypatch.setattr(catalog, "realize", lambda *args: pytest.fail("realized past the cap"))
     r = catalog_report(8, verify=verify, cap=71)
     assert (r.verified, r.anomalies) == (False, ())
     assert r.witness_specs == (Named("G72D"), Named("G72Q"))

@@ -68,12 +68,17 @@ def test_version_and_usage_errors_load_no_numpy(argv):
 
 @pytest.mark.parametrize("command", ["scan-a", "scan-b", "kanold"])
 def test_scans_load_neither_the_engine_nor_the_search(command):
+    """A scan builds no group: it loads neither the engine, the search and
+    the cache, nor the catalog and the layers the catalog builds on."""
     loaded = loaded_after(
         "import contextlib, io\nfrom chardeg.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert run([{command!r}, '--max-p', '100', '--no-timestamp']) == 0"
     )
-    assert not loaded & {"chardeg.degrees", "chardeg.smallgroups", "chardeg.cache"}, loaded
+    assert not loaded & {
+        "chardeg.degrees", "chardeg.smallgroups", "chardeg.cache",
+        "chardeg.catalog", "chardeg.ffield", "chardeg.groups",
+    }, loaded
 
 
 def test_every_public_name_is_its_home_modules():
