@@ -16,28 +16,24 @@ from chardeg import kanold_scan, scan_theorem_a, scan_theorem_b
 
 
 def main():
-    scan_a = scan_theorem_a(200)
+    columns, case_a, _ = scan_theorem_a(200)
     print("degree p, primes up to 200:")
-    for row in scan_a.rows:
-        print(f"  p={row.p:<4} case ({row.case_label})  g(p) = {row.min_order}")
-    print(f"simple-group wins: {list(scan_a.case_a)}")
+    for p, case, least in zip(columns["p"], columns["case_label"], columns["min_order"]):
+        print(f"  p={p:<4} case ({case})  g(p) = {least}")
+    print(f"simple-group wins: {list(case_a)}")
 
-    scan_b = scan_theorem_b(71)
+    columns, case_a, _ = scan_theorem_b(71)
     print("\ndegree p^2, primes up to 71:")
-    for row in scan_b.rows:
-        print(f"  p={row.p:<4} case ({row.case_label})  g(p^2) = {row.min_order}")
-    print(f"extraspecial wins: {list(scan_b.case_a)}")
+    for p, case, least in zip(columns["p"], columns["case_label"], columns["min_order"]):
+        print(f"  p={p:<4} case ({case})  g(p^2) = {least}")
+    print(f"extraspecial wins: {list(case_a)}")
 
-    rows = kanold_scan(200)
+    columns = kanold_scan(200)
     print("\nleast prime q = 1 (mod p) versus p^2:")
-    for row in rows:
-        margin = "q < p^2" if row.holds else "q >= p^2  (!)"
-        print(f"  p={row.p:<4} q={row.q:<6} {margin}")
-    print(
-        "holds for all scanned primes"
-        if all(r.holds for r in rows)
-        else "violated in range"
-    )
+    for p, q, holds in zip(columns["p"], columns["q"], columns["holds"]):
+        margin = "q < p^2" if holds else "q >= p^2  (!)"
+        print(f"  p={p:<4} q={q:<6} {margin}")
+    print("holds for all scanned primes" if all(columns["holds"]) else "violated in range")
 
 
 if __name__ == "__main__":

@@ -208,8 +208,9 @@ def _cmd_gvalue(args, settings) -> int:
 
 
 def _cmd_scan(args, settings) -> int:
-    from .solver import _scan_columns
-    columns, case_a, anomalies = _scan_columns(args.max_p, args.command == "scan-b")
+    from .solver import scan_theorem_a, scan_theorem_b
+    scan = scan_theorem_b if args.command == "scan-b" else scan_theorem_a
+    columns, case_a, anomalies = scan(args.max_p)
     header = ["p", "case_label", "min_order"]
     p, case, least = map(columns.__getitem__, header)
     _emit(
@@ -228,8 +229,8 @@ def _cmd_scan(args, settings) -> int:
 
 
 def _cmd_kanold(args, settings) -> int:
-    from .solver import _kanold_columns
-    columns = _kanold_columns(args.max_p)
+    from .solver import kanold_scan
+    columns = kanold_scan(args.max_p)
     header = ["p", "q", "holds", "companion_holds"]
     p, q, holds, companion = map(columns.__getitem__, header)
     all_hold = all(holds)

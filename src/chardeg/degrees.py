@@ -332,16 +332,21 @@ def class_matrix(cd: ClassData, i: int, rows=None) -> np.ndarray:
 
     A central C_i = {z} is read as the permutation it is: row j is e_σ(j),
     σ(j) the class of reps[j]·z, walked from the rows' representatives
-    along z's word; σ must keep class sizes."""
+    along z's word; σ must keep class sizes.  The same walk takes each
+    generator g_j = right[j, 0] to g_j·z, which must be z·g_j: a size
+    alone does not make z central."""
     r = cd.count
     rows = np.arange(r) if rows is None else np.asarray(rows, dtype=np.intp)
     if cd.sizes[i] == 1:
-        v = cd.reps[rows]
-        for s in cd.tables.word(int(cd.reps[i])):
-            v = cd.tables.right[s, v]
-        sigma, sizes = cd.class_at[v], np.array(cd.sizes)
+        right, z = cd.tables.right, int(cd.reps[i])
+        v = np.concatenate([cd.reps[rows], right[:, 0]])
+        for s in cd.tables.word(z):
+            v = right[s, v]
+        sigma, sizes = cd.class_at[v[: len(rows)]], np.array(cd.sizes)
         if (sizes[sigma] != sizes[rows]).any():
             raise SelfCheckFailed("central class maps a class to one of another size")
+        if (v[len(rows) :] != right[:, z]).any():
+            raise SelfCheckFailed("central class does not commute with a generator")
         return (sigma[:, None] == np.arange(r)).astype(np.int64)
     inv = np.array(cd.inverse_class)
     need = inv[rows]

@@ -13,11 +13,12 @@ For degree p^2 they are:
   (c) the direct product of two minimal degree-p witnesses.
 
 Scans compare candidate orders by formula only: one batched search, then
-one column-wise comparison per degree.  A single report is the scan of its
-one prime, plus the specs of the candidates.  Witnesses are realized and
-their degree multisets recomputed from first principles on request.  Ties
-between candidates and structural surprises (a winning product built from
-non-Frobenius factors) are reported as anomalies, never suppressed.
+one column-wise comparison per degree, and return their rows as columns.
+A single report is the scan of its one prime, plus the specs of the
+candidates.  Witnesses are realized and their degree multisets recomputed
+from first principles on request.  Ties between candidates and structural
+surprises (a winning product built from non-Frobenius factors) are
+reported as anomalies, never suppressed.
 
 Minimality reporting is honest about its evidence: an order is `Exhaustive`
 when arithmetic alone empties the gap below the witness, `OracleVerified`
@@ -27,7 +28,7 @@ when the remaining orders were exhaustively enumerated and cleared, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
@@ -47,9 +48,6 @@ __all__ = [
     "Candidate",
     "CandidateReport",
     "MinimalityStatus",
-    "ScanRow",
-    "ScanResult",
-    "KanoldRow",
     "g_prime",
     "g_prime_squared",
     "catalog_report",
@@ -88,28 +86,6 @@ class MinimalityStatus:
     residual_orders: tuple[int, ...]
     status: str  # Exhaustive | OracleVerified | WitnessOnly
     notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    p: int
-    case_label: str
-    min_order: int
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    rows: tuple[ScanRow, ...]
-    case_a: tuple[int, ...]
-    anomalies: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class KanoldRow:
-    p: int
-    q: int
-    holds: bool  # q < p^2
-    companion_holds: bool  # q < (p^2 - 1)/gcd(2, p - 1)
 
 
 _CASE_BY_LABEL = {"psl2": "a", "pgroup5": "a", "frobenius": "b", "product": "c"}
@@ -308,26 +284,21 @@ def g_report(n: int, verify: bool = True, cap: int = DEFAULT_ELEMENT_CAP) -> Can
     return catalog_report(n, verify, cap)
 
 
-def scan_theorem_a(max_p: int) -> ScanResult:
+def scan_theorem_a(max_p: int) -> tuple[dict, tuple, tuple]:
     """Candidate comparison for every prime p <= max_p, by formula only."""
     return _scan(max_p, squared=False)
 
 
-def scan_theorem_b(max_p: int) -> ScanResult:
+def scan_theorem_b(max_p: int) -> tuple[dict, tuple, tuple]:
+    """The same for degree p^2."""
     return _scan(max_p, squared=True)
 
 
-def _scan(max_p: int, squared: bool) -> ScanResult:
-    columns, case_a, anomalies = _scan_columns(max_p, squared)
-    rows = tuple(map(ScanRow, *(columns[f.name] for f in fields(ScanRow))))
-    return ScanResult(rows, case_a, anomalies)
-
-
-def _scan_columns(max_p: int, squared: bool) -> tuple[dict, tuple, tuple]:
+def _scan(max_p: int, squared: bool) -> tuple[dict, tuple, tuple]:
     """Every prime up to max_p, answered by `_levels`: one batched search,
     then one column-wise comparison per degree gives every row.  Returns
-    the rows as lists keyed by ScanRow field name, the case (a) primes and
-    the anomalies."""
+    the rows as equal-length lists by column (p, case_label, min_order),
+    the case (a) primes and the anomalies."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p, _SCAN_BYTES["scan-b" if squared else "scan-a"])
@@ -403,16 +374,11 @@ def verify_minimal(
     )
 
 
-def kanold_scan(max_p: int) -> tuple[KanoldRow, ...]:
+def kanold_scan(max_p: int) -> dict:
     """Least prime q ≡ 1 mod p versus p^2, and versus (p^2-1)/gcd(2,p-1):
     the companion holds when frob:q^1:p is smaller than PSL2(p), in the
-    scans' comparison."""
-    columns = _kanold_columns(max_p)
-    return tuple(map(KanoldRow, *(columns[f.name] for f in fields(KanoldRow))))
-
-
-def _kanold_columns(max_p: int) -> dict:
-    """kanold_scan's rows as lists keyed by KanoldRow field name."""
+    scans' comparison.  Returns the rows as equal-length lists by column:
+    p, q, holds (q < p^2) and companion_holds."""
     if max_p < 2:
         raise InvalidParam("scan bound must be >= 2")
     primes = primes_up_to(max_p, _SCAN_BYTES["kanold"])

@@ -5,7 +5,6 @@ streams are observable without spawning subprocesses, except a closed
 stdout, which only a process of its own can meet.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -315,9 +314,14 @@ def test_json_rows_match_json_dumps(n, seed):
 
 
 LIBRARY_SCANS = {
-    "scan-a": lambda max_p: scan_theorem_a(max_p).rows,
-    "scan-b": lambda max_p: scan_theorem_b(max_p).rows,
+    "scan-a": lambda max_p: scan_theorem_a(max_p)[0],
+    "scan-b": lambda max_p: scan_theorem_b(max_p)[0],
     "kanold": kanold_scan,
+}
+SCAN_COLUMNS = {
+    "scan-a": ["p", "case_label", "min_order"],
+    "scan-b": ["p", "case_label", "min_order"],
+    "kanold": ["p", "q", "holds", "companion_holds"],
 }
 
 
@@ -329,9 +333,27 @@ def test_timestamped_scan_json_carries_the_library_rows(capsys, command):
     assert code == 0
     data = json.loads(out)
     assert out == json.dumps(data, sort_keys=True) + "\n"
-    assert data["rows"] == [dataclasses.asdict(r) for r in LIBRARY_SCANS[command](400)]
+    columns = LIBRARY_SCANS[command](400)
+    assert list(columns) == SCAN_COLUMNS[command]
+    assert data["rows"] == [dict(zip(columns, values)) for values in zip(*columns.values())]
     _, bare, _ = invoke(capsys, command, "--max-p", "400", "--format", "json", "--no-timestamp")
     assert data.pop("timestamp") and json.loads(bare) == data
+
+
+def test_scan_commands_call_the_public_scans(capsys, monkeypatch):
+    """Each scan command goes through its public solver function, looked up
+    on the module when the command runs, so a wrapper put there (as a
+    tracer does) sees every scan the CLI prints."""
+    calls = []
+    for name in ("scan_theorem_a", "scan_theorem_b", "kanold_scan"):
+        def counted(*args, fn=getattr(solver, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(solver, name, counted)
+    for command in ("scan-a", "scan-b", "kanold"):
+        code, out, _ = invoke(capsys, command, "--max-p", "30", "--no-timestamp")
+        assert code == 0 and out.startswith("p=2 ")
+    assert calls == ["scan_theorem_a", "scan_theorem_b", "kanold_scan"]
 
 
 def test_witness_cycle_notation(capsys):
@@ -850,7 +872,7 @@ def test_unknown_format_exits_2_before_the_work(capsys, monkeypatch, tmp_path, s
     def solver_called(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    for name in ("_scan_columns", "_kanold_columns", "g_report", "verify_minimal"):
+    for name in ("scan_theorem_a", "scan_theorem_b", "kanold_scan", "g_report", "verify_minimal"):
         monkeypatch.setattr(solver, name, solver_called)
     argv = ["scan-a", "--max-p", "2000000"]
     if source == "env":

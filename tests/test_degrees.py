@@ -1142,15 +1142,30 @@ def test_coefficient_collision_leaves_the_single_central_classes(monkeypatch):
 def test_non_central_class_read_as_a_permutation_fails_the_size_check(text):
     """A class of size 1 is read as the permutation of a central element.
     Here every non-central class relabelled to size 1 maps some class to
-    one of another size.  The check is necessary, not sufficient: relabelled,
-    S3's 3-cycles or any non-central class of xsp:2:1 map each class to one of
-    the same size."""
+    one of another size.  The size check is necessary, not sufficient: the
+    commute check below catches the classes that keep every size."""
     cd = conjugacy_classes(make(text))
     for k in range(1, cd.count):
         if cd.sizes[k] > 1:
             bad = dataclasses.replace(cd, sizes=cd.sizes[:k] + (1,) + cd.sizes[k + 1 :])
             with pytest.raises(SelfCheckFailed, match="another size"):
                 class_matrix(bad, k)
+
+
+@pytest.mark.parametrize("text", ["named:S3", "xsp:2:1", "named:A4", "frob:2^3:7"])
+def test_non_central_class_read_as_a_permutation_fails_the_commute_check(text):
+    """Relabelled to size 1, S3's 3-cycles, every non-central class of
+    xsp:2:1, and class 1 of A4 and of frob:2^3:7 map each class to one of
+    the same size; their representatives fail to commute with a generator."""
+    cd = conjugacy_classes(make(text))
+    same_size = 0
+    for k in range(1, cd.count):
+        if cd.sizes[k] > 1:
+            bad = dataclasses.replace(cd, sizes=cd.sizes[:k] + (1,) + cd.sizes[k + 1 :])
+            with pytest.raises(SelfCheckFailed, match="another size|commute") as caught:
+                class_matrix(bad, k)
+            same_size += "commute" in str(caught.value)
+    assert same_size >= 1
 
 
 def test_split_order_keeps_one_central_class_per_cyclic_subgroup():

@@ -180,11 +180,16 @@ def test_catalog_report_past_the_cap_builds_nothing(monkeypatch, verify):
 # ------------------------------------------------------------------- scans
 
 
+def _rows(columns):
+    """The scan's rows, one dict per prime, from its columns."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
 def test_scan_theorem_a_small():
-    result = scan_theorem_a(18)
-    assert result.case_a == ()
-    assert result.anomalies == ()
-    by_p = {row.p: (row.case_label, row.min_order) for row in result.rows}
+    columns, case_a, anomalies = scan_theorem_a(18)
+    assert case_a == ()
+    assert anomalies == ()
+    by_p = dict(zip(columns["p"], zip(columns["case_label"], columns["min_order"])))
     assert by_p[2] == ("b", 6)
     assert by_p[3] == ("b", 12)
     assert by_p[5] == ("b", 55)
@@ -194,22 +199,22 @@ def test_scan_theorem_a_small():
 
 
 def test_scan_theorem_a_finds_19():
-    result = scan_theorem_a(300)
-    assert result.case_a == (19,)
-    assert all(row.case_label in ("a", "b") for row in result.rows)
-    assert all(row.min_order > row.p * row.p for row in result.rows)
+    columns, case_a, _ = scan_theorem_a(300)
+    assert case_a == (19,)
+    assert all(case in ("a", "b") for case in columns["case_label"])
+    assert all(least > p * p for p, least in zip(columns["p"], columns["min_order"]))
 
 
 def test_scan_theorem_b_to_71():
-    result = scan_theorem_b(71)
-    assert result.case_a == (19,)
-    by_p = {row.p: (row.case_label, row.min_order) for row in result.rows}
+    columns, case_a, _ = scan_theorem_b(71)
+    assert case_a == (19,)
+    by_p = dict(zip(columns["p"], zip(columns["case_label"], columns["min_order"])))
     assert by_p[2] == ("b", 20)
     assert by_p[3] == ("c", 144)
     assert by_p[5] == ("b", 2525)
     assert by_p[7] == ("c", 3136)
     assert by_p[19] == ("a", 2476099)
-    assert all(row.min_order > row.p**4 for row in result.rows)
+    assert all(least > p**4 for p, least in zip(columns["p"], columns["min_order"]))
 
 
 def test_scan_rows_match_single_reports():
@@ -217,24 +222,25 @@ def test_scan_rows_match_single_reports():
     candidates' orders alone; each row must be what the single report of
     that prime says, at the size the benchmark scans."""
     for scan, single in ((scan_theorem_a(30000), g_prime), (scan_theorem_b(300), g_prime_squared)):
+        columns, case_a, scan_anomalies = scan
         anomalies = []
-        for row in scan.rows:
-            report = single(row.p, verify=False)
-            assert (row.case_label, row.min_order) == (report.case_label, report.min_order)
+        for row in _rows(columns):
+            report = single(row["p"], verify=False)
+            assert (row["case_label"], row["min_order"]) == (report.case_label, report.min_order)
             anomalies += report.anomalies
-        assert list(scan.anomalies) == anomalies
-        assert scan.case_a == (19,)
+        assert list(scan_anomalies) == anomalies
+        assert case_a == (19,)
 
 
 def test_scan_b_rows_exact_past_int64():
     """From p = 6,211 on, p^5 passes 2^63: the scan's orders must stay exact
     there and agree with the single reports."""
-    rows = [row for row in scan_theorem_b(6300).rows if row.p >= 6211]
-    assert [row.p for row in rows][:1] == [6211] and len(rows) == 12
+    rows = [row for row in _rows(scan_theorem_b(6300)[0]) if row["p"] >= 6211]
+    assert [row["p"] for row in rows][:1] == [6211] and len(rows) == 12
     assert 6199**5 < 2**63 < 6211**5
     for row in rows:
-        report = g_prime_squared(row.p, verify=False)
-        assert (row.case_label, row.min_order) == (report.case_label, report.min_order)
+        report = g_prime_squared(row["p"], verify=False)
+        assert (row["case_label"], row["min_order"]) == (report.case_label, report.min_order)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -340,21 +346,25 @@ def test_verify_minimal_validation():
 
 
 def test_kanold_rows():
-    rows = {r.p: r for r in kanold_scan(500)}
-    assert (rows[2].q, rows[2].holds, rows[2].companion_holds) == (3, True, False)
-    assert (rows[3].q, rows[3].holds, rows[3].companion_holds) == (7, True, False)
-    assert (rows[5].q, rows[5].holds, rows[5].companion_holds) == (11, True, True)
-    assert (rows[7].q, rows[7].holds, rows[7].companion_holds) == (29, True, False)
-    assert (rows[19].q, rows[19].holds, rows[19].companion_holds) == (191, True, False)
-    assert all(r.holds for r in rows.values())
-    assert [p for p, r in sorted(rows.items()) if not r.companion_holds] == [2, 3, 7, 19]
+    columns = kanold_scan(500)
+    rows = {r["p"]: (r["q"], r["holds"], r["companion_holds"]) for r in _rows(columns)}
+    assert rows[2] == (3, True, False)
+    assert rows[3] == (7, True, False)
+    assert rows[5] == (11, True, True)
+    assert rows[7] == (29, True, False)
+    assert rows[19] == (191, True, False)
+    assert all(columns["holds"])
+    assert [p for p, (*_, companion) in sorted(rows.items()) if not companion] == [2, 3, 7, 19]
 
 
 def test_kanold_scan_matches_single_queries():
-    rows = kanold_scan(5000)
-    assert len(rows) == 669
+    columns = kanold_scan(5000)
+    assert len(columns["p"]) == len(columns["q"]) == 669
     # a one-modulus batch walks, where the scan reads the sieve
-    assert all(r.q == least_values_1mod([r.p], primes_only=True)[0][0] for r in rows)
+    assert all(
+        q == least_values_1mod([p], primes_only=True)[0][0]
+        for p, q in zip(columns["p"], columns["q"])
+    )
 
 
 # ----------------------------------------------------------------- witness
